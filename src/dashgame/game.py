@@ -16,7 +16,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .model import BufferView, GameParams, VideoQualityModel, adjustment_factor
+from .model import BufferView, GameParams, UtilityGradients, VideoQualityModel, adjustment_factor
 
 __all__ = [
     "FocCoefficients",
@@ -86,8 +86,31 @@ def foc_coefficients(
     )
 
 
-def _own_gradient(z: FocCoefficients, beta: float, r: float, sum_others: float) -> float:
-    return z.z1 / (1.0 + beta * r) + z.z2 - z.z3 * (r + sum_others)
+def _own_rate_root(
+    z1: float, z2: float, z3: float, beta: float, sum_others: float, r_max: float, tol: float
+) -> float:
+    """Own-rate FOC root in [0, r_max] by bisection, to within ``tol``.
+
+    Shared by :func:`best_response` and the solver's best-response sweeps;
+    the gradient ``z1/(1 + beta*r) + z2 - z3*(r + sum_others)`` is strictly
+    decreasing in ``r``.
+    """
+
+    def grad(r: float) -> float:
+        return z1 / (1.0 + beta * r) + z2 - z3 * (r + sum_others)
+
+    if grad(0.0) <= 0:
+        return 0.0
+    if grad(r_max) >= 0:
+        return r_max
+    lo, hi = 0.0, r_max
+    while hi - lo > tol:
+        mid = 0.5 * (lo + hi)
+        if grad(mid) > 0:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
 
 
 def best_response(
@@ -108,19 +131,7 @@ def best_response(
     if not (math.isfinite(r_max) and r_max > 0):
         raise ValueError(f"r_max must be finite and > 0, got {r_max!r}")
     z = foc_coefficients(params, model, buf, export_bw)
-    sum_others = float(sum(others_rates))
-    if _own_gradient(z, model.beta, 0.0, sum_others) <= 0:
-        return 0.0
-    if _own_gradient(z, model.beta, r_max, sum_others) >= 0:
-        return r_max
-    lo, hi = 0.0, r_max
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if _own_gradient(z, model.beta, mid, sum_others) > 0:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+    return _own_rate_root(z.z1, z.z2, z.z3, model.beta, float(sum(others_rates)), r_max, tol)
 
 
 def closed_form_identical_2user(z: FocCoefficients, beta: float) -> float:
@@ -150,14 +161,16 @@ def _projected_residuals(
     return res
 
 
-def _gradients(
-    zs: list[FocCoefficients], betas: np.ndarray, rates: np.ndarray
-) -> np.ndarray:
-    total = float(rates.sum())
-    z1 = np.array([z.z1 for z in zs])
-    z2 = np.array([z.z2 for z in zs])
-    z3 = np.array([z.z3 for z in zs])
-    return z1 / (1.0 + betas * rates) + z2 - z3 * total
+def _newton_step(diag: np.ndarray, c: float, rhs: np.ndarray) -> np.ndarray:
+    """Solve ``(diag(d) - c*1*1^T) x = rhs`` in O(N) by Sherman-Morrison.
+
+    ``x = D^-1 rhs + c * D^-1 1 * (1^T D^-1 rhs) / (1 - c * 1^T D^-1 1)``.
+    With every ``d_i < 0`` and ``c > 0`` the denominator exceeds 1, so the
+    matrix is never singular.
+    """
+    inv_d = 1.0 / diag
+    y = rhs * inv_d
+    return y + inv_d * (c * float(y.sum()) / (1.0 - c * float(inv_d.sum())))
 
 
 def solve_equilibrium(
@@ -173,9 +186,11 @@ def solve_equilibrium(
     """Solve the N-user projected FOC system over [0, r_max]^N.
 
     Damped Newton on the gradient vector with the analytic Jacobian,
-    coordinates projected onto the box each step; falls back to round-robin
-    best-response sweeps when Newton stalls (the game admits an exact
-    concave potential, so best-response iteration converges globally).
+    ``diag(d) - z3*1*1^T`` on the free coordinates, so each step is solved
+    in O(N) by Sherman-Morrison; coordinates are projected onto the box
+    each step.  Falls back to round-robin best-response sweeps when Newton
+    stalls (the game admits an exact concave potential, so best-response
+    iteration converges globally).
     ``method="best_response"`` forces the fallback path.  Non-convergence is
     reported through ``converged=False``, never silently.
     """
@@ -187,40 +202,31 @@ def solve_equilibrium(
     if method not in ("newton", "best_response"):
         raise ValueError(f"unknown method {method!r}")
 
-    zs = [foc_coefficients(params, m, b, export_bw) for m, b in zip(models, bufs)]
-    betas = np.array([m.beta for m in models])
+    grad = UtilityGradients(params, models, bufs, export_bw)
     # symmetric start preserves symmetry for identical users
     rates = np.full(n, r_max / (2.0 * n))
     iterations = 0
 
     def residual_norm(r: np.ndarray) -> float:
-        return float(_projected_residuals(_gradients(zs, betas, r), r, r_max).max())
+        return float(_projected_residuals(grad(r), r, r_max).max())
 
     if method == "newton":
-        best = residual_norm(rates)
         stalls = 0
         while iterations < max_iter:
-            grads = _gradients(zs, betas, rates)
+            grads = grad(rates)
             res = _projected_residuals(grads, rates, r_max)
-            if res.max() <= tol:
-                return EquilibriumResult([float(r) for r in rates], float(res.max()), iterations, True)
+            cur = float(res.max())
+            if cur <= tol:
+                return EquilibriumResult([float(r) for r in rates], cur, iterations, True)
             free = ~(((rates <= 0.0) & (grads < 0)) | ((rates >= r_max) & (grads > 0)))
             if not free.any():
                 # all coordinates pinned but some still violated: treat as stall
                 break
             idx = np.flatnonzero(free)
-            z1 = np.array([zs[k].z1 for k in idx])
-            z3 = np.array([zs[k].z3 for k in idx])
-            b = betas[idx]
-            diag = -z1 * b / (1.0 + b * rates[idx]) ** 2
-            jac = np.tile(-z3[:, None], (1, idx.size))
-            jac[np.arange(idx.size), np.arange(idx.size)] += diag
-            try:
-                step = np.linalg.solve(jac, -grads[idx])
-            except np.linalg.LinAlgError:
-                break
+            b = grad.betas[idx]
+            diag = -grad.z1[idx] * b / (1.0 + b * rates[idx]) ** 2
+            step = _newton_step(diag, grad.z3, -grads[idx])
             t = 1.0
-            cur = residual_norm(rates)
             moved = False
             while t >= 1e-4:
                 trial = rates.copy()
@@ -237,30 +243,16 @@ def solve_equilibrium(
                     break
             else:
                 stalls = 0
-            new = residual_norm(rates)
-            if new < best:
-                best = new
 
     # round-robin best-response sweeps (also the explicit method)
+    z1, z2, betas = grad.z1.tolist(), grad.z2.tolist(), grad.betas.tolist()
     while iterations < max_iter:
         max_change = 0.0
         for i in range(n):
             sum_others = float(rates.sum() - rates[i])
-            z = zs[i]
-            beta = betas[i]
-            if _own_gradient(z, beta, 0.0, sum_others) <= 0:
-                new_rate = 0.0
-            elif _own_gradient(z, beta, r_max, sum_others) >= 0:
-                new_rate = r_max
-            else:
-                lo, hi = 0.0, r_max
-                while hi - lo > 1e-13 * max(1.0, r_max):
-                    mid = 0.5 * (lo + hi)
-                    if _own_gradient(z, beta, mid, sum_others) > 0:
-                        lo = mid
-                    else:
-                        hi = mid
-                new_rate = 0.5 * (lo + hi)
+            new_rate = _own_rate_root(
+                z1[i], z2[i], grad.z3, betas[i], sum_others, r_max, 1e-13 * max(1.0, r_max)
+            )
             max_change = max(max_change, abs(new_rate - rates[i]))
             rates[i] = new_rate
         iterations += 1

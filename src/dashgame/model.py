@@ -30,6 +30,7 @@ __all__ = [
     "estimated_buffer",
     "utility",
     "utility_gradient",
+    "UtilityGradients",
     "utility_hessian_entries",
     "utility_hessian",
 ]
@@ -235,6 +236,51 @@ def utility_gradient(
     a_f = adjustment_factor(params.p, buf.b_curr, buf.b_ref)
     quality_term = model.alpha * model.beta / (1.0 + model.beta * rates[i])
     return quality_term + params.mu * T * a_f - params.nu * T * (sum(rates) / export_bw)
+
+
+class UtilityGradients:
+    """Vectorised :func:`utility_gradient` for all N users of one game.
+
+    The per-user coefficients are computed once, at construction:
+    ``z1 = alpha*beta``, ``z2 = mu*T*A_f`` and the load slope
+    ``z3 = nu*T/export_bw``, which is the same for every user.  Calling the
+    object with a rate vector validates the rates, sums the load once and
+    returns every user's own-rate gradient ``z1/(1 + beta*r_i) + z2 -
+    z3*sum(rates)``, so one evaluation costs O(N).
+    """
+
+    def __init__(
+        self,
+        params: GameParams,
+        models: Sequence[VideoQualityModel],
+        bufs: Sequence[BufferView],
+        export_bw: float,
+    ) -> None:
+        _check_rates_bw((), export_bw)
+        if len(models) != len(bufs):
+            raise ValueError("models and bufs must have the same length")
+        T = params.segment_duration
+        self.betas = np.array([m.beta for m in models], dtype=float)
+        self.z1 = np.array([m.alpha * m.beta for m in models], dtype=float)
+        self.z2 = np.array(
+            [params.mu * T * adjustment_factor(params.p, b.b_curr, b.b_ref) for b in bufs],
+            dtype=float,
+        )
+        self.z3 = params.nu * T / export_bw
+        self._load_weight = params.nu * T
+        self._export_bw = export_bw
+
+    def __call__(self, rates) -> np.ndarray:
+        r = np.asarray(rates, dtype=float)
+        if r.shape != self.betas.shape:
+            raise ValueError(f"expected {self.betas.size} rates, got shape {r.shape}")
+        bad = r[~(np.isfinite(r) & (r >= 0))]
+        if bad.size:
+            raise ValueError(f"rates must be finite and >= 0, got {float(bad[0])!r}")
+        # the load term is rounded as in utility_gradient, so both agree bit
+        # for bit below 8 users (numpy sums pairwise from 8 on)
+        load = self._load_weight * (float(r.sum()) / self._export_bw)
+        return self.z1 / (1.0 + self.betas * r) + self.z2 - load
 
 
 def utility_hessian_entries(

@@ -4,22 +4,21 @@ The update ``r_i(t+1) = r_i(t) + theta_i * r_i(t) * grad_i(r(t))`` is a
 discrete-time map whose fixed points are the game's stationary rates; the
 equilibrium is locally stable iff every eigenvalue of the map's Jacobian
 lies strictly inside the unit circle.  This module builds the 2-user
-Jacobian analytically, an N-user Jacobian by central differences, computes
-eigenvalues of small dense matrices (closed form for 2x2, Hessenberg
-reduction plus shifted QR above that), and evaluates the closed-form
+Jacobian analytically and an N-user Jacobian by finite differences (O(N^2):
+each perturbed evaluation of the map is O(N)), computes spectra with
+LAPACK (``numpy.linalg.eigvals``), and evaluates the closed-form
 unit-circle conditions for two identical users.
 """
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
 
-from .model import BufferView, GameParams, VideoQualityModel, utility_gradient
+from .model import BufferView, GameParams, UtilityGradients, VideoQualityModel
 from .game import foc_coefficients
 
 __all__ = [
@@ -33,14 +32,13 @@ __all__ = [
     "stability_conditions_identical_2user",
 ]
 
-MAX_EIG_SIZE = 64
 #: |spectral radius - 1| below this is reported as "marginal" rather than
 #: stable/unstable; the strict classification is meaningless at the boundary.
 MARGINAL_BAND = 1e-9
 
 
 class EigenvalueError(RuntimeError):
-    """QR iteration failed to converge within the iteration budget."""
+    """The LAPACK eigenvalue routine failed to converge."""
 
 
 @dataclass
@@ -89,21 +87,6 @@ def jacobian_2user(
     return jac
 
 
-def _update_map(
-    params: GameParams,
-    models: Sequence[VideoQualityModel],
-    bufs: Sequence[BufferView],
-    export_bw: float,
-    rates: Sequence[float],
-    thetas: Sequence[float],
-) -> list[float]:
-    """One unclamped update step (no step cap, no box projection)."""
-    return [
-        r + theta * r * utility_gradient(params, m, i, rates, b, export_bw)
-        for i, (r, theta, m, b) in enumerate(zip(rates, thetas, models, bufs))
-    ]
-
-
 def jacobian_numeric(
     params: GameParams,
     models: Sequence[VideoQualityModel],
@@ -113,165 +96,58 @@ def jacobian_numeric(
     thetas: Sequence[float],
     step: float = 1e-6,
 ) -> np.ndarray:
-    """Jacobian of the unclamped update map by central differences."""
+    """Jacobian of the unclamped update map by finite differences.
+
+    Central differences, except in the columns of rates below ``step``,
+    whose minus leg would leave the domain ``r >= 0``: those use the
+    one-sided second-order stencil ``(-3 f(r) + 4 f(r + h) - f(r + 2h)) /
+    2h``.  Each evaluation of the map (no step cap, no box projection) is
+    O(N), so the whole Jacobian is O(N^2).
+    """
     n = len(rates)
     if not (len(models) == len(bufs) == len(thetas) == n >= 1):
         raise ValueError("models, bufs, rates, thetas must agree and be nonempty")
+    grad = UtilityGradients(params, models, bufs, export_bw)
+    r = np.asarray(rates, dtype=float)
+    theta = np.asarray(thetas, dtype=float)
+
+    def update_map(x: np.ndarray) -> np.ndarray:
+        return x + theta * x * grad(x)
+
+    def shifted(j: int, h: float) -> np.ndarray:
+        x = r.copy()
+        x[j] += h
+        return update_map(x)
+
+    f_r = update_map(r)
     jac = np.empty((n, n))
     for j in range(n):
-        plus = list(rates)
-        minus = list(rates)
-        plus[j] += step
-        minus[j] -= step
-        f_plus = _update_map(params, models, bufs, export_bw, plus, thetas)
-        f_minus = _update_map(params, models, bufs, export_bw, minus, thetas)
-        for i in range(n):
-            jac[i, j] = (f_plus[i] - f_minus[i]) / (2.0 * step)
+        if r[j] >= step:
+            jac[:, j] = (shifted(j, step) - shifted(j, -step)) / (2.0 * step)
+        else:
+            jac[:, j] = (-3.0 * f_r + 4.0 * shifted(j, step) - shifted(j, 2.0 * step)) / (2.0 * step)
     return jac
 
 
-# ---------------------------------------------------------------------------
-# small dense eigenvalues
-# ---------------------------------------------------------------------------
+def eigenvalues_small(matrix) -> list[complex]:
+    """Eigenvalues of a dense square matrix, descending in magnitude.
 
-def _eig_2x2(m: np.ndarray) -> list[complex]:
-    a, b = complex(m[0, 0]), complex(m[0, 1])
-    c, d = complex(m[1, 0]), complex(m[1, 1])
-    trace = a + d
-    disc = (a - d) * (a - d) + 4.0 * b * c
-    root = cmath.sqrt(disc)
-    return [(trace + root) / 2.0, (trace - root) / 2.0]
-
-
-def _hessenberg(a: np.ndarray) -> np.ndarray:
-    """Reduce to upper Hessenberg form by Householder reflections."""
-    h = a.astype(complex).copy()
-    n = h.shape[0]
-    for k in range(n - 2):
-        x = h[k + 1:, k].copy()
-        norm = np.linalg.norm(x)
-        if norm == 0.0:
-            continue
-        phase = x[0] / abs(x[0]) if x[0] != 0 else 1.0
-        v = x.copy()
-        v[0] += phase * norm
-        vnorm = np.linalg.norm(v)
-        if vnorm == 0.0:
-            continue
-        v /= vnorm
-        # H <- (I - 2 v v*) H (I - 2 v v*)
-        h[k + 1:, k:] -= 2.0 * np.outer(v, v.conj() @ h[k + 1:, k:])
-        h[:, k + 1:] -= 2.0 * np.outer(h[:, k + 1:] @ v, v.conj())
-    return h
-
-
-def _wilkinson_shift(h: np.ndarray, m: int) -> complex:
-    """Eigenvalue of the trailing 2x2 block closest to the corner entry."""
-    a = h[m - 2, m - 2]
-    b = h[m - 2, m - 1]
-    c = h[m - 1, m - 2]
-    d = h[m - 1, m - 1]
-    trace = a + d
-    root = cmath.sqrt((a - d) * (a - d) + 4.0 * b * c)
-    l1 = (trace + root) / 2.0
-    l2 = (trace - root) / 2.0
-    return l1 if abs(l1 - d) <= abs(l2 - d) else l2
-
-
-def _qr_step(h: np.ndarray, lo: int, hi: int, shift: complex) -> None:
-    """One shifted QR sweep on the active window h[lo:hi, lo:hi], in place.
-
-    Givens rotations zero the subdiagonal of (H - shift*I); applying them
-    from the right afterwards restores Hessenberg structure (RQ + shift*I).
+    Computed by LAPACK (``numpy.linalg.eigvals``) for any order; ties in
+    magnitude are ordered by descending real, then imaginary part.  Raises
+    :class:`EigenvalueError` if LAPACK does not converge.
     """
-    for k in range(lo, hi):
-        h[k, k] -= shift
-    rotations = []
-    for k in range(lo, hi - 1):
-        a, b = h[k, k], h[k + 1, k]
-        r = math.hypot(abs(a), abs(b))
-        if r == 0.0:
-            c, s = 1.0 + 0.0j, 0.0 + 0.0j
-        else:
-            c, s = a / r, b / r
-        rotations.append((c, s))
-        row_k = h[k, k:hi].copy()
-        row_k1 = h[k + 1, k:hi].copy()
-        h[k, k:hi] = c.conjugate() * row_k + s.conjugate() * row_k1
-        h[k + 1, k:hi] = -s * row_k + c * row_k1
-    for k, (c, s) in enumerate(rotations, start=lo):
-        col_k = h[lo:min(k + 2, hi), k].copy()
-        col_k1 = h[lo:min(k + 2, hi), k + 1].copy()
-        h[lo:min(k + 2, hi), k] = col_k * c + col_k1 * s
-        h[lo:min(k + 2, hi), k + 1] = -col_k * s.conjugate() + col_k1 * c.conjugate()
-    for k in range(lo, hi):
-        h[k, k] += shift
-
-
-def eigenvalues_small(matrix, tol: float = 1e-10) -> list[complex]:
-    """Eigenvalues of a small dense matrix, descending in magnitude.
-
-    2x2 inputs use the characteristic-polynomial closed form; larger ones go
-    through Hessenberg reduction and shifted (complex Wilkinson) QR with
-    bottom-up deflation.  Raises :class:`EigenvalueError` if the iteration
-    has not converged after 100*N sweeps.
-    """
-    a = np.asarray(matrix, dtype=complex)
+    a = np.asarray(matrix)
+    a = a.astype(complex if np.iscomplexobj(a) else float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"matrix must be square, got shape {a.shape}")
-    n = a.shape[0]
-    if n < 1:
+    if a.shape[0] < 1:
         raise ValueError("matrix must be at least 1x1")
-    if n > MAX_EIG_SIZE:
-        raise ValueError(f"matrix order {n} exceeds the supported maximum {MAX_EIG_SIZE}")
     if not np.isfinite(a).all():
         raise ValueError("matrix entries must be finite")
-
-    if n == 1:
-        eigs = [complex(a[0, 0])]
-    elif n == 2:
-        eigs = _eig_2x2(a)
-    else:
-        h = _hessenberg(a)
-        scale = max(float(np.abs(h).max()), 1.0)
-        eigs = []
-        m = n
-        sweeps = 0
-        budget = 100 * n
-        while m > 0:
-            if m == 1:
-                eigs.append(complex(h[0, 0]))
-                m = 0
-                continue
-            # deflate negligible bottom subdiagonals
-            sub = abs(h[m - 1, m - 2])
-            if sub <= tol * max(abs(h[m - 1, m - 1]) + abs(h[m - 2, m - 2]), scale * 1e-3):
-                eigs.append(complex(h[m - 1, m - 1]))
-                m -= 1
-                continue
-            if m >= 3 and abs(h[m - 2, m - 3]) <= tol * max(
-                abs(h[m - 2, m - 2]) + abs(h[m - 3, m - 3]), scale * 1e-3
-            ):
-                eigs.extend(_eig_2x2(h[m - 2:m, m - 2:m]))
-                m -= 2
-                continue
-            # find the top of the active unreduced window
-            lo = m - 1
-            while lo > 0 and abs(h[lo, lo - 1]) > tol * max(
-                abs(h[lo, lo]) + abs(h[lo - 1, lo - 1]), scale * 1e-3
-            ):
-                lo -= 1
-            if sweeps >= budget:
-                raise EigenvalueError(
-                    f"QR iteration did not converge within {budget} sweeps (order {n})"
-                )
-            shift = _wilkinson_shift(h, m)
-            if sweeps % 17 == 16:
-                # rare stagnation breaker: exceptional ad-hoc shift
-                shift = h[m - 1, m - 1] + abs(h[m - 1, m - 2])
-            _qr_step(h, lo, m, shift)
-            sweeps += 1
-
+    try:
+        eigs = [complex(z) for z in np.linalg.eigvals(a)]
+    except np.linalg.LinAlgError as exc:
+        raise EigenvalueError(f"eigenvalues did not converge (order {a.shape[0]}): {exc}") from exc
     eigs.sort(key=lambda z: (-abs(z), -z.real, -z.imag))
     return eigs
 

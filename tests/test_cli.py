@@ -2,6 +2,7 @@
 
 import json
 
+import numpy as np
 import pytest
 
 from dashgame.cli import main
@@ -112,6 +113,16 @@ def test_stability_three_users_numeric_path(capsys):
     out = json.loads(stdout)
     assert out["jacobian_source"] == "numeric-central-difference"
     assert len(out["eigenvalues"]) == 3
+
+
+def test_stability_many_users(capsys):
+    # above 64 users the spectrum used to be rejected
+    code, stdout, _ = run_cli(capsys, "stability", "--n-users", "100", "--theta", "5")
+    assert code == 0
+    out = json.loads(stdout)
+    assert len(out["eigenvalues"]) == 100
+    ref = np.abs(np.linalg.eigvals(np.array(out["jacobian"]))).max()
+    assert out["spectral_radius"] == pytest.approx(ref, rel=1e-9)
 
 
 def test_stability_theta_sweep_finds_boundary(capsys):

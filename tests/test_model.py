@@ -8,6 +8,7 @@ import pytest
 from dashgame.model import (
     BufferView,
     GameParams,
+    UtilityGradients,
     VideoQualityModel,
     adjustment_factor,
     avg_buffer_variation,
@@ -194,6 +195,34 @@ def test_gradient_vanishing_beta_limit(ref_params, neutral_buffer):
     T = ref_params.segment_duration
     expected = ref_params.mu * T - ref_params.nu * T * 6.0 / BW
     assert got == pytest.approx(expected, abs=1e-10)
+
+
+def test_vectorised_gradients_match_scalar_loop():
+    rng = np.random.default_rng(17)
+    for n in (1, 2, 7, 8, 33, 200):
+        params, videos, bufs, bw = random_instance(rng, n_users=n)
+        rates = [float(r) for r in rng.uniform(0.0, 10.0, n)]
+        got = UtilityGradients(params, videos, bufs, bw)(rates)
+        ref = [utility_gradient(params, videos[i], i, rates, bufs[i], bw) for i in range(n)]
+        if n < 8:
+            # same operations in the same order: identical bits
+            assert got.tolist() == ref
+        else:
+            # numpy sums the load pairwise, the scalar function left to right
+            np.testing.assert_allclose(got, ref, rtol=0, atol=1e-13 * n * max(1.0, np.abs(ref).max()))
+
+
+def test_vectorised_gradients_validate_rates(ref_params, ref_video, neutral_buffer):
+    grad = UtilityGradients(ref_params, [ref_video] * 2, [neutral_buffer] * 2, BW)
+    for bad in ([1.0, -0.5], [1.0, float("nan")], [1.0, float("inf")]):
+        with pytest.raises(ValueError, match="rates"):
+            grad(bad)
+    with pytest.raises(ValueError, match="rates"):
+        grad([1.0, 2.0, 3.0])
+    with pytest.raises(ValueError, match="export_bw"):
+        UtilityGradients(ref_params, [ref_video], [neutral_buffer], 0.0)
+    with pytest.raises(ValueError, match="same length"):
+        UtilityGradients(ref_params, [ref_video] * 2, [neutral_buffer], BW)
 
 
 def test_hessian_diagonal_at_zero(ref_params, ref_video):

@@ -1,4 +1,4 @@
-"""Jacobians, the QR eigensolver, and closed-form stability conditions."""
+"""Jacobians, the LAPACK spectrum, and closed-form stability conditions."""
 
 import math
 
@@ -6,9 +6,10 @@ import numpy as np
 import pytest
 
 from dashgame.adapt import AdaptConfig, UserSession, run_round
-from dashgame.game import solve_equilibrium
-from dashgame.model import GameParams, VideoQualityModel
+from dashgame.game import foc_coefficients, solve_equilibrium
+from dashgame.model import BufferView, GameParams, VideoQualityModel, utility_gradient
 from dashgame.stability import (
+    EigenvalueError,
     build_report,
     eigenvalues_small,
     jacobian_2user,
@@ -80,6 +81,70 @@ def test_jacobian_numeric_permutation_equivariance():
     np.testing.assert_allclose(jac_p, jac[np.ix_(perm, perm)], atol=1e-9)
 
 
+def _jacobian_analytic(params, videos, bufs, bw, rates, thetas):
+    """J = diag(1 + theta_i*g_i) + diag(theta_i*r_i) * dg/dr, any N."""
+    n = len(rates)
+    jac = np.empty((n, n))
+    for i in range(n):
+        z = foc_coefficients(params, videos[i], bufs[i], bw)
+        g = utility_gradient(params, videos[i], i, rates, bufs[i], bw)
+        beta = videos[i].beta
+        jac[i, :] = -thetas[i] * rates[i] * z.z3
+        jac[i, i] += 1.0 + thetas[i] * (
+            g - rates[i] * z.z1 * beta / (1.0 + beta * rates[i]) ** 2
+        )
+    return jac
+
+
+def test_jacobian_numeric_at_zero_rate_equilibrium():
+    # a starved user (empty buffer, weak video) sits at rate 0, where the
+    # central difference's minus leg would be a negative rate
+    params = GameParams(mu=0.006, nu=0.014, p=0.25, segment_duration=2.0)
+    videos = [
+        VideoQualityModel(alpha=0.045, beta=1.2, ladder=(1.0,)),
+        VideoQualityModel(alpha=0.02, beta=0.8, ladder=(1.0,)),
+    ]
+    bufs = [BufferView(b_curr=40.0, b_ref=20.0), BufferView(b_curr=0.0, b_ref=20.0)]
+    eq = solve_equilibrium(params, videos, bufs, 3.0, r_max=60.0)
+    assert eq.converged and eq.rates[1] == 0.0 and eq.rates[0] > 0.0
+    thetas = [40.0, 40.0]
+    num = jacobian_numeric(params, videos, bufs, 3.0, eq.rates, thetas)
+    ana = jacobian_2user(params, videos, bufs, 3.0, eq.rates, thetas)
+    np.testing.assert_allclose(num, ana, atol=1e-6)
+
+    rng = np.random.default_rng(29)
+    videos = [
+        VideoQualityModel(alpha=float(a), beta=float(b), ladder=(1.0,))
+        for a, b in zip(rng.uniform(0.035, 0.045, 8), rng.uniform(0.8, 1.2, 8))
+    ]
+    bufs = [BufferView(b_curr=b, b_ref=20.0) for b in (0.0, 40.0) * 4]
+    eq = solve_equilibrium(params, videos, bufs, 12.0, r_max=3.15)
+    assert eq.converged and min(eq.rates) == 0.0
+    thetas = [40.0] * 8
+    num = jacobian_numeric(params, videos, bufs, 12.0, eq.rates, thetas)
+    ana = _jacobian_analytic(params, videos, bufs, 12.0, eq.rates, thetas)
+    np.testing.assert_allclose(num, ana, atol=1e-6)
+
+
+def test_jacobian_numeric_matches_analytic_n_user():
+    rng = np.random.default_rng(30)
+    for _ in range(20):
+        params, videos, bufs, bw = random_instance(rng, n_users=int(rng.integers(1, 13)))
+        rates = [float(r) for r in rng.uniform(0.0, 8.0, len(videos))]
+        rates[0] = 0.0
+        thetas = [float(t) for t in rng.uniform(1.0, 120.0, len(videos))]
+        num = jacobian_numeric(params, videos, bufs, bw, rates, thetas)
+        ana = _jacobian_analytic(params, videos, bufs, bw, rates, thetas)
+        np.testing.assert_allclose(num, ana, atol=1e-6)
+
+
+def test_jacobian_numeric_rejects_negative_rates(ref_params, ref_video, neutral_buffer):
+    with pytest.raises(ValueError, match="rates"):
+        jacobian_numeric(
+            ref_params, [ref_video] * 2, [neutral_buffer] * 2, BW, [-1.0, 2.0], [5.0, 5.0]
+        )
+
+
 def test_eigenvalues_hand_cases():
     assert eigenvalues_small([[0.5, 0.1], [0.1, 0.5]]) == [pytest.approx(0.6), pytest.approx(0.4)]
     got = eigenvalues_small(np.diag([1.2, 0.5]))
@@ -103,11 +168,14 @@ def _matched_spectrum_error(mine, ref):
 def test_eigenvalues_match_numpy_on_random_matrices():
     rng = np.random.default_rng(23)
     for _ in range(150):
-        n = int(rng.integers(1, 21))
+        n = int(rng.integers(1, 129))
         scale = float(rng.choice([0.01, 1.0, 100.0]))
         m = rng.normal(size=(n, n)) * scale
-        err = _matched_spectrum_error(eigenvalues_small(m), np.linalg.eigvals(m))
+        got = eigenvalues_small(m)
+        err = _matched_spectrum_error(got, np.linalg.eigvals(m))
         assert err < 1e-7 * max(1.0, scale) * n
+        mags = [abs(z) for z in got]
+        assert mags == sorted(mags, reverse=True)
 
 
 def test_eigenvalues_defective_matrix():
@@ -128,9 +196,21 @@ def test_eigenvalues_input_validation():
     with pytest.raises(ValueError):
         eigenvalues_small(np.zeros((2, 3)))
     with pytest.raises(ValueError):
-        eigenvalues_small(np.zeros((65, 65)))
+        eigenvalues_small(np.zeros((0, 0)))
     with pytest.raises(ValueError):
         eigenvalues_small([[float("nan"), 0.0], [0.0, 1.0]])
+    # no size limit: 65x65 and above are accepted
+    m = np.diag(np.arange(65.0)) + np.triu(np.ones((65, 65)), 1)
+    assert eigenvalues_small(m) == [pytest.approx(float(k)) for k in range(64, -1, -1)]
+
+
+def test_eigenvalues_lapack_failure_raises_eigenvalue_error(monkeypatch):
+    def fail(_):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(np.linalg, "eigvals", fail)
+    with pytest.raises(EigenvalueError):
+        eigenvalues_small(np.eye(3))
 
 
 def test_report_verdicts():
