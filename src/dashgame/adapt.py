@@ -8,19 +8,28 @@ multiplicative sub-gradient step.  Fixed points of this iteration are
 exactly the stationary points of the static game.
 
 The message types (`PayoffQuery`/`PayoffReply`) double as the wire format:
-in simulation they travel over an in-process channel with zero latency, in
-live mode as newline-delimited JSON over a byte stream.
+in simulation the event loop hands each query to `PayoffServer.handle_query`
+directly, in live mode they travel as newline-delimited JSON over a byte
+stream.
 """
 
 from __future__ import annotations
 
 import json
 import math
-import threading
+from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Sequence
 
-from .model import BufferView, GameParams, VideoQualityModel, utility
+from .model import (
+    GameParams,
+    VideoQualityModel,
+    _check_buffer,
+    _check_rates_bw,
+    _estimated_buffer_at,
+    adjustment_factor,
+    quality,
+)
 
 __all__ = [
     "AdaptConfig",
@@ -28,7 +37,6 @@ __all__ = [
     "PayoffReply",
     "UserSession",
     "PayoffServer",
-    "InProcessChannel",
     "payoff_gradient_server",
     "update_rate",
     "has_converged",
@@ -104,30 +112,41 @@ def payoff_gradient_server(
 
     Only coordinate ``i`` is perturbed by +/- epsilon; the adjustment factor
     uses the buffer occupancy the user reported.  The estimate has O(eps^2)
-    error against the analytic gradient.
+    error against the analytic gradient.  The inputs are checked and the
+    adjustment factor computed once; each leg is ``utility`` evaluated with
+    the same operations in the same order, so the result is bit-identical
+    to differencing two ``utility`` calls.
     """
     if not (math.isfinite(epsilon) and epsilon > 0):
         raise ValueError(f"epsilon must be > 0, got {epsilon!r}")
     if not 0 <= i < len(all_last_rates):
         raise IndexError(f"user index {i} out of range for {len(all_last_rates)} rates")
-    buf = BufferView(b_curr=b_curr_i, b_ref=b_ref, b_0=b_0)
-    plus = list(all_last_rates)
-    minus = list(all_last_rates)
-    plus[i] = plus[i] + epsilon
-    minus[i] = max(minus[i] - epsilon, 0.0)
+    _check_buffer(b_curr_i, b_ref, b_0)
+    rates = list(all_last_rates)
+    _check_rates_bw(rates, export_bw)
+    a_f = adjustment_factor(params.p, b_curr_i, b_ref)
+    r_plus = rates[i] + epsilon
+    r_minus = max(rates[i] - epsilon, 0.0)
+    rates[i] = r_plus
+    u_plus = quality(model, r_plus) + params.mu * _estimated_buffer_at(
+        params, r_plus, sum(rates), a_f, b_0, export_bw
+    )
+    rates[i] = r_minus
+    u_minus = quality(model, r_minus) + params.mu * _estimated_buffer_at(
+        params, r_minus, sum(rates), a_f, b_0, export_bw
+    )
     # keep the difference symmetric even if the minus leg clipped at zero
-    span = plus[i] - minus[i]
-    u_plus = utility(params, model, i, plus, buf, export_bw)
-    u_minus = utility(params, model, i, minus, buf, export_bw)
-    return (u_plus - u_minus) / span
+    return (u_plus - u_minus) / (r_plus - r_minus)
 
 
 def update_rate(cfg: AdaptConfig, r: float, gradient: float) -> float:
     """One multiplicative sub-gradient step: r + theta * r * gradient.
 
     The raw step is clamped to ``max_step_fraction * r`` in magnitude, then
-    the result to [r_min, r_max].
+    the result to [r_min, r_max].  A NaN or infinite gradient is rejected.
     """
+    if not math.isfinite(gradient):
+        raise ValueError(f"update_rate gradient must be finite, got {gradient!r}")
     step = cfg.theta * r * gradient
     cap = cfg.max_step_fraction * r
     if math.isfinite(cap):
@@ -167,25 +186,27 @@ class UserSession:
         return PayoffQuery(user_id=self.user_id, b_curr=self.b_curr, last_rate=self.rate)
 
 
+class _Registered:
+    """One user's entry in the server registry."""
+
+    __slots__ = ("model", "epsilon", "b_ref", "b_0", "b_curr", "pos")
+
+
 class PayoffServer:
     """Server side of the payoff exchange.
 
-    Holds the utility constants, each user's video model and adaptation
-    epsilon, the current export bandwidth, and a registry of every user's
-    last reported rate and buffer.  Query handling serialises on a lock so
-    concurrent queries within one round observe one consistent snapshot.
+    Holds the utility constants, the current export bandwidth and one
+    registry entry per user: its video model, adaptation epsilon, buffer
+    constants, last reported buffer and its position in the list of last
+    requested rates, which is kept in user-id order.  Positions are set at
+    ``register``, so a query looks nothing up but its own entry.
     """
 
     def __init__(self, params: GameParams, export_bw: float) -> None:
         self.params = params
         self.export_bw = export_bw
-        self._models: dict[int, VideoQualityModel] = {}
-        self._epsilons: dict[int, float] = {}
-        self._b_refs: dict[int, float] = {}
-        self._b_0s: dict[int, float] = {}
-        self._last_rates: dict[int, float] = {}
-        self._b_currs: dict[int, float] = {}
-        self._lock = threading.Lock()
+        self._users: dict[int, _Registered] = {}
+        self._rates: list[float] = []
 
     def register(
         self,
@@ -197,56 +218,53 @@ class PayoffServer:
         epsilon: float = 1e-4,
         b_0: float = 0.0,
     ) -> None:
-        with self._lock:
-            self._models[user_id] = model
-            self._epsilons[user_id] = epsilon
-            self._b_refs[user_id] = b_ref
-            self._b_0s[user_id] = b_0
-            self._last_rates[user_id] = initial_rate
-            self._b_currs[user_id] = initial_b_curr
+        entry = self._users.get(user_id)
+        if entry is None:
+            ids = sorted(self._users)
+            pos = bisect_left(ids, user_id)
+            self._rates.insert(pos, initial_rate)
+            for later in ids[pos:]:
+                self._users[later].pos += 1
+            entry = self._users[user_id] = _Registered()
+            entry.pos = pos
+        else:
+            self._rates[entry.pos] = initial_rate
+        entry.model = model
+        entry.epsilon = epsilon
+        entry.b_ref = b_ref
+        entry.b_0 = b_0
+        entry.b_curr = initial_b_curr
 
     @property
     def user_ids(self) -> list[int]:
-        return sorted(self._models)
+        return sorted(self._users)
+
+    def _entry(self, user_id: int) -> _Registered:
+        entry = self._users.get(user_id)
+        if entry is None:
+            raise KeyError(f"unknown user id {user_id}")
+        return entry
 
     def note_request(self, user_id: int, rate: float) -> None:
         """Record the rate a user actually requested its next segment at."""
-        if user_id not in self._models:
-            raise KeyError(f"unknown user id {user_id}")
-        with self._lock:
-            self._last_rates[user_id] = rate
+        self._rates[self._entry(user_id).pos] = rate
 
     def handle_query(self, query: PayoffQuery) -> PayoffReply:
-        if query.user_id not in self._models:
-            raise KeyError(f"unknown user id {query.user_id}")
-        with self._lock:
-            self._b_currs[query.user_id] = query.b_curr
-            self._last_rates[query.user_id] = query.last_rate
-            ids = sorted(self._models)
-            rates = [self._last_rates[u] for u in ids]
-            i = ids.index(query.user_id)
-            grad = payoff_gradient_server(
-                self.params,
-                self._models[query.user_id],
-                self.export_bw,
-                rates,
-                i,
-                query.b_curr,
-                self._epsilons[query.user_id],
-                self._b_refs[query.user_id],
-                self._b_0s[query.user_id],
-            )
+        entry = self._entry(query.user_id)
+        entry.b_curr = query.b_curr
+        self._rates[entry.pos] = query.last_rate
+        grad = payoff_gradient_server(
+            self.params,
+            entry.model,
+            self.export_bw,
+            self._rates,
+            entry.pos,
+            query.b_curr,
+            entry.epsilon,
+            entry.b_ref,
+            entry.b_0,
+        )
         return PayoffReply(user_id=query.user_id, gradient_estimate=grad)
-
-
-class InProcessChannel:
-    """Zero-latency channel used in simulation: queries go straight to the server."""
-
-    def __init__(self, server: PayoffServer) -> None:
-        self.server = server
-
-    def exchange(self, query: PayoffQuery) -> PayoffReply:
-        return self.server.handle_query(query)
 
 
 def run_round(

@@ -14,6 +14,8 @@ import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
+from .model import quantize_rate
+
 __all__ = ["ThroughputEstimator", "qf_decide", "bf_decide"]
 
 
@@ -44,19 +46,6 @@ class ThroughputEstimator:
             self.ewma = self.weight * sample + (1.0 - self.weight) * self.ewma
 
 
-def _floor_to_ladder(ladder: Sequence[float], target: float) -> float:
-    """Highest rung <= target, or the lowest rung if target is below it."""
-    if not ladder:
-        raise ValueError("ladder must be nonempty")
-    best = ladder[0]
-    for rung in ladder:
-        if rung <= target:
-            best = rung
-        else:
-            break
-    return best
-
-
 def qf_decide(
     est: ThroughputEstimator,
     ladder: Sequence[float],
@@ -66,7 +55,7 @@ def qf_decide(
     """Quality-first rung choice: aggressive and buffer-blind past startup."""
     if b_curr < startup_threshold or est.ewma is None:
         return ladder[0]
-    return _floor_to_ladder(ladder, est.ewma)
+    return quantize_rate(ladder, est.ewma)
 
 
 def bf_decide(
@@ -86,4 +75,4 @@ def bf_decide(
     if est.ewma is None:
         return ladder[0]
     target = est.ewma * (1.0 + gain * (b_curr - b_ref) / b_ref)
-    return _floor_to_ladder(ladder, target)
+    return quantize_rate(ladder, target)

@@ -52,24 +52,24 @@ def _fail(message: str, code: int) -> int:
     return code
 
 
-def _fmt(x: float) -> str:
-    return format(float(x), ".10g")
+# one row per segment, byte-identical to csv.writer over format(x, ".10g")
+# fields: csv's default terminator is \r\n and no field needs quoting
+_TRACE_HEADER = (
+    "k,t_start,t_end,requested_rate,quantized_rate,download_time,buffer,stall_seconds,quality\r\n"
+)
+_TRACE_ROW = "%d" + ",%.10g" * 8 + "\r\n"
 
 
 def write_trace_csv(path: Path, trace: SessionTrace) -> None:
+    rows = "".join(
+        _TRACE_ROW % (
+            rec.k, rec.t_start, rec.t_end, rec.requested_rate, rec.quantized_rate,
+            rec.download_time, rec.buffer, rec.stall_seconds, rec.quality,
+        )
+        for rec in trace.records
+    )
     with path.open("w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow([
-            "k", "t_start", "t_end", "requested_rate", "quantized_rate",
-            "download_time", "buffer", "stall_seconds", "quality",
-        ])
-        for rec in trace.records:
-            writer.writerow([
-                rec.k, _fmt(rec.t_start), _fmt(rec.t_end),
-                _fmt(rec.requested_rate), _fmt(rec.quantized_rate),
-                _fmt(rec.download_time), _fmt(rec.buffer),
-                _fmt(rec.stall_seconds), _fmt(rec.quality),
-            ])
+        fh.write(_TRACE_HEADER + rows)
 
 
 def _resolve_scenario(args) -> dict:

@@ -14,6 +14,7 @@ provided alongside the utility itself.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -25,6 +26,7 @@ __all__ = [
     "BufferView",
     "log_quality",
     "quality",
+    "quantize_rate",
     "adjustment_factor",
     "avg_buffer_variation",
     "estimated_buffer",
@@ -113,11 +115,15 @@ class BufferView:
     b_0: float = 0.0
 
     def __post_init__(self) -> None:
-        for name in ("b_curr", "b_ref", "b_0"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"BufferView.{name} must be finite")
-        if self.b_ref <= 0:
-            raise ValueError(f"BufferView.b_ref must be > 0, got {self.b_ref!r}")
+        _check_buffer(self.b_curr, self.b_ref, self.b_0)
+
+
+def _check_buffer(b_curr: float, b_ref: float, b_0: float) -> None:
+    for name, value in (("b_curr", b_curr), ("b_ref", b_ref), ("b_0", b_0)):
+        if not math.isfinite(value):
+            raise ValueError(f"BufferView.{name} must be finite")
+    if b_ref <= 0:
+        raise ValueError(f"BufferView.b_ref must be > 0, got {b_ref!r}")
 
 
 def log_quality(alpha: float, beta: float, rate: float) -> float:
@@ -134,6 +140,15 @@ def log_quality(alpha: float, beta: float, rate: float) -> float:
 def quality(model: VideoQualityModel, rate: float) -> float:
     """Quality of ``model``'s video at the given bitrate (Mbps)."""
     return log_quality(model.alpha, model.beta, rate)
+
+
+def quantize_rate(ladder: Sequence[float], r: float) -> float:
+    """Largest rung of the ascending ``ladder`` <= r, or the lowest rung when r is below it."""
+    if not ladder:
+        raise ValueError("ladder must be nonempty")
+    if math.isnan(r):
+        raise ValueError("rate to quantize must not be NaN")
+    return ladder[max(bisect_right(ladder, r) - 1, 0)]
 
 
 def adjustment_factor(p: float, b_curr: float, b_ref: float) -> float:
@@ -196,12 +211,18 @@ def estimated_buffer(
     _check_rates_bw(rates, export_bw)
     if not 0 <= i < len(rates):
         raise IndexError(f"user index {i} out of range for {len(rates)} rates")
-    T = params.segment_duration
-    r_i = rates[i]
     a_f = adjustment_factor(params.p, buf.b_curr, buf.b_ref)
-    others = sum(rates) - r_i
+    return _estimated_buffer_at(params, rates[i], sum(rates), a_f, buf.b_0, export_bw)
+
+
+def _estimated_buffer_at(
+    params: GameParams, r_i: float, load: float, a_f: float, b_0: float, export_bw: float
+) -> float:
+    """:func:`estimated_buffer` at own rate ``r_i`` and total load ``load``, unchecked."""
+    T = params.segment_duration
+    others = load - r_i
     penalty = T * (0.5 * r_i * r_i + r_i * others) / export_bw
-    return a_f * T * r_i - params.omega * penalty + buf.b_0
+    return a_f * T * r_i - params.omega * penalty + b_0
 
 
 def utility(

@@ -5,6 +5,8 @@ server's export bandwidth, optionally capped per user.  Between events
 (segment completions and bandwidth/cap breakpoints) downloads accrue bits at
 constant rates and playing buffers drain at one second per second; playback
 stalls when a buffer empties and resumes when the in-flight segment lands.
+The shares are recomputed only when a breakpoint is crossed or the set of
+downloading users changes.
 On each completion the user picks its next rate: game users exchange payoff
 messages with the server, baseline users consult their throughput
 estimator.  Everything is seeded and event ordering is fixed, so identical
@@ -16,13 +18,14 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from dataclasses import dataclass, field
+from operator import itemgetter
 from typing import TYPE_CHECKING, Optional, Sequence
 
 import numpy as np
 
-from .adapt import InProcessChannel, PayoffQuery, PayoffServer, update_rate
+from .adapt import PayoffQuery, PayoffServer, update_rate
 from .baselines import ThroughputEstimator, bf_decide, qf_decide
-from .model import quality
+from .model import quality, quantize_rate
 
 if TYPE_CHECKING:  # pragma: no cover
     from .scenarios import Scenario
@@ -47,6 +50,7 @@ __all__ = [
 PROFILE_KINDS = ("fixed", "persistent", "staged", "short_term", "custom")
 
 _COMPLETION_EPS = 1e-9  # Mbits of residue treated as a finished download
+_TIME = itemgetter(0)  # time of a (time, value) breakpoint
 
 
 class SimulationError(RuntimeError):
@@ -102,9 +106,7 @@ def bandwidth_at(profile: BandwidthProfile, t: float) -> float:
     """Bandwidth of the most recent breakpoint at or before ``t``."""
     if t < 0:
         raise ValueError(f"t must be >= 0, got {t!r}")
-    times = [bp[0] for bp in profile.breakpoints]
-    idx = bisect_right(times, t) - 1
-    return profile.breakpoints[idx][1]
+    return profile.breakpoints[bisect_right(profile.breakpoints, t, key=_TIME) - 1][1]
 
 
 @dataclass(frozen=True)
@@ -133,8 +135,13 @@ class CapSpec:
         if self.kind == "breakpoints":
             if not self.breakpoints:
                 raise ValueError("breakpoints cap requires a schedule")
-            if any(c <= 0 for _, c in self.breakpoints):
-                raise ValueError("cap values must be > 0")
+            times = [t for t, _ in self.breakpoints]
+            if times[0] != 0:
+                raise ValueError(f"CapSpec.breakpoints must start at t=0, got t={times[0]!r}")
+            if any(not b > a for a, b in zip(times, times[1:])):
+                raise ValueError("CapSpec.breakpoints times must be strictly increasing")
+            if any(not c > 0 for _, c in self.breakpoints):
+                raise ValueError("CapSpec.breakpoints cap values must be > 0")
         if self.kind == "random":
             if self.choices is not None:
                 if not self.choices or any(c <= 0 for c in self.choices):
@@ -164,11 +171,7 @@ def cap_at(schedule, t: float) -> Optional[float]:
     """Cap value of a materialized schedule at time ``t`` (None = unlimited)."""
     if schedule is None:
         return None
-    times = [bp[0] for bp in schedule]
-    idx = bisect_right(times, t) - 1
-    if idx < 0:
-        idx = 0
-    return schedule[idx][1]
+    return schedule[max(bisect_right(schedule, t, key=_TIME) - 1, 0)][1]
 
 
 def allocate_shares(
@@ -201,14 +204,6 @@ def allocate_shares(
         if remaining == 0.0:
             break
     return shares
-
-
-def quantize_rate(ladder: Sequence[float], r: float) -> float:
-    """Largest ladder rung <= r, or the lowest rung when r is below it."""
-    if not ladder:
-        raise ValueError("ladder must be nonempty")
-    idx = bisect_right(list(ladder), r) - 1
-    return ladder[max(idx, 0)]
 
 
 def calibrate_nu(
@@ -338,6 +333,15 @@ class _UserRuntime:
         self.wait_until = None
 
 
+def _link_state(profile, cap_schedules, boundary_times, t):
+    """Boundary index, export bandwidth and per-user caps in force at ``t``."""
+    return (
+        bisect_right(boundary_times, t),
+        bandwidth_at(profile, t),
+        [cap_at(sched, t) for sched in cap_schedules],
+    )
+
+
 def run_scenario(scenario: "Scenario") -> list[SessionTrace]:
     """Run one scenario to completion and return one trace per user."""
     users = scenario.users
@@ -355,7 +359,6 @@ def run_scenario(scenario: "Scenario") -> list[SessionTrace]:
     cap_schedules = [u.cap.materialize(rng, horizon) for u in users]
 
     server = PayoffServer(params, bandwidth_at(profile, 0.0))
-    channel = InProcessChannel(server)
     runs: list[_UserRuntime] = []
     for idx, u in enumerate(users):
         cfg = u.adapt_config()
@@ -375,10 +378,16 @@ def run_scenario(scenario: "Scenario") -> list[SessionTrace]:
         | {t for sched in cap_schedules if sched for t, _ in sched}
     )
 
+    # caps and bandwidth change only at boundary times, each of which is an
+    # event: they are looked up again only when t crosses one, and the shares
+    # are recomputed only then or when the set of downloading users changes
     t = 0.0
+    bidx, export_bw, caps_now = _link_state(profile, cap_schedules, boundary_times, t)
+    shares_for = None  # the downloading set ``shares`` was computed for
+    unfinished = n
     guard_limit = 20 * (n * sim.total_segments + len(boundary_times)) + 1000
     guard = 0
-    while any(not rt.done for rt in runs):
+    while unfinished:
         guard += 1
         if guard > guard_limit:
             raise SimulationError(f"event budget exceeded at t={t:.3f}s")
@@ -387,13 +396,11 @@ def run_scenario(scenario: "Scenario") -> list[SessionTrace]:
 
         downloading = [i for i in range(n) if not runs[i].done and runs[i].wait_until is None]
         waiting = [i for i in range(n) if not runs[i].done and runs[i].wait_until is not None]
-        caps_now = [cap_at(cap_schedules[i], t) for i in range(n)]
-        shares = allocate_shares(bandwidth_at(profile, t), caps_now, downloading)
+        if downloading != shares_for:
+            shares = allocate_shares(export_bw, caps_now, downloading)
+            shares_for = downloading
 
-        t_next = math.inf
-        bidx = bisect_right(boundary_times, t)
-        if bidx < len(boundary_times):
-            t_next = boundary_times[bidx]
+        t_next = boundary_times[bidx] if bidx < len(boundary_times) else math.inf
         for i in downloading:
             if shares[i] <= 0:
                 raise SimulationError(f"user {i} starved of bandwidth at t={t:.3f}s")
@@ -414,6 +421,9 @@ def run_scenario(scenario: "Scenario") -> list[SessionTrace]:
             if rt.wait_until is None:
                 rt.remaining -= shares[i] * dt
         t = t_next
+        if bisect_right(boundary_times, t) != bidx:
+            bidx, export_bw, caps_now = _link_state(profile, cap_schedules, boundary_times, t)
+            shares_for = None
 
         for i in waiting:
             if runs[i].wait_until <= t + 1e-12:
@@ -424,7 +434,7 @@ def run_scenario(scenario: "Scenario") -> list[SessionTrace]:
         if not completed:
             continue
 
-        server.export_bw = bandwidth_at(profile, t)
+        server.export_bw = export_bw
         for i in completed:
             rt = runs[i]
             rt.buffer += T
@@ -443,25 +453,24 @@ def run_scenario(scenario: "Scenario") -> list[SessionTrace]:
             rt.k += 1
             if rt.k >= sim.total_segments:
                 rt.done = True
+                unfinished -= 1
 
         # payoff exchange for game users against the frozen pre-event rates:
-        # all replies are computed before any updated rate reaches the server
-        game_batch = [i for i in completed if not runs[i].done and runs[i].spec.policy == "game"]
-        try:
-            replies = [
-                channel.exchange(PayoffQuery(
-                    user_id=i, b_curr=runs[i].buffer, last_rate=runs[i].request_rate,
-                ))
-                for i in game_batch
-            ]
-        except (ValueError, KeyError, IndexError) as exc:
-            k_at = runs[game_batch[0]].k if game_batch else -1
-            raise SimulationError(
-                f"policy failure for user {game_batch[0]} at segment {k_at}: {exc}"
-            ) from exc
-        for i, reply in zip(game_batch, replies):
+        # an updated rate reaches the server only through note_request below,
+        # after every reply of this event has been computed
+        for i in completed:
             rt = runs[i]
-            rt.request_rate = update_rate(rt.cfg, rt.request_rate, reply.gradient_estimate)
+            if rt.done or rt.spec.policy != "game":
+                continue
+            try:
+                reply = server.handle_query(PayoffQuery(
+                    user_id=i, b_curr=rt.buffer, last_rate=rt.request_rate,
+                ))
+                rt.request_rate = update_rate(rt.cfg, rt.request_rate, reply.gradient_estimate)
+            except (ValueError, KeyError, IndexError) as exc:
+                raise SimulationError(
+                    f"policy failure for user {i} at segment {rt.k}: {exc}"
+                ) from exc
 
         for i in completed:
             rt = runs[i]

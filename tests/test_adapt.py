@@ -5,10 +5,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from dashgame.adapt import (
     AdaptConfig,
-    InProcessChannel,
     PayoffQuery,
     PayoffReply,
     PayoffServer,
@@ -21,7 +21,7 @@ from dashgame.adapt import (
     update_rate,
 )
 from dashgame.game import solve_equilibrium
-from dashgame.model import BufferView, GameParams, VideoQualityModel, utility_gradient
+from dashgame.model import BufferView, GameParams, VideoQualityModel, utility, utility_gradient
 from conftest import random_instance
 
 BW = 6.0
@@ -80,6 +80,14 @@ def test_update_rate_examples():
     assert update_rate(cfg, 2.0, 0.001) == pytest.approx(2.1, rel=1e-12)
     cfg2 = AdaptConfig(theta=100.0, r_max=60.0)
     assert update_rate(cfg2, 2.0, 0.1) == pytest.approx(2.5, rel=1e-12)  # step capped at 25%
+
+
+@pytest.mark.parametrize("gradient", [math.nan, math.inf, -math.inf])
+def test_update_rate_rejects_non_finite_gradient(gradient):
+    # min/max would otherwise turn NaN into a full +max_step_fraction step
+    cfg = AdaptConfig(theta=50.0, r_max=60.0)
+    with pytest.raises(ValueError, match="gradient"):
+        update_rate(cfg, 1.0, gradient)
 
 
 def test_update_rate_respects_bounds():
@@ -247,14 +255,76 @@ def test_wire_format_rejects_garbage():
         decode_message(b'{"type":"payoff_query","user":1}\n')
 
 
-def test_in_process_channel_round_trip(ref_params, ref_video):
+def test_payoff_server_query_round_trip(ref_params, ref_video):
     server = PayoffServer(ref_params, BW)
     server.register(0, ref_video, b_ref=15.0, initial_rate=3.0, initial_b_curr=15.0)
     server.register(1, ref_video, b_ref=15.0, initial_rate=3.0, initial_b_curr=15.0)
-    channel = InProcessChannel(server)
-    reply = channel.exchange(PayoffQuery(user_id=0, b_curr=15.0, last_rate=3.0))
+    reply = server.handle_query(PayoffQuery(user_id=0, b_curr=15.0, last_rate=3.0))
     ana = utility_gradient(
         ref_params, ref_video, 0, [3.0, 3.0], BufferView(b_curr=15, b_ref=15), BW
     )
     assert reply.user_id == 0
     assert reply.gradient_estimate == pytest.approx(ana, abs=1e-6)
+
+
+def _two_utility_difference(params, video, export_bw, rates, i, b_curr, epsilon, b_ref, b_0):
+    """The server gradient as two full ``utility`` calls, the reference formula."""
+    buf = BufferView(b_curr=b_curr, b_ref=b_ref, b_0=b_0)
+    plus, minus = list(rates), list(rates)
+    plus[i] = plus[i] + epsilon
+    minus[i] = max(minus[i] - epsilon, 0.0)
+    span = plus[i] - minus[i]
+    return (utility(params, video, i, plus, buf, export_bw)
+            - utility(params, video, i, minus, buf, export_bw)) / span
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 12), near_zero=st.booleans())
+def test_server_gradient_bit_identical_to_two_utility_calls(seed, n, near_zero):
+    rng = np.random.default_rng(seed)
+    params, videos, bufs, export_bw = random_instance(rng, n_users=n)
+    rates = [float(r) for r in rng.uniform(0.0, 20.0, n)]
+    i = int(rng.integers(n))
+    epsilon = float(rng.choice([1e-4, 1e-3, 0.5]))
+    if near_zero:
+        rates[i] = float(rng.uniform(0.0, epsilon))  # the minus leg clips at zero
+    args = (params, videos[i], export_bw, rates, i, bufs[i].b_curr, epsilon, bufs[i].b_ref,
+            float(rng.uniform(-5.0, 5.0)))
+    assert payoff_gradient_server(*args) == _two_utility_difference(*args)
+
+
+def test_payoff_server_replies_in_user_id_order(ref_params, ref_video):
+    # positions follow the user ids, whatever order the users register in
+    rates = {4: 1.25, 1: 2.5, 9: 0.75, 2: 3.0}
+    server = PayoffServer(ref_params, BW)
+    for uid, rate in rates.items():
+        server.register(uid, ref_video, b_ref=15.0, initial_rate=rate, initial_b_curr=15.0)
+    assert server.user_ids == [1, 2, 4, 9]
+    server.note_request(9, 1.75)
+    rates[9] = 1.75
+    reply = server.handle_query(PayoffQuery(user_id=4, b_curr=12.0, last_rate=1.5))
+    rates[4] = 1.5
+    ordered = [rates[u] for u in sorted(rates)]
+    expected = payoff_gradient_server(ref_params, ref_video, BW, ordered, 2, 12.0, 1e-4, 15.0)
+    assert reply == PayoffReply(user_id=4, gradient_estimate=expected)
+    # registering a user again replaces its entry and keeps its position
+    server.register(4, ref_video, b_ref=10.0, initial_rate=1.5, initial_b_curr=12.0, epsilon=1e-3)
+    reply = server.handle_query(PayoffQuery(user_id=4, b_curr=12.0, last_rate=1.5))
+    expected = payoff_gradient_server(ref_params, ref_video, BW, ordered, 2, 12.0, 1e-3, 10.0)
+    assert reply.gradient_estimate == expected
+    with pytest.raises(KeyError):
+        server.note_request(3, 1.0)
+
+
+@pytest.mark.parametrize("bad, message", [
+    ({"b_curr_i": math.nan}, "b_curr"),
+    ({"b_ref": 0.0}, "b_ref"),
+    ({"b_ref": math.inf}, "b_ref"),
+    ({"all_last_rates": [3.0, math.nan]}, "rates"),
+    ({"export_bw": 0.0}, "export_bw"),
+])
+def test_server_gradient_validates_inputs(ref_params, ref_video, bad, message):
+    good = {"export_bw": BW, "all_last_rates": [3.0, 3.0], "i": 0, "b_curr_i": 15.0,
+            "epsilon": 1e-4, "b_ref": 15.0}
+    with pytest.raises(ValueError, match=message):
+        payoff_gradient_server(ref_params, ref_video, **{**good, **bad})

@@ -1,11 +1,15 @@
 """Fluid simulator: sharing, profiles, quantization, traces, invariants."""
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from dashgame.netsim import (
     BandwidthProfile,
     CapSpec,
+    SimulationError,
     allocate_shares,
     bandwidth_at,
     calibrate_nu,
@@ -49,6 +53,31 @@ def test_allocate_shares_conservation_property():
                 assert shares[i] == 0.0
             elif caps[i] is not None:
                 assert shares[i] <= caps[i] + 1e-12
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(
+    bw=st.floats(0.1, 50.0),
+    caps=st.lists(st.one_of(st.none(), st.floats(0.01, 20.0)), min_size=1, max_size=10),
+    data=st.data(),
+)
+def test_allocate_shares_is_max_min_fair(bw, caps, data):
+    n = len(caps)
+    active = data.draw(st.lists(st.integers(0, n - 1), unique=True))
+    shares = allocate_shares(bw, caps, active)
+    assert sum(shares) <= bw * (1 + 1e-12)
+    for i in range(n):
+        if i not in active:
+            assert shares[i] == 0.0
+        elif caps[i] is not None:
+            assert shares[i] <= caps[i]
+    # no active user whose cap does not bind gets less than any other active
+    # user, and the link is used up unless every active user is capped
+    uncapped = [i for i in active if caps[i] is None or shares[i] < caps[i]]
+    for i in uncapped:
+        assert all(shares[i] >= shares[j] * (1 - 1e-12) for j in active)
+    if uncapped:
+        assert sum(shares) == pytest.approx(bw, rel=1e-12)
 
 
 def test_bandwidth_at_persistent_preset_values():
@@ -95,6 +124,53 @@ def test_quantize_rate_examples():
     assert quantize_rate([1.0, 2.0, 3.0], 2.9) == 2.0
     assert quantize_rate([1.0, 2.0, 3.0], 0.2) == 1.0
     assert quantize_rate([1.0, 2.0, 3.0], 2.0) == 2.0
+    assert quantize_rate((1.0, 2.0, 3.0), math.inf) == 3.0
+    with pytest.raises(ValueError, match="ladder"):
+        quantize_rate((), 1.0)
+    with pytest.raises(ValueError, match="NaN"):
+        quantize_rate((1.0, 2.0), math.nan)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(
+    ladder=st.lists(st.floats(0.05, 60.0), min_size=1, max_size=25, unique=True).map(sorted),
+    r=st.floats(-10.0, 100.0),
+)
+def test_quantize_rate_matches_linear_floor_scan(ladder, r):
+    # the rung scan QF/BF used before both callers shared one bisection
+    best = ladder[0]
+    for rung in ladder:
+        if rung > r:
+            break
+        best = rung
+    assert quantize_rate(tuple(ladder), r) == best
+
+
+@pytest.mark.parametrize("schedule, message", [
+    (((50.0, 1.0), (0.0, 3.0)), "start at t=0"),
+    (((0.0, 1.0), (50.0, 3.0), (50.0, 2.0)), "strictly increasing"),
+    (((0.0, 1.0), (60.0, 3.0), (50.0, 2.0)), "strictly increasing"),
+    (((10.0, 1.0), (50.0, 3.0)), "start at t=0"),
+    (((0.0, 1.0), (50.0, math.nan)), "> 0"),
+])
+def test_cap_spec_breakpoints_validation(schedule, message):
+    with pytest.raises(ValueError, match="CapSpec.breakpoints") as info:
+        CapSpec(kind="breakpoints", breakpoints=schedule)
+    assert message in str(info.value)
+
+
+def test_cap_spec_breakpoints_schedule_values():
+    sched = CapSpec(kind="breakpoints", breakpoints=((0, 3.0), (50, 1.0))).materialize(None, 100.0)
+    assert [cap_at(sched, t) for t in (0.0, 49.9, 50.0, 60.0)] == [3.0, 3.0, 1.0, 1.0]
+
+
+def test_nan_gradient_is_a_policy_failure(monkeypatch):
+    import dashgame.adapt
+
+    monkeypatch.setattr(dashgame.adapt, "payoff_gradient_server", lambda *a, **k: math.nan)
+    message = r"user 0 at segment 1: update_rate gradient must be finite"
+    with pytest.raises(SimulationError, match=message):
+        run_scenario(_mini_scenario())
 
 
 def test_cap_spec_random_materialize_deterministic():
