@@ -271,34 +271,23 @@ def run_round(
     sessions: Sequence[UserSession],
     params: GameParams,
     export_bw: float,
-    sequential: bool = False,
 ) -> list[float]:
     """One adaptation round over all sessions; returns the updated rates.
 
-    By default updates are simultaneous: every gradient is computed against
-    the rate vector frozen at the round start, so the result is independent
-    of user processing order (and matches the Jacobian analysis of the
-    update map).  ``sequential=True`` applies Gauss-Seidel style in-place
-    updates instead, offered for experimentation only.
+    Updates are simultaneous: every gradient is computed against the rate
+    vector frozen at the round start, so the result is independent of user
+    processing order (and matches the Jacobian analysis of the update map).
     """
     if not sessions:
         raise ValueError("run_round requires at least one session")
-    rates = [s.rate for s in sessions]
-    if sequential:
-        for i, s in enumerate(sessions):
-            grad = payoff_gradient_server(
-                params, s.model, export_bw, rates, i, s.b_curr, s.cfg.epsilon, s.b_ref, s.b_0
-            )
-            rates[i] = update_rate(s.cfg, rates[i], grad)
-    else:
-        snapshot = list(rates)
-        grads = [
-            payoff_gradient_server(
-                params, s.model, export_bw, snapshot, i, s.b_curr, s.cfg.epsilon, s.b_ref, s.b_0
-            )
-            for i, s in enumerate(sessions)
-        ]
-        rates = [update_rate(s.cfg, r, g) for s, r, g in zip(sessions, snapshot, grads)]
+    snapshot = [s.rate for s in sessions]
+    grads = [
+        payoff_gradient_server(
+            params, s.model, export_bw, snapshot, i, s.b_curr, s.cfg.epsilon, s.b_ref, s.b_0
+        )
+        for i, s in enumerate(sessions)
+    ]
+    rates = [update_rate(s.cfg, r, g) for s, r, g in zip(sessions, snapshot, grads)]
     for s, r in zip(sessions, rates):
         s.rate = r
     return rates

@@ -188,7 +188,10 @@ def solve_equilibrium(
     Damped Newton on the gradient vector with the analytic Jacobian,
     ``diag(d) - z3*1*1^T`` on the free coordinates, so each step is solved
     in O(N) by Sherman-Morrison; coordinates are projected onto the box
-    each step.  Falls back to round-robin best-response sweeps when Newton
+    each step.  The backtracking line search accepts the first trial whose
+    residual falls enough, and that trial's gradient and residual serve the
+    next iteration, so each trial point is evaluated once.
+    Falls back to round-robin best-response sweeps when Newton
     stalls (the game admits an exact concave potential, so best-response
     iteration converges globally).
     ``method="best_response"`` forces the fallback path.  Non-convergence is
@@ -207,15 +210,16 @@ def solve_equilibrium(
     rates = np.full(n, r_max / (2.0 * n))
     iterations = 0
 
-    def residual_norm(r: np.ndarray) -> float:
-        return float(_projected_residuals(grad(r), r, r_max).max())
+    def evaluate(r: np.ndarray) -> tuple[np.ndarray, float]:
+        g = grad(r)
+        return g, float(_projected_residuals(g, r, r_max).max())
 
     if method == "newton":
         stalls = 0
+        # the gradient and residual at the current rates, carried over from
+        # the accepted trial (unchanged after a stalled step)
+        grads, cur = evaluate(rates)
         while iterations < max_iter:
-            grads = grad(rates)
-            res = _projected_residuals(grads, rates, r_max)
-            cur = float(res.max())
             if cur <= tol:
                 return EquilibriumResult([float(r) for r in rates], cur, iterations, True)
             free = ~(((rates <= 0.0) & (grads < 0)) | ((rates >= r_max) & (grads > 0)))
@@ -231,8 +235,9 @@ def solve_equilibrium(
             while t >= 1e-4:
                 trial = rates.copy()
                 trial[idx] = np.clip(rates[idx] + t * step, 0.0, r_max)
-                if residual_norm(trial) < (1.0 - 0.25 * t) * cur:
-                    rates = trial
+                trial_grads, trial_res = evaluate(trial)
+                if trial_res < (1.0 - 0.25 * t) * cur:
+                    rates, grads, cur = trial, trial_grads, trial_res
                     moved = True
                     break
                 t *= 0.5
@@ -256,11 +261,11 @@ def solve_equilibrium(
             max_change = max(max_change, abs(new_rate - rates[i]))
             rates[i] = new_rate
         iterations += 1
-        res = residual_norm(rates)
+        _, res = evaluate(rates)
         if res <= tol:
             return EquilibriumResult([float(r) for r in rates], res, iterations, True)
         if max_change == 0.0:
             break
 
-    res = residual_norm(rates)
+    _, res = evaluate(rates)
     return EquilibriumResult([float(r) for r in rates], res, iterations, res <= tol)

@@ -268,6 +268,10 @@ class UtilityGradients:
     object with a rate vector validates the rates, sums the load once and
     returns every user's own-rate gradient ``z1/(1 + beta*r_i) + z2 -
     z3*sum(rates)``, so one evaluation costs O(N).
+
+    An ``(m, N)`` stack of rate vectors is evaluated in one call and gives
+    ``(m, N)`` gradients, each row bit-identical to a 1-D call on that row
+    (each row's load is summed along the last axis as a 1-D sum would be).
     """
 
     def __init__(
@@ -292,15 +296,22 @@ class UtilityGradients:
         self._export_bw = export_bw
 
     def __call__(self, rates) -> np.ndarray:
-        r = np.asarray(rates, dtype=float)
-        if r.shape != self.betas.shape:
-            raise ValueError(f"expected {self.betas.size} rates, got shape {r.shape}")
+        # C order: a row of a Fortran-order stack would not sum as the 1-D row
+        r = np.asarray(rates, dtype=float, order="C")
+        if r.ndim not in (1, 2) or r.shape[-1] != self.betas.size:
+            raise ValueError(
+                f"expected {self.betas.size} rates or an (m, {self.betas.size}) stack,"
+                f" got shape {r.shape}"
+            )
         bad = r[~(np.isfinite(r) & (r >= 0))]
         if bad.size:
             raise ValueError(f"rates must be finite and >= 0, got {float(bad[0])!r}")
         # the load term is rounded as in utility_gradient, so both agree bit
         # for bit below 8 users (numpy sums pairwise from 8 on)
-        load = self._load_weight * (float(r.sum()) / self._export_bw)
+        if r.ndim == 1:
+            load = self._load_weight * (float(r.sum()) / self._export_bw)
+        else:
+            load = self._load_weight * (r.sum(axis=-1, keepdims=True) / self._export_bw)
         return self.z1 / (1.0 + self.betas * r) + self.z2 - load
 
 

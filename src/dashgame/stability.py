@@ -4,10 +4,12 @@ The update ``r_i(t+1) = r_i(t) + theta_i * r_i(t) * grad_i(r(t))`` is a
 discrete-time map whose fixed points are the game's stationary rates; the
 equilibrium is locally stable iff every eigenvalue of the map's Jacobian
 lies strictly inside the unit circle.  This module builds the 2-user
-Jacobian analytically and an N-user Jacobian by finite differences (O(N^2):
-each perturbed evaluation of the map is O(N)), computes spectra with
-LAPACK (``numpy.linalg.eigvals``), and evaluates the closed-form
-unit-circle conditions for two identical users.
+Jacobian analytically and an N-user Jacobian by finite differences: the
+2N + 1 points of the stencil are stacked into one ``(2N + 1, N)`` array and
+the map is evaluated on all of them in a single vectorised call (O(N^2)
+work and memory, the order of the matrix returned).  Spectra come from
+LAPACK (``numpy.linalg.eigvals``), and the closed-form unit-circle
+conditions for two identical users are evaluated directly.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .model import BufferView, GameParams, UtilityGradients, VideoQualityModel
+from .model import BufferView, GameParams, UtilityGradients, VideoQualityModel, _check_rates_bw
 from .game import foc_coefficients
 
 __all__ = [
@@ -69,6 +71,8 @@ def jacobian_2user(
     """
     if not (len(models) == len(bufs) == len(rates) == len(thetas) == 2):
         raise ValueError("jacobian_2user requires exactly two users")
+    _check_rates_bw(rates, export_bw)
+    _check_thetas(thetas)
     jac = np.empty((2, 2))
     for i in range(2):
         j = 1 - i
@@ -87,6 +91,14 @@ def jacobian_2user(
     return jac
 
 
+def _check_thetas(thetas: Sequence[float]) -> np.ndarray:
+    theta = np.asarray(thetas, dtype=float)
+    bad = theta[~(np.isfinite(theta) & (theta > 0))]
+    if bad.size:
+        raise ValueError(f"thetas must be finite and > 0, got {float(bad[0])!r}")
+    return theta
+
+
 def jacobian_numeric(
     params: GameParams,
     models: Sequence[VideoQualityModel],
@@ -101,32 +113,30 @@ def jacobian_numeric(
     Central differences, except in the columns of rates below ``step``,
     whose minus leg would leave the domain ``r >= 0``: those use the
     one-sided second-order stencil ``(-3 f(r) + 4 f(r + h) - f(r + 2h)) /
-    2h``.  Each evaluation of the map (no step cap, no box projection) is
-    O(N), so the whole Jacobian is O(N^2).
+    2h``.  The stencil points (the base point, ``r + h*e_j``, and ``r -
+    h*e_j`` or ``r + 2h*e_j``) form one ``(2N + 1, N)`` stack, and the map
+    (no step cap, no box projection) is evaluated on it in a single call,
+    so the whole Jacobian is O(N^2) in time and memory.
     """
     n = len(rates)
     if not (len(models) == len(bufs) == len(thetas) == n >= 1):
         raise ValueError("models, bufs, rates, thetas must agree and be nonempty")
+    if not (math.isfinite(step) and step > 0):
+        raise ValueError(f"step must be finite and > 0, got {step!r}")
+    theta = _check_thetas(thetas)
     grad = UtilityGradients(params, models, bufs, export_bw)
     r = np.asarray(rates, dtype=float)
-    theta = np.asarray(thetas, dtype=float)
-
-    def update_map(x: np.ndarray) -> np.ndarray:
-        return x + theta * x * grad(x)
-
-    def shifted(j: int, h: float) -> np.ndarray:
-        x = r.copy()
-        x[j] += h
-        return update_map(x)
-
-    f_r = update_map(r)
-    jac = np.empty((n, n))
-    for j in range(n):
-        if r[j] >= step:
-            jac[:, j] = (shifted(j, step) - shifted(j, -step)) / (2.0 * step)
-        else:
-            jac[:, j] = (-3.0 * f_r + 4.0 * shifted(j, step) - shifted(j, 2.0 * step)) / (2.0 * step)
-    return jac
+    one_sided = r < step
+    cols = np.arange(n)
+    points = np.tile(r, (2 * n + 1, 1))
+    points[1 + cols, cols] += step
+    points[1 + n + cols, cols] += np.where(one_sided, 2.0 * step, -step)
+    f = points + theta * points * grad(points)
+    # row j of plus/other is the map at the column-j legs
+    plus, other = f[1 : n + 1], f[n + 1 :]
+    central = (plus - other) / (2.0 * step)
+    forward = (-3.0 * f[0] + 4.0 * plus - other) / (2.0 * step)
+    return np.where(one_sided[:, None], forward, central).T
 
 
 def eigenvalues_small(matrix) -> list[complex]:

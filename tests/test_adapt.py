@@ -206,12 +206,6 @@ def test_round_fixed_points_match_equilibrium():
         checked += 1
 
 
-def test_sequential_mode_runs():
-    sessions = _sessions(CAL_PARAMS, CAL_VIDEO, 100.0, [1.0, 2.0])
-    rates = run_round(sessions, CAL_PARAMS, BW, sequential=True)
-    assert len(rates) == 2
-
-
 def test_wire_format_exact_bytes():
     q = PayoffQuery(user_id=3, b_curr=14.2, last_rate=2.5)
     assert encode_message(q) == b'{"type":"payoff_query","user":3,"b_curr":14.2,"last_rate":2.5}\n'

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from dashgame.model import (
     BufferView,
@@ -212,6 +213,23 @@ def test_vectorised_gradients_match_scalar_loop():
             np.testing.assert_allclose(got, ref, rtol=0, atol=1e-13 * n * max(1.0, np.abs(ref).max()))
 
 
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(n=st.integers(1, 24), m=st.integers(1, 12), seed=st.integers(0, 2**32 - 1))
+def test_stacked_gradients_match_row_calls(n, m, seed):
+    """An (m, N) call equals m 1-D calls bit for bit, below and above the
+    8-user threshold where numpy's sum turns pairwise."""
+    rng = np.random.default_rng(seed)
+    params, videos, bufs, bw = random_instance(rng, n_users=n)
+    stack = rng.uniform(0.0, 20.0, (m, n))
+    stack[rng.random((m, n)) < 0.2] = 0.0
+    grad = UtilityGradients(params, videos, bufs, bw)
+    got = grad(stack)
+    assert got.shape == (m, n)
+    assert got.tobytes() == np.array([grad(row) for row in stack]).tobytes()
+    assert grad(np.asfortranarray(stack)).tobytes() == got.tobytes()
+    assert grad(stack[0]).tobytes() == grad(stack[0].tolist()).tobytes()
+
+
 def test_vectorised_gradients_validate_rates(ref_params, ref_video, neutral_buffer):
     grad = UtilityGradients(ref_params, [ref_video] * 2, [neutral_buffer] * 2, BW)
     for bad in ([1.0, -0.5], [1.0, float("nan")], [1.0, float("inf")]):
@@ -219,6 +237,15 @@ def test_vectorised_gradients_validate_rates(ref_params, ref_video, neutral_buff
             grad(bad)
     with pytest.raises(ValueError, match="rates"):
         grad([1.0, 2.0, 3.0])
+    # the message gives the shape it got
+    with pytest.raises(ValueError, match=r"shape \(2, 3\)"):
+        grad([[1.0, 2.0, 3.0]] * 2)
+    with pytest.raises(ValueError, match=r"shape \(1, 1, 2\)"):
+        grad([[[1.0, 2.0]]])
+    with pytest.raises(ValueError, match=r"shape \(\)"):
+        grad(1.0)
+    with pytest.raises(ValueError, match="rates"):
+        grad([[1.0, 2.0], [1.0, -0.5]])
     with pytest.raises(ValueError, match="export_bw"):
         UtilityGradients(ref_params, [ref_video], [neutral_buffer], 0.0)
     with pytest.raises(ValueError, match="same length"):

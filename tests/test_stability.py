@@ -4,10 +4,17 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from dashgame.adapt import AdaptConfig, UserSession, run_round
 from dashgame.game import foc_coefficients, solve_equilibrium
-from dashgame.model import BufferView, GameParams, VideoQualityModel, utility_gradient
+from dashgame.model import (
+    BufferView,
+    GameParams,
+    UtilityGradients,
+    VideoQualityModel,
+    utility_gradient,
+)
 from dashgame.stability import (
     EigenvalueError,
     build_report,
@@ -143,6 +150,98 @@ def test_jacobian_numeric_rejects_negative_rates(ref_params, ref_video, neutral_
         jacobian_numeric(
             ref_params, [ref_video] * 2, [neutral_buffer] * 2, BW, [-1.0, 2.0], [5.0, 5.0]
         )
+
+
+@pytest.mark.parametrize("bad", [-1.0, float("nan"), float("inf")])
+def test_jacobian_2user_rejects_bad_rates(bad, ref_params, ref_video, neutral_buffer):
+    # these gave a NaN matrix or one for a negative rate, without a word
+    with pytest.raises(ValueError, match="rates"):
+        jacobian_2user(
+            ref_params, [ref_video] * 2, [neutral_buffer] * 2, BW, [bad, 2.0], [5.0, 5.0]
+        )
+
+
+@pytest.mark.parametrize("step", [0.0, -1e-6, float("nan"), float("inf"), float("-inf")])
+def test_jacobian_numeric_rejects_bad_step(step, ref_params, ref_video, neutral_buffer):
+    # step=0 gave a non-finite matrix; the others blamed the rates
+    with pytest.raises(ValueError, match="step"):
+        jacobian_numeric(
+            ref_params, [ref_video] * 3, [neutral_buffer] * 3, BW, [1.0, 2.0, 3.0],
+            [5.0] * 3, step=step,
+        )
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), 0.0, -5.0])
+@pytest.mark.parametrize("jac_fn", [jacobian_2user, jacobian_numeric])
+def test_jacobians_reject_bad_thetas(jac_fn, bad, ref_params, ref_video, neutral_buffer):
+    # a NaN theta gave a silently NaN matrix
+    with pytest.raises(ValueError, match="thetas"):
+        jac_fn(ref_params, [ref_video] * 2, [neutral_buffer] * 2, BW, [1.0, 2.0], [5.0, bad])
+
+
+def oracle_jacobian_numeric(params, models, bufs, export_bw, rates, thetas, step=1e-6):
+    """The per-column finite-difference Jacobian: one 1-D map evaluation per leg."""
+    n = len(rates)
+    grad = UtilityGradients(params, models, bufs, export_bw)
+    r = np.asarray(rates, dtype=float)
+    theta = np.asarray(thetas, dtype=float)
+
+    def update_map(x):
+        return x + theta * x * grad(x)
+
+    def shifted(j, h):
+        x = r.copy()
+        x[j] += h
+        return update_map(x)
+
+    f_r = update_map(r)
+    jac = np.empty((n, n))
+    for j in range(n):
+        if r[j] >= step:
+            jac[:, j] = (shifted(j, step) - shifted(j, -step)) / (2.0 * step)
+        else:
+            jac[:, j] = (-3.0 * f_r + 4.0 * shifted(j, step) - shifted(j, 2.0 * step)) / (2.0 * step)
+    return jac
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    n=st.integers(1, 64),
+    seed=st.integers(0, 2**32 - 1),
+    at_equilibrium=st.booleans(),
+    step=st.sampled_from([1e-6, 1e-4, 0.01]),
+)
+@example(n=8, seed=0, at_equilibrium=True, step=1e-6)
+@example(n=64, seed=5, at_equilibrium=True, step=1e-6)
+def test_jacobian_numeric_matches_per_column_oracle(n, seed, at_equilibrium, step):
+    """The batched stencil gives the per-column Jacobian bit for bit, at
+    equilibria with starved users (one-sided columns) and at a rate of
+    exactly ``step`` (the first central column)."""
+    rng = np.random.default_rng(seed)
+    params = GameParams(
+        mu=0.006, nu=float(rng.uniform(0.005, 0.03)), p=0.25, segment_duration=2.0
+    )
+    videos = [
+        VideoQualityModel(alpha=float(a), beta=float(b), ladder=(1.0,))
+        for a, b in zip(rng.uniform(0.02, 0.5, n), rng.uniform(0.05, 1.5, n))
+    ]
+    # buffers from empty to twice the reference: empty ones starve at rate 0
+    bufs = [BufferView(b_curr=float(b), b_ref=20.0) for b in rng.uniform(0.0, 40.0, n)]
+    bw = float(rng.uniform(1.5, 3.0)) * n
+    if at_equilibrium:
+        eq = solve_equilibrium(params, videos, bufs, bw, r_max=float(rng.uniform(2.0, 20.0)))
+        assert eq.converged
+        rates = list(eq.rates)
+    else:
+        rates = [float(r) for r in rng.uniform(0.0, 10.0, n)]
+        rates[int(rng.integers(n))] = 0.0
+    if n > 1:
+        rates[int(rng.integers(n))] = step
+    thetas = [float(t) for t in rng.uniform(1.0, 300.0, n)]
+    got = jacobian_numeric(params, videos, bufs, bw, rates, thetas, step=step)
+    ref = oracle_jacobian_numeric(params, videos, bufs, bw, rates, thetas, step=step)
+    assert got.shape == (n, n)
+    assert np.array_equal(got, ref)
 
 
 def test_eigenvalues_hand_cases():
