@@ -7,10 +7,17 @@ estimate of the user's payoff gradient; the user then applies a
 multiplicative sub-gradient step.  Fixed points of this iteration are
 exactly the stationary points of the static game.
 
-The message types (`PayoffQuery`/`PayoffReply`) double as the wire format:
-in simulation the event loop hands each query to `PayoffServer.handle_query`
-directly, in live mode they travel as newline-delimited JSON over a byte
-stream.
+The message types (`PayoffQuery`/`PayoffReply`) are immutable named tuples
+and double as the wire format: in simulation the event loop hands each query
+to `PayoffServer.handle_query` directly, in live mode they travel as
+newline-delimited JSON over a byte stream.
+
+`PayoffServer` checks every value when it arrives: the constants and first
+rate at `register`, each requested rate at `note_request`, and a query's own
+buffer, rate and the export bandwidth.  So a query makes O(1) checks and
+copies nothing; only its two loads are O(N) sums.  `payoff_gradient_server`,
+the stateless form, checks all of its inputs and then runs the same
+central-difference core.
 """
 
 from __future__ import annotations
@@ -19,7 +26,7 @@ import json
 import math
 from bisect import bisect_left
 from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .model import (
     GameParams,
@@ -29,6 +36,7 @@ from .model import (
     _estimated_buffer_at,
     adjustment_factor,
     quality,
+    serial_sum,
 )
 
 __all__ = [
@@ -80,8 +88,7 @@ class AdaptConfig:
             raise ValueError("AdaptConfig.max_step_fraction must be > 0 (use inf to disable)")
 
 
-@dataclass(frozen=True)
-class PayoffQuery:
+class PayoffQuery(NamedTuple):
     """Client -> server: buffer occupancy and last requested rate."""
 
     user_id: int
@@ -89,8 +96,7 @@ class PayoffQuery:
     last_rate: float
 
 
-@dataclass(frozen=True)
-class PayoffReply:
+class PayoffReply(NamedTuple):
     """Server -> client: estimated payoff gradient at the current rates."""
 
     user_id: int
@@ -125,15 +131,37 @@ def payoff_gradient_server(
     rates = list(all_last_rates)
     _check_rates_bw(rates, export_bw)
     a_f = adjustment_factor(params.p, b_curr_i, b_ref)
-    r_plus = rates[i] + epsilon
-    r_minus = max(rates[i] - epsilon, 0.0)
+    return _central_difference(params, model, export_bw, rates, i, epsilon, a_f, b_0)
+
+
+def _central_difference(
+    params: GameParams,
+    model: VideoQualityModel,
+    export_bw: float,
+    rates: list[float],
+    i: int,
+    epsilon: float,
+    a_f: float,
+    b_0: float,
+) -> float:
+    """The core of :func:`payoff_gradient_server`, on inputs already checked.
+
+    Entry ``i`` of ``rates`` holds each perturbed rate while that leg's load
+    is summed, and is restored before returning; no list is copied.
+    """
+    r_i = rates[i]
+    r_plus = r_i + epsilon
+    r_minus = max(r_i - epsilon, 0.0)
     rates[i] = r_plus
-    u_plus = quality(model, r_plus) + params.mu * _estimated_buffer_at(
-        params, r_plus, sum(rates), a_f, b_0, export_bw
-    )
+    load_plus = serial_sum(rates)
     rates[i] = r_minus
+    load_minus = serial_sum(rates)
+    rates[i] = r_i
+    u_plus = quality(model, r_plus) + params.mu * _estimated_buffer_at(
+        params, r_plus, load_plus, a_f, b_0, export_bw
+    )
     u_minus = quality(model, r_minus) + params.mu * _estimated_buffer_at(
-        params, r_minus, sum(rates), a_f, b_0, export_bw
+        params, r_minus, load_minus, a_f, b_0, export_bw
     )
     # keep the difference symmetric even if the minus leg clipped at zero
     return (u_plus - u_minus) / (r_plus - r_minus)
@@ -192,6 +220,11 @@ class _Registered:
     __slots__ = ("model", "epsilon", "b_ref", "b_0", "b_curr", "pos")
 
 
+def _is_rate(value: float) -> bool:
+    """True for a finite rate >= 0 (False for NaN)."""
+    return 0.0 <= value < math.inf
+
+
 class PayoffServer:
     """Server side of the payoff exchange.
 
@@ -200,6 +233,11 @@ class PayoffServer:
     constants, last reported buffer and its position in the list of last
     requested rates, which is kept in user-id order.  Positions are set at
     ``register``, so a query looks nothing up but its own entry.
+
+    Every value is checked when it arrives, and an error names the user and
+    the field, so the registry only ever holds valid rates and constants and
+    a query need not check them again.  ``export_bw`` is a plain attribute
+    the caller may update between queries; each query checks it.
     """
 
     def __init__(self, params: GameParams, export_bw: float) -> None:
@@ -218,6 +256,17 @@ class PayoffServer:
         epsilon: float = 1e-4,
         b_0: float = 0.0,
     ) -> None:
+        where = f"PayoffServer.register user {user_id}"
+        if not _is_rate(initial_rate):
+            raise ValueError(f"{where}: initial_rate must be finite and >= 0, got {initial_rate!r}")
+        if not math.isfinite(initial_b_curr):
+            raise ValueError(f"{where}: initial_b_curr must be finite, got {initial_b_curr!r}")
+        if not (math.isfinite(epsilon) and epsilon > 0):
+            raise ValueError(f"{where}: epsilon must be finite and > 0, got {epsilon!r}")
+        if not (math.isfinite(b_ref) and b_ref > 0):
+            raise ValueError(f"{where}: b_ref must be finite and > 0, got {b_ref!r}")
+        if not math.isfinite(b_0):
+            raise ValueError(f"{where}: b_0 must be finite, got {b_0!r}")
         entry = self._users.get(user_id)
         if entry is None:
             ids = sorted(self._users)
@@ -240,31 +289,44 @@ class PayoffServer:
         return sorted(self._users)
 
     def _entry(self, user_id: int) -> _Registered:
-        entry = self._users.get(user_id)
-        if entry is None:
-            raise KeyError(f"unknown user id {user_id}")
-        return entry
+        try:
+            return self._users[user_id]
+        except KeyError:
+            raise KeyError(f"unknown user id {user_id}") from None
 
     def note_request(self, user_id: int, rate: float) -> None:
         """Record the rate a user actually requested its next segment at."""
-        self._rates[self._entry(user_id).pos] = rate
+        entry = self._entry(user_id)
+        if not _is_rate(rate):
+            raise ValueError(
+                f"PayoffServer.note_request user {user_id}: rate must be finite and >= 0,"
+                f" got {rate!r}"
+            )
+        self._rates[entry.pos] = rate
 
     def handle_query(self, query: PayoffQuery) -> PayoffReply:
-        entry = self._entry(query.user_id)
-        entry.b_curr = query.b_curr
-        self._rates[entry.pos] = query.last_rate
-        grad = payoff_gradient_server(
-            self.params,
-            entry.model,
-            self.export_bw,
-            self._rates,
-            entry.pos,
-            query.b_curr,
-            entry.epsilon,
-            entry.b_ref,
+        user_id, b_curr, last_rate = query
+        entry = self._entry(user_id)
+        export_bw = self.export_bw
+        if not math.isfinite(b_curr):
+            raise ValueError(
+                f"payoff query of user {user_id}: b_curr must be finite, got {b_curr!r}"
+            )
+        if not _is_rate(last_rate):
+            raise ValueError(
+                f"payoff query of user {user_id}: last_rate must be finite and >= 0,"
+                f" got {last_rate!r}"
+            )
+        if not 0 < export_bw < math.inf:
+            raise ValueError(f"PayoffServer.export_bw must be finite and > 0, got {export_bw!r}")
+        entry.b_curr = b_curr
+        self._rates[entry.pos] = last_rate
+        a_f = adjustment_factor(self.params.p, b_curr, entry.b_ref)
+        grad = _central_difference(
+            self.params, entry.model, export_bw, self._rates, entry.pos, entry.epsilon, a_f,
             entry.b_0,
         )
-        return PayoffReply(user_id=query.user_id, gradient_estimate=grad)
+        return PayoffReply(user_id, grad)
 
 
 def run_round(

@@ -53,7 +53,9 @@ def _fail(message: str, code: int) -> int:
 
 
 # one row per segment, byte-identical to csv.writer over format(x, ".10g")
-# fields: csv's default terminator is \r\n and no field needs quoting
+# fields: csv's default terminator is \r\n and no field needs quoting.  The
+# columns are the fields of a TraceRecord, in order, so a record (a named
+# tuple) formats as a row by itself.
 _TRACE_HEADER = (
     "k,t_start,t_end,requested_rate,quantized_rate,download_time,buffer,stall_seconds,quality\r\n"
 )
@@ -61,13 +63,7 @@ _TRACE_ROW = "%d" + ",%.10g" * 8 + "\r\n"
 
 
 def write_trace_csv(path: Path, trace: SessionTrace) -> None:
-    rows = "".join(
-        _TRACE_ROW % (
-            rec.k, rec.t_start, rec.t_end, rec.requested_rate, rec.quantized_rate,
-            rec.download_time, rec.buffer, rec.stall_seconds, rec.quality,
-        )
-        for rec in trace.records
-    )
+    rows = "".join([_TRACE_ROW % rec for rec in trace.records])
     with path.open("w", newline="", encoding="utf-8") as fh:
         fh.write(_TRACE_HEADER + rows)
 
@@ -96,7 +92,8 @@ def _apply_common_overrides(doc: dict, args) -> None:
         apply_override(doc, "sim.total_segments", args.segments)
 
 
-def _run_one(sc: Scenario, out_dir: Path, scenario_doc: dict, source: str) -> dict:
+def _run_one(sc: Scenario, out_dir: Path, scenario_doc: dict, source: str) -> tuple[dict, str]:
+    """Run one scenario, write its outputs; return the summary and its JSON text."""
     out_dir.mkdir(parents=True, exist_ok=True)
     traces = run_scenario(sc)
     qoe_params = QoeMetricParams(b_ref=sc.users[0].b_ref if sc.users else 15.0)
@@ -114,9 +111,8 @@ def _run_one(sc: Scenario, out_dir: Path, scenario_doc: dict, source: str) -> di
             "qoe2": qoe2(trace, qoe_params),
         })
     summary = {"scenario": sc.name, "users": per_user}
-    (out_dir / "summary.json").write_text(
-        json.dumps(summary, indent=2) + "\n", encoding="utf-8"
-    )
+    summary_json = json.dumps(summary, indent=2)
+    (out_dir / "summary.json").write_text(summary_json + "\n", encoding="utf-8")
     manifest = {
         "tool_version": __version__,
         "source": source,
@@ -128,7 +124,7 @@ def _run_one(sc: Scenario, out_dir: Path, scenario_doc: dict, source: str) -> di
     (out_dir / "run_manifest.json").write_text(
         json.dumps(manifest, indent=2) + "\n", encoding="utf-8"
     )
-    return summary
+    return summary, summary_json
 
 
 def cmd_simulate(args) -> int:
@@ -142,8 +138,8 @@ def cmd_simulate(args) -> int:
     if args.calibrate_nu:
         sc = recalibrate_nu(sc)
         doc["params"]["nu"] = sc.params.nu
-    summary = _run_one(sc, Path(args.out), doc, source=args.preset or args.scenario)
-    print(json.dumps(summary, indent=2))
+    _, summary_json = _run_one(sc, Path(args.out), doc, source=args.preset or args.scenario)
+    print(summary_json)
     return EXIT_OK
 
 
@@ -192,7 +188,7 @@ def cmd_sweep(args) -> int:
             label_parts.append(f"{key.split('.')[-1]}={value}")
         label = "_".join(label_parts).replace("/", "-")
         sc = scenario_from_dict(run_doc, name=f"{doc.get('name', 'scenario')}[{label}]")
-        summary = _run_one(sc, out_root / label, run_doc, source=label)
+        summary, _ = _run_one(sc, out_root / label, run_doc, source=label)
         for user_row in summary["users"]:
             rows.append({"run": label, **{k.split(".")[-1]: v for k, v in zip(keys, combo)}, **user_row})
     table = out_root / "sweep.csv"

@@ -16,7 +16,14 @@ from typing import Sequence
 
 import numpy as np
 
-from .model import BufferView, GameParams, UtilityGradients, VideoQualityModel, adjustment_factor
+from .model import (
+    BufferView,
+    GameParams,
+    UtilityGradients,
+    VideoQualityModel,
+    adjustment_factor,
+    serial_sum,
+)
 
 __all__ = [
     "FocCoefficients",
@@ -131,7 +138,8 @@ def best_response(
     if not (math.isfinite(r_max) and r_max > 0):
         raise ValueError(f"r_max must be finite and > 0, got {r_max!r}")
     z = foc_coefficients(params, model, buf, export_bw)
-    return _own_rate_root(z.z1, z.z2, z.z3, model.beta, float(sum(others_rates)), r_max, tol)
+    sum_others = float(serial_sum(others_rates))
+    return _own_rate_root(z.z1, z.z2, z.z3, model.beta, sum_others, r_max, tol)
 
 
 def closed_form_identical_2user(z: FocCoefficients, beta: float) -> float:
@@ -152,13 +160,15 @@ def closed_form_identical_2user(z: FocCoefficients, beta: float) -> float:
 def _projected_residuals(
     grads: np.ndarray, rates: np.ndarray, r_max: float
 ) -> np.ndarray:
-    """Per-user violation of the projected FOC over [0, r_max]."""
-    res = np.abs(grads).astype(float)
-    at_lower = rates <= 0.0
-    at_upper = rates >= r_max
-    res[at_lower] = np.maximum(grads[at_lower], 0.0)
-    res[at_upper] = np.maximum(-grads[at_upper], 0.0)
-    return res
+    """Per-user violation of the projected FOC over [0, r_max].
+
+    A rate on both bounds counts as on the upper one.
+    """
+    return np.where(
+        rates >= r_max,
+        np.maximum(-grads, 0.0),
+        np.where(rates <= 0.0, np.maximum(grads, 0.0), np.abs(grads)),
+    )
 
 
 def _newton_step(diag: np.ndarray, c: float, rhs: np.ndarray) -> np.ndarray:
@@ -221,7 +231,7 @@ def solve_equilibrium(
         grads, cur = evaluate(rates)
         while iterations < max_iter:
             if cur <= tol:
-                return EquilibriumResult([float(r) for r in rates], cur, iterations, True)
+                return EquilibriumResult(rates.tolist(), cur, iterations, True)
             free = ~(((rates <= 0.0) & (grads < 0)) | ((rates >= r_max) & (grads > 0)))
             if not free.any():
                 # all coordinates pinned but some still violated: treat as stall
@@ -263,9 +273,9 @@ def solve_equilibrium(
         iterations += 1
         _, res = evaluate(rates)
         if res <= tol:
-            return EquilibriumResult([float(r) for r in rates], res, iterations, True)
+            return EquilibriumResult(rates.tolist(), res, iterations, True)
         if max_change == 0.0:
             break
 
     _, res = evaluate(rates)
-    return EquilibriumResult([float(r) for r in rates], res, iterations, res <= tol)
+    return EquilibriumResult(rates.tolist(), res, iterations, res <= tol)

@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -27,6 +27,7 @@ __all__ = [
     "log_quality",
     "quality",
     "quantize_rate",
+    "serial_sum",
     "adjustment_factor",
     "avg_buffer_variation",
     "estimated_buffer",
@@ -151,6 +152,21 @@ def quantize_rate(ladder: Sequence[float], r: float) -> float:
     return ladder[max(bisect_right(ladder, r) - 1, 0)]
 
 
+def serial_sum(values: Iterable[float]) -> float:
+    """Sum of ``values`` added left to right, starting from 0.0.
+
+    This is what the builtin ``sum`` of floats does on CPython 3.10 and
+    3.11; from 3.12 on, ``sum`` compensates rounding errors and can differ
+    in the last bits.  Every load summed in Python (the payoff server, the
+    scalar gradient and buffer, the best response) goes through here, so
+    its rounding does not change with the interpreter version.
+    """
+    total = 0.0
+    for v in values:
+        total += v
+    return total
+
+
 def adjustment_factor(p: float, b_curr: float, b_ref: float) -> float:
     """Sigmoid buffer-deviation factor in (0, 2), exactly 1 at b_curr == b_ref.
 
@@ -191,7 +207,7 @@ def avg_buffer_variation(params: GameParams, rates: Sequence[float], export_bw: 
     """
     _check_rates_bw(rates, export_bw)
     T = params.segment_duration
-    return T - params.omega * T * (sum(rates) / export_bw)
+    return T - params.omega * T * (serial_sum(rates) / export_bw)
 
 
 def estimated_buffer(
@@ -212,7 +228,7 @@ def estimated_buffer(
     if not 0 <= i < len(rates):
         raise IndexError(f"user index {i} out of range for {len(rates)} rates")
     a_f = adjustment_factor(params.p, buf.b_curr, buf.b_ref)
-    return _estimated_buffer_at(params, rates[i], sum(rates), a_f, buf.b_0, export_bw)
+    return _estimated_buffer_at(params, rates[i], serial_sum(rates), a_f, buf.b_0, export_bw)
 
 
 def _estimated_buffer_at(
@@ -256,7 +272,7 @@ def utility_gradient(
     T = params.segment_duration
     a_f = adjustment_factor(params.p, buf.b_curr, buf.b_ref)
     quality_term = model.alpha * model.beta / (1.0 + model.beta * rates[i])
-    return quality_term + params.mu * T * a_f - params.nu * T * (sum(rates) / export_bw)
+    return quality_term + params.mu * T * a_f - params.nu * T * (serial_sum(rates) / export_bw)
 
 
 class UtilityGradients:

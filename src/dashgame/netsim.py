@@ -5,11 +5,14 @@ server's export bandwidth, optionally capped per user.  Between events
 (segment completions and bandwidth/cap breakpoints) downloads accrue bits at
 constant rates and playing buffers drain at one second per second; playback
 stalls when a buffer empties and resumes when the in-flight segment lands.
-The shares are recomputed only when a breakpoint is crossed or the set of
-downloading users changes.
+The event loop keeps its lists of downloading and waiting users from one
+event to the next and changes them only when a user finishes, starts waiting
+or ends its wait; the shares are recomputed, and checked for starved users,
+only when a breakpoint is crossed or the downloading set changes.
 On each completion the user picks its next rate: game users exchange payoff
 messages with the server, baseline users consult their throughput
-estimator.  Everything is seeded and event ordering is fixed, so identical
+estimator.  Each segment becomes one `TraceRecord`, an immutable named
+tuple.  Everything is seeded and event ordering is fixed, so identical
 scenarios reproduce bit-identical traces.
 """
 
@@ -18,8 +21,8 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from dataclasses import dataclass, field
-from operator import itemgetter
-from typing import TYPE_CHECKING, Optional, Sequence
+from operator import attrgetter, itemgetter
+from typing import TYPE_CHECKING, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -51,6 +54,7 @@ PROFILE_KINDS = ("fixed", "persistent", "staged", "short_term", "custom")
 
 _COMPLETION_EPS = 1e-9  # Mbits of residue treated as a finished download
 _TIME = itemgetter(0)  # time of a (time, value) breakpoint
+_USER = attrgetter("idx")  # user order of the event loop's lists
 
 
 class SimulationError(RuntimeError):
@@ -266,9 +270,8 @@ class SimConfig:
             raise ValueError("exchange_latency must be >= 0")
 
 
-@dataclass(frozen=True)
-class TraceRecord:
-    """One downloaded segment."""
+class TraceRecord(NamedTuple):
+    """One downloaded segment; the fields are the trace CSV's columns, in order."""
 
     k: int
     t_start: float
@@ -301,32 +304,37 @@ class SessionTrace:
 
 
 class _UserRuntime:
+    """One user's state in the event loop, with its constants read once."""
+
     __slots__ = (
-        "idx", "spec", "cfg", "estimator", "buffer", "total_stall", "stall_this",
-        "k", "done", "request_rate", "download_rate", "remaining", "started_at",
-        "wait_until", "trace",
+        "idx", "spec", "cfg", "policy", "video", "ladder", "estimator", "buffer",
+        "stall_this", "k", "done", "request_rate", "download_rate", "remaining", "share",
+        "started_at", "wait_until", "trace",
     )
 
     def __init__(self, idx, spec, cfg, initial_buffer, quantized):
         self.idx = idx
         self.spec = spec
         self.cfg = cfg
+        self.policy = spec.policy
+        self.video = spec.video
+        self.ladder = spec.video.ladder
         self.estimator = ThroughputEstimator(weight=spec.estimator_weight)
         self.buffer = initial_buffer
-        self.total_stall = 0.0
         self.stall_this = 0.0
         self.k = 0
         self.done = False
         self.request_rate = cfg.r_init
         self.download_rate = cfg.r_init
         self.remaining = 0.0
+        self.share = 0.0  # set whenever the shares are recomputed
         self.started_at = 0.0
         self.wait_until = None  # signalling delay before the next download
         self.trace = SessionTrace(user_id=idx, initial_buffer=initial_buffer, quantized=quantized)
 
-    def start_segment(self, t, segment_duration, ladder, quantized):
+    def start_segment(self, t, segment_duration, quantized):
         self.download_rate = (
-            quantize_rate(ladder, self.request_rate) if quantized else self.request_rate
+            quantize_rate(self.ladder, self.request_rate) if quantized else self.request_rate
         )
         self.remaining = self.download_rate * segment_duration
         self.started_at = t
@@ -352,6 +360,8 @@ def run_scenario(scenario: "Scenario") -> list[SessionTrace]:
     T = params.segment_duration
     profile = scenario.server
     quantized = sim.quantize
+    total_segments = sim.total_segments
+    latency = sim.exchange_latency
     n = len(users)
 
     horizon = sim.total_segments * T * 20.0 + 1000.0
@@ -363,7 +373,7 @@ def run_scenario(scenario: "Scenario") -> list[SessionTrace]:
     for idx, u in enumerate(users):
         cfg = u.adapt_config()
         rt = _UserRuntime(idx, u, cfg, sim.initial_buffer, quantized)
-        rt.start_segment(0.0, T, u.video.ladder, quantized)
+        rt.start_segment(0.0, T, quantized)
         runs.append(rt)
         server.register(
             idx, u.video, u.b_ref,
@@ -377,15 +387,19 @@ def run_scenario(scenario: "Scenario") -> list[SessionTrace]:
         {t for t, _ in profile.breakpoints}
         | {t for sched in cap_schedules if sched for t, _ in sched}
     )
+    n_boundaries = len(boundary_times)
 
     # caps and bandwidth change only at boundary times, each of which is an
     # event: they are looked up again only when t crosses one, and the shares
-    # are recomputed only then or when the set of downloading users changes
+    # are recomputed only then or when the set of downloading users changes.
+    # Both lists stay in user order.
     t = 0.0
     bidx, export_bw, caps_now = _link_state(profile, cap_schedules, boundary_times, t)
-    shares_for = None  # the downloading set ``shares`` was computed for
+    downloading = list(runs)
+    waiting: list[_UserRuntime] = []
+    stale = True  # the shares do not match the link state or the downloading set
     unfinished = n
-    guard_limit = 20 * (n * sim.total_segments + len(boundary_times)) + 1000
+    guard_limit = 20 * (n * total_segments + n_boundaries) + 1000
     guard = 0
     while unfinished:
         guard += 1
@@ -394,113 +408,116 @@ def run_scenario(scenario: "Scenario") -> list[SessionTrace]:
         if t > horizon:
             raise SimulationError(f"simulated time exceeded the horizon at t={t:.3f}s")
 
-        downloading = [i for i in range(n) if not runs[i].done and runs[i].wait_until is None]
-        waiting = [i for i in range(n) if not runs[i].done and runs[i].wait_until is not None]
-        if downloading != shares_for:
-            shares = allocate_shares(export_bw, caps_now, downloading)
-            shares_for = downloading
+        if stale:
+            shares = allocate_shares(export_bw, caps_now, [rt.idx for rt in downloading])
+            for rt in downloading:
+                rt.share = shares[rt.idx]
+                if rt.share <= 0:
+                    raise SimulationError(f"user {rt.idx} starved of bandwidth at t={t:.3f}s")
+            stale = False
 
-        t_next = boundary_times[bidx] if bidx < len(boundary_times) else math.inf
-        for i in downloading:
-            if shares[i] <= 0:
-                raise SimulationError(f"user {i} starved of bandwidth at t={t:.3f}s")
-            t_next = min(t_next, t + runs[i].remaining / shares[i])
-        for i in waiting:
-            t_next = min(t_next, runs[i].wait_until)
+        t_next = boundary_times[bidx] if bidx < n_boundaries else math.inf
+        for rt in downloading:
+            finish = t + rt.remaining / rt.share
+            if finish < t_next:
+                t_next = finish
+        for rt in waiting:
+            if rt.wait_until < t_next:
+                t_next = rt.wait_until
         if not math.isfinite(t_next):
             raise SimulationError("no next event; simulation wedged")
 
+        # playback drains every buffer, stalling once it is empty
         dt = t_next - t
-        for i in downloading + waiting:
-            rt = runs[i]
-            played = min(rt.buffer, dt)
-            rt.buffer -= played
-            stalled = dt - played
-            rt.stall_this += stalled
-            rt.total_stall += stalled
-            if rt.wait_until is None:
-                rt.remaining -= shares[i] * dt
+        for rt in downloading:
+            rt.remaining -= rt.share * dt
+        for group in (downloading, waiting):
+            for rt in group:
+                if dt < rt.buffer:
+                    rt.buffer -= dt
+                else:
+                    rt.stall_this += dt - rt.buffer
+                    rt.buffer = 0.0
         t = t_next
-        if bisect_right(boundary_times, t) != bidx:
+        if bidx < n_boundaries and boundary_times[bidx] <= t:
             bidx, export_bw, caps_now = _link_state(profile, cap_schedules, boundary_times, t)
-            shares_for = None
+            stale = True
 
-        for i in waiting:
-            if runs[i].wait_until <= t + 1e-12:
-                runs[i].start_segment(t, T, runs[i].spec.video.ladder, quantized)
-                server.note_request(i, runs[i].request_rate)
-
-        completed = [i for i in downloading if runs[i].remaining <= _COMPLETION_EPS]
+        completed = [rt for rt in downloading if rt.remaining <= _COMPLETION_EPS]
+        if waiting:
+            started = [rt for rt in waiting if rt.wait_until <= t + 1e-12]
+            if started:
+                for rt in started:
+                    rt.start_segment(t, T, quantized)
+                    server.note_request(rt.idx, rt.request_rate)
+                waiting = [rt for rt in waiting if rt.wait_until is not None]
+                downloading = sorted(downloading + started, key=_USER)
+                stale = True
         if not completed:
             continue
-
-        server.export_bw = export_bw
-        for i in completed:
-            rt = runs[i]
-            rt.buffer += T
-            rt.trace.records.append(TraceRecord(
-                k=rt.k,
-                t_start=rt.started_at,
-                t_end=t,
-                requested_rate=rt.request_rate,
-                quantized_rate=rt.download_rate,
-                download_time=t - rt.started_at,
-                buffer=rt.buffer,
-                stall_seconds=rt.stall_this,
-                quality=quality(rt.spec.video, rt.download_rate),
-            ))
-            rt.stall_this = 0.0
-            rt.k += 1
-            if rt.k >= sim.total_segments:
-                rt.done = True
-                unfinished -= 1
 
         # payoff exchange for game users against the frozen pre-event rates:
         # an updated rate reaches the server only through note_request below,
         # after every reply of this event has been computed
-        for i in completed:
-            rt = runs[i]
-            if rt.done or rt.spec.policy != "game":
-                continue
-            try:
-                reply = server.handle_query(PayoffQuery(
-                    user_id=i, b_curr=rt.buffer, last_rate=rt.request_rate,
-                ))
-                rt.request_rate = update_rate(rt.cfg, rt.request_rate, reply.gradient_estimate)
-            except (ValueError, KeyError, IndexError) as exc:
-                raise SimulationError(
-                    f"policy failure for user {i} at segment {rt.k}: {exc}"
-                ) from exc
+        server.export_bw = export_bw
+        for rt in completed:
+            rt.buffer += T
+            rt.trace.records.append(TraceRecord(
+                rt.k, rt.started_at, t, rt.request_rate, rt.download_rate,
+                t - rt.started_at, rt.buffer, rt.stall_this,
+                quality(rt.video, rt.download_rate),
+            ))
+            rt.stall_this = 0.0
+            rt.k += 1
+            if rt.k >= total_segments:
+                rt.done = True
+                unfinished -= 1
+            elif rt.policy == "game":
+                try:
+                    reply = server.handle_query(PayoffQuery(rt.idx, rt.buffer, rt.request_rate))
+                    rt.request_rate = update_rate(rt.cfg, rt.request_rate, reply.gradient_estimate)
+                except (ValueError, KeyError, IndexError) as exc:
+                    raise SimulationError(
+                        f"policy failure for user {rt.idx} at segment {rt.k}: {exc}"
+                    ) from exc
 
-        for i in completed:
-            rt = runs[i]
+        leaving = False
+        for rt in completed:
             if rt.done:
+                leaving = True
                 continue
-            if rt.spec.policy != "game":
+            if rt.policy != "game":
                 last = rt.trace.records[-1]
                 sample = last.quantized_rate * T / last.download_time
                 try:
                     rt.estimator.observe(sample)
-                    if rt.spec.policy == "qf":
+                    if rt.policy == "qf":
                         rt.request_rate = qf_decide(
-                            rt.estimator, rt.spec.video.ladder, rt.buffer,
+                            rt.estimator, rt.ladder, rt.buffer,
                             startup_threshold=rt.spec.qf_startup,
                         )
-                    elif rt.spec.policy == "bf":
+                    elif rt.policy == "bf":
                         rt.request_rate = bf_decide(
-                            rt.estimator, rt.spec.video.ladder, rt.buffer,
+                            rt.estimator, rt.ladder, rt.buffer,
                             rt.spec.b_ref, gain=rt.spec.bf_gain,
                         )
                     else:
-                        raise ValueError(f"unknown policy {rt.spec.policy!r}")
+                        raise ValueError(f"unknown policy {rt.policy!r}")
                 except ValueError as exc:
                     raise SimulationError(
-                        f"policy failure for user {i} at segment {rt.k}: {exc}"
+                        f"policy failure for user {rt.idx} at segment {rt.k}: {exc}"
                     ) from exc
-            if sim.exchange_latency > 0.0:
-                rt.wait_until = t + sim.exchange_latency
+            if latency > 0.0:
+                rt.wait_until = t + latency
+                leaving = True
             else:
-                rt.start_segment(t, T, rt.spec.video.ladder, quantized)
-                server.note_request(i, rt.request_rate)
+                rt.start_segment(t, T, quantized)
+                server.note_request(rt.idx, rt.request_rate)
+        if leaving:
+            waiting = sorted(
+                waiting + [rt for rt in completed if rt.wait_until is not None], key=_USER
+            )
+            downloading = [rt for rt in downloading if not rt.done and rt.wait_until is None]
+            stale = True
 
     return [rt.trace for rt in runs]

@@ -322,3 +322,96 @@ def test_server_gradient_validates_inputs(ref_params, ref_video, bad, message):
             "epsilon": 1e-4, "b_ref": 15.0}
     with pytest.raises(ValueError, match=message):
         payoff_gradient_server(ref_params, ref_video, **{**good, **bad})
+
+
+@pytest.mark.parametrize("kwargs, message", [
+    ({"initial_rate": -5.0}, "user 3: initial_rate"),
+    ({"initial_rate": math.nan}, "user 3: initial_rate"),
+    ({"initial_rate": math.inf}, "user 3: initial_rate"),
+    ({"initial_b_curr": math.nan}, "user 3: initial_b_curr"),
+    ({"epsilon": 0.0}, "user 3: epsilon"),
+    ({"epsilon": math.nan}, "user 3: epsilon"),
+    ({"b_ref": 0.0}, "user 3: b_ref"),
+    ({"b_ref": math.inf}, "user 3: b_ref"),
+    ({"b_0": math.nan}, "user 3: b_0"),
+])
+def test_register_rejects_bad_values(ref_params, ref_video, kwargs, message):
+    # before, a bad initial rate was accepted and blamed on the next user's query
+    server = PayoffServer(ref_params, BW)
+    good = {"b_ref": 15.0, "initial_rate": 1.0, "initial_b_curr": 15.0}
+    with pytest.raises(ValueError, match=message):
+        server.register(3, ref_video, **{**good, **kwargs})
+    assert server.user_ids == []  # nothing half-registered
+
+
+@pytest.mark.parametrize("rate", [math.nan, -0.5, math.inf])
+def test_note_request_rejects_bad_rate(ref_params, ref_video, rate):
+    server = PayoffServer(ref_params, BW)
+    for uid in (0, 1):
+        server.register(uid, ref_video, b_ref=15.0, initial_rate=1.0, initial_b_curr=15.0)
+    with pytest.raises(ValueError, match="note_request user 0: rate"):
+        server.note_request(0, rate)
+    # the registry is unchanged, so the other user's query still works
+    reply = server.handle_query(PayoffQuery(user_id=1, b_curr=15.0, last_rate=1.0))
+    assert reply.gradient_estimate == payoff_gradient_server(
+        ref_params, ref_video, BW, [1.0, 1.0], 1, 15.0, 1e-4, 15.0
+    )
+
+
+@pytest.mark.parametrize("query, export_bw, message", [
+    (PayoffQuery(user_id=2, b_curr=math.nan, last_rate=1.0), BW, "user 2: b_curr"),
+    (PayoffQuery(user_id=2, b_curr=15.0, last_rate=-1.0), BW, "user 2: last_rate"),
+    (PayoffQuery(user_id=2, b_curr=15.0, last_rate=math.nan), BW, "user 2: last_rate"),
+    (PayoffQuery(user_id=2, b_curr=15.0, last_rate=1.0), 0.0, "export_bw"),
+    (PayoffQuery(user_id=2, b_curr=15.0, last_rate=1.0), math.nan, "export_bw"),
+])
+def test_handle_query_rejects_bad_values(ref_params, ref_video, query, export_bw, message):
+    server = PayoffServer(ref_params, BW)
+    server.register(2, ref_video, b_ref=15.0, initial_rate=1.0, initial_b_curr=15.0)
+    server.export_bw = export_bw
+    with pytest.raises(ValueError, match=message):
+        server.handle_query(query)
+
+
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 64))
+def test_server_replies_match_stateless_gradient(seed, n):
+    """Random register/note_request/handle_query sequences against the stateless form."""
+    rng = np.random.default_rng(seed)
+    params, videos, _, export_bw = random_instance(rng, n_users=n)
+    ids = [int(u) for u in rng.choice(10 * n, size=n, replace=False)]
+    state = {}  # user id -> [video, b_ref, b_0, epsilon, b_curr, rate]
+
+    def register(uid):
+        entry = [videos[ids.index(uid)], float(rng.uniform(5.0, 25.0)),
+                 float(rng.uniform(-5.0, 5.0)), float(rng.choice([1e-4, 1e-3, 0.5])),
+                 float(rng.uniform(0.0, 30.0)), float(rng.uniform(0.0, 20.0))]
+        server.register(uid, entry[0], entry[1], initial_rate=entry[5],
+                        initial_b_curr=entry[4], epsilon=entry[3], b_0=entry[2])
+        state[uid] = entry
+
+    server = PayoffServer(params, export_bw)
+    register(ids[0])
+    for _ in range(4 * n + 8):
+        uid = int(rng.choice(list(state)))
+        action = rng.integers(5)
+        if action == 0:
+            register(int(rng.choice(ids)))  # a new user or a re-registration
+        elif action == 1:
+            state[uid][5] = float(rng.uniform(0.0, 20.0))
+            server.note_request(uid, state[uid][5])
+        else:
+            if action == 2:
+                server.export_bw = export_bw = float(rng.uniform(2.0, 20.0))
+            b_curr = float(rng.uniform(0.0, 30.0))
+            rate = float(rng.uniform(0.0, 1e-3)) if action == 3 else float(rng.uniform(0.0, 20.0))
+            state[uid][4:] = [b_curr, rate]
+            reply = server.handle_query(PayoffQuery(user_id=uid, b_curr=b_curr, last_rate=rate))
+            order = sorted(state)
+            video, b_ref, b_0, epsilon, _, _ = state[uid]
+            expected = payoff_gradient_server(
+                params, video, export_bw, [state[u][5] for u in order], order.index(uid),
+                b_curr, epsilon, b_ref, b_0,
+            )
+            assert reply == PayoffReply(user_id=uid, gradient_estimate=expected)
+            assert reply.gradient_estimate.hex() == expected.hex()

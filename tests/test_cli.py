@@ -5,7 +5,8 @@ import json
 import numpy as np
 import pytest
 
-from dashgame.cli import main
+from dashgame.cli import _TRACE_HEADER, main
+from dashgame.netsim import TraceRecord
 
 
 def run_cli(capsys, *argv):
@@ -171,3 +172,8 @@ def test_sweep_policy_grid(tmp_path, capsys):
     assert code == 0
     rows = (out / "sweep.csv").read_text().splitlines()
     assert len(rows) == 1 + 6  # 2 policies * 3 users
+
+
+def test_trace_header_lists_record_fields_in_order():
+    # write_trace_csv formats each TraceRecord tuple under this header as is
+    assert _TRACE_HEADER == ",".join(TraceRecord._fields) + "\r\n"

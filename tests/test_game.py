@@ -8,6 +8,7 @@ from dashgame.game import (
     EquilibriumResult,
     FocCoefficients,
     _newton_step,
+    _projected_residuals,
     best_response,
     closed_form_identical_2user,
     foc_coefficients,
@@ -269,3 +270,30 @@ def test_solver_paths_meet_tolerance_and_agree(n, seed, r_max):
         # recomputed with the load summed in another order: allow its rounding
         assert _projected_foc_residual(params, videos, bufs, bw, res.rates, r_max) <= 1e-9 + 1e-12
     np.testing.assert_allclose(newton.rates, sweeps.rates, atol=1e-6)
+
+
+def _masked_projected_residuals(grads, rates, r_max):
+    """The residuals by boolean masks, applied lower bound first, then upper."""
+    res = np.abs(grads).astype(float)
+    at_lower = rates <= 0.0
+    at_upper = rates >= r_max
+    res[at_lower] = np.maximum(grads[at_lower], 0.0)
+    res[at_upper] = np.maximum(-grads[at_upper], 0.0)
+    return res
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(n=st.integers(1, 64), seed=st.integers(0, 2**32 - 1), r_max=st.sampled_from([0.0, 1.0, 8.0]))
+def test_projected_residuals_match_masked_form(n, seed, r_max):
+    rng = np.random.default_rng(seed)
+    grads = rng.normal(size=n) * rng.choice([0.0, -0.0, 1.0], size=n)
+    rates = rng.choice([0.0, r_max / 2, r_max, 2.0], size=n)
+    got = _projected_residuals(grads, rates, r_max)
+    ref = _masked_projected_residuals(grads, rates, r_max)
+    assert got.tobytes() == ref.tobytes()
+
+
+def test_projected_residuals_upper_bound_wins():
+    # r_max = 0 puts a zero rate on both bounds: only an upward pull violates
+    got = _projected_residuals(np.array([1.0, -1.0]), np.array([0.0, 0.0]), 0.0)
+    assert got.tolist() == [0.0, 1.0]

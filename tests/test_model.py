@@ -1,6 +1,8 @@
 """Utility-model formulas against hand-computed values and analytic limits."""
 
 import math
+import operator
+from functools import reduce
 
 import numpy as np
 import pytest
@@ -16,6 +18,7 @@ from dashgame.model import (
     estimated_buffer,
     log_quality,
     quality,
+    serial_sum,
     utility,
     utility_gradient,
     utility_hessian,
@@ -277,3 +280,16 @@ def test_hessian_negative_definite_over_draws():
         h = utility_hessian(params, videos, rates, bw)
         assert all(h[i, i] < 0 for i in range(len(videos)))
         assert np.linalg.eigvalsh(h).max() < 0
+
+
+def test_serial_sum_adds_left_to_right():
+    # CPython 3.12's compensated builtin sum gives 1.0 here
+    assert serial_sum([0.1] * 10) == 0.9999999999999999
+    assert serial_sum([]) == 0.0
+    assert serial_sum(iter([1e16, 1.0, -1e16])) == 0.0
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(values=st.lists(st.floats(-1e6, 1e6), max_size=40))
+def test_serial_sum_is_a_left_fold_from_zero(values):
+    assert serial_sum(values).hex() == float(reduce(operator.add, values, 0.0)).hex()

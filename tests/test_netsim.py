@@ -167,7 +167,8 @@ def test_cap_spec_breakpoints_schedule_values():
 def test_nan_gradient_is_a_policy_failure(monkeypatch):
     import dashgame.adapt
 
-    monkeypatch.setattr(dashgame.adapt, "payoff_gradient_server", lambda *a, **k: math.nan)
+    # the server's queries and payoff_gradient_server share this core
+    monkeypatch.setattr(dashgame.adapt, "_central_difference", lambda *a, **k: math.nan)
     message = r"user 0 at segment 1: update_rate gradient must be finite"
     with pytest.raises(SimulationError, match=message):
         run_scenario(_mini_scenario())
