@@ -7,10 +7,8 @@ estimate of the user's payoff gradient; the user then applies a
 multiplicative sub-gradient step.  Fixed points of this iteration are
 exactly the stationary points of the static game.
 
-The message types (`PayoffQuery`/`PayoffReply`) are immutable named tuples
-and double as the wire format: in simulation the event loop hands each query
-to `PayoffServer.handle_query` directly, in live mode they travel as
-newline-delimited JSON over a byte stream.
+The message types (`PayoffQuery`/`PayoffReply`) are immutable named tuples;
+the event loop hands each query to `PayoffServer.handle_query` directly.
 
 `PayoffServer` checks every value when it arrives: the constants and first
 rate at `register`, each requested rate at `note_request`, and a query's own
@@ -22,7 +20,6 @@ central-difference core.
 
 from __future__ import annotations
 
-import json
 import math
 from bisect import bisect_left
 from dataclasses import dataclass
@@ -49,8 +46,6 @@ __all__ = [
     "update_rate",
     "has_converged",
     "run_round",
-    "encode_message",
-    "decode_message",
 ]
 
 
@@ -354,54 +349,3 @@ def run_round(
         s.rate = r
     return rates
 
-
-def encode_message(message: PayoffQuery | PayoffReply) -> bytes:
-    """Serialise a protocol message as one newline-terminated JSON line."""
-    if isinstance(message, PayoffQuery):
-        payload = {
-            "type": "payoff_query",
-            "user": message.user_id,
-            "b_curr": message.b_curr,
-            "last_rate": message.last_rate,
-        }
-    elif isinstance(message, PayoffReply):
-        payload = {
-            "type": "payoff_reply",
-            "user": message.user_id,
-            "grad": message.gradient_estimate,
-        }
-    else:
-        raise TypeError(f"not a protocol message: {message!r}")
-    return (json.dumps(payload, separators=(",", ":")) + "\n").encode("ascii")
-
-
-def decode_message(line: bytes | str) -> PayoffQuery | PayoffReply:
-    """Parse one JSON line back into a protocol message."""
-    if isinstance(line, bytes):
-        line = line.decode("ascii")
-    try:
-        payload = json.loads(line)
-    except json.JSONDecodeError as exc:
-        raise ValueError(f"malformed protocol line: {line!r}") from exc
-    kind = payload.get("type")
-    try:
-        if kind == "payoff_query":
-            message = PayoffQuery(
-                user_id=int(payload["user"]),
-                b_curr=float(payload["b_curr"]),
-                last_rate=float(payload["last_rate"]),
-            )
-            fields = (message.b_curr, message.last_rate)
-        elif kind == "payoff_reply":
-            message = PayoffReply(
-                user_id=int(payload["user"]),
-                gradient_estimate=float(payload["grad"]),
-            )
-            fields = (message.gradient_estimate,)
-        else:
-            raise ValueError(f"unknown protocol message type {kind!r}")
-    except KeyError as exc:
-        raise ValueError(f"protocol message missing field {exc}") from exc
-    if not all(math.isfinite(v) for v in fields):
-        raise ValueError(f"protocol message fields must be finite: {line!r}")
-    return message

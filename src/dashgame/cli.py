@@ -15,7 +15,7 @@ from pathlib import Path
 
 from . import __version__
 from .game import closed_form_identical_2user, foc_coefficients, solve_equilibrium
-from .metrics import QoeMetricParams, qoe1, qoe2, summarize
+from .metrics import QoeMetricParams, _stall_penalty, qoe1, qoe2, summarize
 from .model import BufferView, GameParams, VideoQualityModel
 from .netsim import SessionTrace, SimulationError, run_scenario
 from .scenarios import (
@@ -104,11 +104,12 @@ def _run_one(sc: Scenario, out_dir: Path, scenario_doc: dict, source: str) -> tu
         write_trace_csv(path, trace)
         trace_paths.append(str(path))
         stats = summarize(trace)
+        stall = _stall_penalty(trace)
         per_user.append({
             "user": trace.user_id,
             **stats.to_dict(),
-            "qoe1": qoe1(trace, qoe_params),
-            "qoe2": qoe2(trace, qoe_params),
+            "qoe1": qoe1(trace, qoe_params, _stall=stall),
+            "qoe2": qoe2(trace, qoe_params, _stall=stall),
         })
     summary = {"scenario": sc.name, "users": per_user}
     summary_json = json.dumps(summary, indent=2)

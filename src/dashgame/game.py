@@ -2,10 +2,17 @@
 
 Each user maximises a strictly concave utility in its own rate over the
 compact box [0, r_max], so a Nash equilibrium exists and satisfies the
-projected first-order conditions.  This module provides the per-user FOC
-coefficients, a 1-D best response, the closed form for two identical users,
-and a damped-Newton solver (with round-robin best-response fallback) for the
-general N-user system.
+projected first-order conditions.  The users are coupled only through the
+load ``S = sum(rates)``, with a load slope ``z3`` shared by all, so the
+gradients are those of the concave potential
+``sum_i (alpha_i*ln(1 + beta_i*r_i) + z2_i*r_i) - z3*S^2/2``: the game is an
+exact potential game (Monderer & Shapley 1996) and an aggregative one
+(Jensen 2010).  Its equilibrium is the potential's unique maximiser, and
+solving each user's FOC at a given load turns it into the root of one
+decreasing scalar function of ``S``.  This module provides the per-user FOC
+coefficients, a closed-form 1-D best response, the closed form for two
+identical users, and the N-user solver, a safeguarded Newton-bisection on
+``S`` at O(N) per step.
 """
 
 from __future__ import annotations
@@ -93,31 +100,10 @@ def foc_coefficients(
     )
 
 
-def _own_rate_root(
-    z1: float, z2: float, z3: float, beta: float, sum_others: float, r_max: float, tol: float
-) -> float:
-    """Own-rate FOC root in [0, r_max] by bisection, to within ``tol``.
-
-    Shared by :func:`best_response` and the solver's best-response sweeps;
-    the gradient ``z1/(1 + beta*r) + z2 - z3*(r + sum_others)`` is strictly
-    decreasing in ``r``.
-    """
-
-    def grad(r: float) -> float:
-        return z1 / (1.0 + beta * r) + z2 - z3 * (r + sum_others)
-
-    if grad(0.0) <= 0:
-        return 0.0
-    if grad(r_max) >= 0:
-        return r_max
-    lo, hi = 0.0, r_max
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if grad(mid) > 0:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+def _positive_root(a: float, b: float, c: float) -> float:
+    """Positive root of ``a*x^2 + b*x - c = 0`` for ``a, c > 0``, without cancellation."""
+    d = math.sqrt(b * b + 4.0 * a * c)
+    return 2.0 * c / (b + d) if b >= 0 else (d - b) / (2.0 * a)
 
 
 def best_response(
@@ -127,19 +113,21 @@ def best_response(
     others_rates: Sequence[float],
     export_bw: float,
     r_max: float,
-    tol: float = 1e-10,
 ) -> float:
     """Utility-maximising rate in [0, r_max] with the other users fixed.
 
-    The own-rate gradient is strictly decreasing, so the maximiser is found
-    by bisection on its sign change; a boundary point is returned when the
-    gradient does not change sign on the interval.
+    With ``u = 1 + beta*r`` and ``s`` the others' load, the own-rate FOC is
+    the quadratic ``z3*u^2 + (z3*(beta*s - 1) - beta*z2)*u - beta*z1 = 0``.
+    Its constant term is negative, so it has one positive root; that root,
+    taken in the form that does not cancel, is clipped to [0, r_max].
     """
     if not (math.isfinite(r_max) and r_max > 0):
         raise ValueError(f"r_max must be finite and > 0, got {r_max!r}")
     z = foc_coefficients(params, model, buf, export_bw)
-    sum_others = float(serial_sum(others_rates))
-    return _own_rate_root(z.z1, z.z2, z.z3, model.beta, sum_others, r_max, tol)
+    beta = model.beta
+    b = z.z3 * (beta * float(serial_sum(others_rates)) - 1.0) - beta * z.z2
+    u = _positive_root(z.z3, b, beta * z.z1)
+    return min(max((u - 1.0) / beta, 0.0), r_max)
 
 
 def closed_form_identical_2user(z: FocCoefficients, beta: float) -> float:
@@ -171,18 +159,6 @@ def _projected_residuals(
     )
 
 
-def _newton_step(diag: np.ndarray, c: float, rhs: np.ndarray) -> np.ndarray:
-    """Solve ``(diag(d) - c*1*1^T) x = rhs`` in O(N) by Sherman-Morrison.
-
-    ``x = D^-1 rhs + c * D^-1 1 * (1^T D^-1 rhs) / (1 - c * 1^T D^-1 1)``.
-    With every ``d_i < 0`` and ``c > 0`` the denominator exceeds 1, so the
-    matrix is never singular.
-    """
-    inv_d = 1.0 / diag
-    y = rhs * inv_d
-    return y + inv_d * (c * float(y.sum()) / (1.0 - c * float(inv_d.sum())))
-
-
 def solve_equilibrium(
     params: GameParams,
     models: Sequence[VideoQualityModel],
@@ -191,91 +167,77 @@ def solve_equilibrium(
     r_max: float,
     tol: float = 1e-9,
     max_iter: int = 10000,
-    method: str = "newton",
 ) -> EquilibriumResult:
     """Solve the N-user projected FOC system over [0, r_max]^N.
 
-    Damped Newton on the gradient vector with the analytic Jacobian,
-    ``diag(d) - z3*1*1^T`` on the free coordinates, so each step is solved
-    in O(N) by Sherman-Morrison; coordinates are projected onto the box
-    each step.  The backtracking line search accepts the first trial whose
-    residual falls enough, and that trial's gradient and residual serve the
-    next iteration, so each trial point is evaluated once.
-    Falls back to round-robin best-response sweeps when Newton
-    stalls (the game admits an exact concave potential, so best-response
-    iteration converges globally).
-    ``method="best_response"`` forces the fallback path.  Non-convergence is
-    reported through ``converged=False``, never silently.
+    Users are coupled only through the load ``S = sum(rates)``.  At a given
+    ``S`` each user's FOC has the closed-form solution
+    ``clip((z1/(z3*S - z2) - 1)/beta, 0, r_max)`` (``r_max`` where
+    ``z3*S <= z2``), so the equilibrium is the root of the decreasing scalar
+    ``phi(S) = sum of those rates - S``; it is unique because the game has
+    a strictly concave potential (see the module docstring).  Starting from
+    the load of N identical users with the mean coefficients, each step
+    evaluates every user's rate in O(N), with the load rounded as the
+    gradient rounds it, and takes a Newton step on ``phi``; a step that
+    leaves the bracket on the root, or lands on one of its ends, is replaced
+    by bisection.  ``iterations`` counts these steps, at most ``max_iter``.
+    ``residual`` is the projected FOC residual of the gradient at the
+    returned rates, and ``converged`` is ``residual <= tol``:
+    non-convergence is reported, never silent.
     """
+    if not (math.isfinite(r_max) and r_max > 0):
+        raise ValueError(f"r_max must be finite and > 0, got {r_max!r}")
     n = len(models)
     if n < 1:
         raise ValueError("at least one user is required")
     if len(bufs) != n:
         raise ValueError("models and bufs must have the same length")
-    if method not in ("newton", "best_response"):
-        raise ValueError(f"unknown method {method!r}")
 
     grad = UtilityGradients(params, models, bufs, export_bw)
-    # symmetric start preserves symmetry for identical users
-    rates = np.full(n, r_max / (2.0 * n))
+    z1, z2, betas = grad.z1, grad.z2, grad.betas
+    # a user whose FOC lever z3*S - z2 is at most this sits at r_max; from z1
+    # on it sits at 0.  Clamping the lever here keeps every division positive.
+    top = z1 / (1.0 + betas * r_max)
+    # phi(hi) <= 0 <= phi(lo): every user sits at 0 from the largest
+    # (z1 + z2)/z3 on, and at r_max up to the smallest (top + z2)/z3
+    hi = min(n * r_max, float((z1 + z2).max()) / grad.z3)
+    lo = min(hi, float((top + z2).min()) / grad.z3)
+    # start from the load of n identical users with the mean coefficients,
+    # the root of beta*z3*S^2 + (n*z3 - beta*z2)*S - n*(z1 + z2) = 0
+    m1, m2, mb = float(z1.mean()), float(z2.mean()), float(betas.mean())
+    s = _positive_root(mb * grad.z3, n * grad.z3 - mb * m2, n * (m1 + m2))
+    if not lo < s < hi:
+        s = 0.5 * (lo + hi)
     iterations = 0
 
-    def evaluate(r: np.ndarray) -> tuple[np.ndarray, float]:
-        g = grad(r)
-        return g, float(_projected_residuals(g, r, r_max).max())
+    def projected_residual(r: np.ndarray) -> float:
+        return float(_projected_residuals(grad(r), r, r_max).max())
 
-    if method == "newton":
-        stalls = 0
-        # the gradient and residual at the current rates, carried over from
-        # the accepted trial (unchanged after a stalled step)
-        grads, cur = evaluate(rates)
-        while iterations < max_iter:
-            if cur <= tol:
-                return EquilibriumResult(rates.tolist(), cur, iterations, True)
-            free = ~(((rates <= 0.0) & (grads < 0)) | ((rates >= r_max) & (grads > 0)))
-            if not free.any():
-                # all coordinates pinned but some still violated: treat as stall
+    while True:
+        lever = grad.load(s) - z2
+        clamped = np.maximum(lever, top)
+        u = z1 / clamped  # 1 + beta*r at the user's FOC
+        own = np.minimum(np.maximum((u - 1.0) / betas, 0.0), r_max)
+        rates = np.where(lever > top, own, r_max)
+        phi = float(rates.sum()) - s
+        # every FOC holds at load s, so no gradient is off by much more than
+        # z3*|phi|: the full residual is checked only once that is small
+        if grad.z3 * abs(phi) <= tol or iterations >= max_iter:
+            residual = projected_residual(rates)
+            if residual <= tol or iterations >= max_iter:
                 break
-            idx = np.flatnonzero(free)
-            b = grad.betas[idx]
-            diag = -grad.z1[idx] * b / (1.0 + b * rates[idx]) ** 2
-            step = _newton_step(diag, grad.z3, -grads[idx])
-            t = 1.0
-            moved = False
-            while t >= 1e-4:
-                trial = rates.copy()
-                trial[idx] = np.clip(rates[idx] + t * step, 0.0, r_max)
-                trial_grads, trial_res = evaluate(trial)
-                if trial_res < (1.0 - 0.25 * t) * cur:
-                    rates, grads, cur = trial, trial_grads, trial_res
-                    moved = True
-                    break
-                t *= 0.5
-            iterations += 1
-            if not moved:
-                stalls += 1
-                if stalls >= 3:
-                    break
-            else:
-                stalls = 0
-
-    # round-robin best-response sweeps (also the explicit method)
-    z1, z2, betas = grad.z1.tolist(), grad.z2.tolist(), grad.betas.tolist()
-    while iterations < max_iter:
-        max_change = 0.0
-        for i in range(n):
-            sum_others = float(rates.sum() - rates[i])
-            new_rate = _own_rate_root(
-                z1[i], z2[i], grad.z3, betas[i], sum_others, r_max, 1e-13 * max(1.0, r_max)
-            )
-            max_change = max(max_change, abs(new_rate - rates[i]))
-            rates[i] = new_rate
+        if phi > 0.0:
+            lo = s
+        else:
+            hi = s
+        free = (rates > 0.0) & (rates < r_max)
+        slope = -1.0 - grad.z3 * float((u / (betas * clamped))[free].sum())
+        step = s - phi / slope
+        if not lo < step < hi:
+            step = 0.5 * (lo + hi)
+            if step in (lo, hi):  # the bracket is two adjacent floats
+                residual = projected_residual(rates)
+                break
+        s = step
         iterations += 1
-        _, res = evaluate(rates)
-        if res <= tol:
-            return EquilibriumResult(rates.tolist(), res, iterations, True)
-        if max_change == 0.0:
-            break
-
-    _, res = evaluate(rates)
-    return EquilibriumResult(rates.tolist(), res, iterations, res <= tol)
+    return EquilibriumResult(rates.tolist(), residual, iterations, residual <= tol)

@@ -89,17 +89,32 @@ def _stall_penalty(trace: SessionTrace) -> float:
     )
 
 
-def qoe1(trace: SessionTrace, params: QoeMetricParams) -> float:
-    """Rate-based QoE: total bitrate minus switching and rebuffering penalties."""
+def qoe1(
+    trace: SessionTrace, params: QoeMetricParams, *, _stall: Optional[float] = None
+) -> float:
+    """Rate-based QoE: total bitrate minus switching and rebuffering penalties.
+
+    ``_stall`` is ``_stall_penalty(trace)`` when the caller already has it, so
+    scoring one trace both ways walks its buffers once.
+    """
     _require_records(trace)
+    if _stall is None:
+        _stall = _stall_penalty(trace)
     rates = [rec.quantized_rate for rec in trace.records]
     switches = sum(abs(b - a) for a, b in zip(rates, rates[1:]))
-    return sum(rates) - params.xi * switches - params.psi * _stall_penalty(trace)
+    return sum(rates) - params.xi * switches - params.psi * _stall
 
 
-def qoe2(trace: SessionTrace, params: QoeMetricParams) -> float:
-    """Quality-based QoE with a quadratic reference-buffer shortfall term."""
+def qoe2(
+    trace: SessionTrace, params: QoeMetricParams, *, _stall: Optional[float] = None
+) -> float:
+    """Quality-based QoE with a quadratic reference-buffer shortfall term.
+
+    ``_stall`` is as in :func:`qoe1`.
+    """
     _require_records(trace)
+    if _stall is None:
+        _stall = _stall_penalty(trace)
     qs = [rec.quality for rec in trace.records]
     switches = sum(abs(b - a) for a, b in zip(qs, qs[1:]))
     shortfall = sum(
@@ -109,7 +124,7 @@ def qoe2(trace: SessionTrace, params: QoeMetricParams) -> float:
         sum(qs)
         - params.phi * switches
         - params.sigma * shortfall
-        - params.eta * _stall_penalty(trace)
+        - params.eta * _stall
     )
 
 

@@ -322,13 +322,19 @@ class UtilityGradients:
         bad = r[~(np.isfinite(r) & (r >= 0))]
         if bad.size:
             raise ValueError(f"rates must be finite and >= 0, got {float(bad[0])!r}")
-        # the load term is rounded as in utility_gradient, so both agree bit
-        # for bit below 8 users (numpy sums pairwise from 8 on)
         if r.ndim == 1:
-            load = self._load_weight * (float(r.sum()) / self._export_bw)
+            load = self.load(float(r.sum()))
         else:
-            load = self._load_weight * (r.sum(axis=-1, keepdims=True) / self._export_bw)
+            load = self.load(r.sum(axis=-1, keepdims=True))
         return self.z1 / (1.0 + self.betas * r) + self.z2 - load
+
+    def load(self, total):
+        """Load term ``z3*total`` of the gradient at the summed rate ``total``.
+
+        Rounded as in utility_gradient, ``nu*T*(total/export_bw)``, so the two
+        agree bit for bit below 8 users (numpy sums pairwise from 8 on).
+        """
+        return self._load_weight * (total / self._export_bw)
 
 
 def utility_hessian_entries(

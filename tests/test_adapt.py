@@ -1,6 +1,5 @@
 """Distributed adaptation loop: server gradient, updates, rounds, protocol."""
 
-import io
 import math
 
 import numpy as np
@@ -13,8 +12,6 @@ from dashgame.adapt import (
     PayoffReply,
     PayoffServer,
     UserSession,
-    decode_message,
-    encode_message,
     has_converged,
     payoff_gradient_server,
     run_round,
@@ -204,49 +201,6 @@ def test_round_fixed_points_match_equilibrium():
         new_rates = run_round(sessions, params, bw)
         np.testing.assert_allclose(new_rates, eq.rates, atol=1e-6)
         checked += 1
-
-
-def test_wire_format_exact_bytes():
-    q = PayoffQuery(user_id=3, b_curr=14.2, last_rate=2.5)
-    assert encode_message(q) == b'{"type":"payoff_query","user":3,"b_curr":14.2,"last_rate":2.5}\n'
-    r = PayoffReply(user_id=3, gradient_estimate=0.125)
-    assert encode_message(r) == b'{"type":"payoff_reply","user":3,"grad":0.125}\n'
-
-
-def test_wire_format_round_trip():
-    rng = np.random.default_rng(15)
-    for _ in range(50):
-        q = PayoffQuery(
-            user_id=int(rng.integers(0, 100)),
-            b_curr=float(rng.uniform(0, 40)),
-            last_rate=float(rng.uniform(0.05, 30)),
-        )
-        assert decode_message(encode_message(q)) == q
-        r = PayoffReply(user_id=q.user_id, gradient_estimate=float(rng.normal()))
-        assert decode_message(encode_message(r)) == r
-
-
-def test_wire_format_stream_framing():
-    messages = [
-        PayoffQuery(user_id=0, b_curr=12.0, last_rate=1.5),
-        PayoffReply(user_id=0, gradient_estimate=0.01),
-        PayoffQuery(user_id=1, b_curr=18.0, last_rate=2.25),
-    ]
-    stream = io.BytesIO()
-    for m in messages:
-        stream.write(encode_message(m))
-    stream.seek(0)
-    decoded = [decode_message(line) for line in stream if line.strip()]
-    assert decoded == messages
-
-
-def test_wire_format_rejects_garbage():
-    with pytest.raises(ValueError):
-        decode_message(b"not json\n")
-    with pytest.raises(ValueError):
-        decode_message(b'{"type":"unknown_kind","user":1}\n')
-    with pytest.raises(ValueError):
-        decode_message(b'{"type":"payoff_query","user":1}\n')
 
 
 def test_payoff_server_query_round_trip(ref_params, ref_video):

@@ -1,5 +1,7 @@
 """Equilibrium machinery against closed forms and brute-force oracles."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -7,15 +9,15 @@ from hypothesis import given, settings, strategies as st
 from dashgame.game import (
     EquilibriumResult,
     FocCoefficients,
-    _newton_step,
     _projected_residuals,
     best_response,
     closed_form_identical_2user,
     foc_coefficients,
     solve_equilibrium,
 )
-from dashgame.model import BufferView, VideoQualityModel, utility_gradient
+from dashgame.model import BufferView, VideoQualityModel, adjustment_factor, utility_gradient
 from conftest import random_instance
+from solver_oracle import oracle_solve
 
 BW = 6.0
 
@@ -157,17 +159,6 @@ def test_solver_succeeds_on_random_instances():
         assert res.residual <= 1e-9
 
 
-def test_newton_and_best_response_paths_agree():
-    rng = np.random.default_rng(10)
-    for _ in range(50):
-        params, videos, bufs, bw = random_instance(rng)
-        r_max = float(rng.uniform(5, 50))
-        a = solve_equilibrium(params, videos, bufs, bw, r_max=r_max, method="newton")
-        b = solve_equilibrium(params, videos, bufs, bw, r_max=r_max, method="best_response")
-        assert a.converged and b.converged
-        np.testing.assert_allclose(a.rates, b.rates, atol=1e-6)
-
-
 def test_equilibrium_is_best_response_fixed_point():
     rng = np.random.default_rng(11)
     for _ in range(50):
@@ -221,29 +212,6 @@ def test_result_reports_nonconvergence_honestly(ref_params, ref_video, neutral_b
         assert res.residual > 1e-9
 
 
-@settings(max_examples=60, deadline=None, derandomize=True)
-@given(n=st.integers(1, 512), seed=st.integers(0, 2**32 - 1))
-def test_newton_step_matches_dense_solve(n, seed):
-    """Sherman-Morrison step == dense LU solve of diag(d) - c*1*1^T on a free set."""
-    rng = np.random.default_rng(seed)
-    params, videos, bufs, bw = random_instance(rng, n_users=n)
-    rates = rng.uniform(0.0, 50.0, n)
-    free = rng.random(n) < rng.uniform(0.1, 1.0)
-    free[rng.integers(n)] = True
-    idx = np.flatnonzero(free)
-    zs = [foc_coefficients(params, videos[k], bufs[k], bw) for k in idx]
-    betas = np.array([videos[k].beta for k in idx])
-    z1 = np.array([z.z1 for z in zs])
-    c = zs[0].z3
-    diag = -z1 * betas / (1.0 + betas * rates[idx]) ** 2
-    rhs = rng.normal(size=idx.size)
-    got = _newton_step(diag, c, rhs)
-    dense = np.diag(diag) - c * np.ones((idx.size, idx.size))
-    ref = np.linalg.solve(dense, rhs)
-    scale = np.linalg.cond(dense) * np.abs(ref).max()
-    np.testing.assert_allclose(got, ref, rtol=0, atol=1e-14 * scale)
-
-
 def _projected_foc_residual(params, videos, bufs, bw, rates, r_max):
     """Independent of the solver: the scalar gradient of every user."""
     worst = 0.0
@@ -259,17 +227,58 @@ def _projected_foc_residual(params, videos, bufs, bw, rates, r_max):
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)
-@given(n=st.integers(1, 64), seed=st.integers(0, 2**32 - 1), r_max=st.floats(0.5, 60.0))
+@given(n=st.integers(1, 512), seed=st.integers(0, 2**32 - 1), r_max=st.floats(0.5, 60.0))
 def test_solver_paths_meet_tolerance_and_agree(n, seed, r_max):
+    """The aggregate-load solver against the N-dimensional Newton oracle."""
     rng = np.random.default_rng(seed)
     params, videos, bufs, bw = random_instance(rng, n_users=n)
-    newton = solve_equilibrium(params, videos, bufs, bw, r_max=r_max, method="newton")
-    sweeps = solve_equilibrium(params, videos, bufs, bw, r_max=r_max, method="best_response")
-    for res in (newton, sweeps):
-        assert res.converged and res.residual <= 1e-9
+    res = solve_equilibrium(params, videos, bufs, bw, r_max=r_max)
+    oracle = oracle_solve(params, videos, bufs, bw, r_max=r_max)
+    for r in (res, oracle):
+        assert r.converged and r.residual <= 1e-9
         # recomputed with the load summed in another order: allow its rounding
-        assert _projected_foc_residual(params, videos, bufs, bw, res.rates, r_max) <= 1e-9 + 1e-12
-    np.testing.assert_allclose(newton.rates, sweeps.rates, atol=1e-6)
+        assert _projected_foc_residual(params, videos, bufs, bw, r.rates, r_max) <= 1e-9 + 1e-12
+    np.testing.assert_allclose(res.rates, oracle.rates, rtol=0, atol=1e-6)
+
+
+def _potential(params, videos, bufs, bw, rates):
+    """Exact potential of the game, summed in Python from the model's constants.
+
+    ``sum_i (alpha_i*ln(1 + beta_i*r_i) + mu*T*A_f_i*r_i) - (nu*T/bw)*S^2/2``;
+    its gradient in ``r_i`` is user i's own-rate utility gradient.
+    """
+    T = params.segment_duration
+    own = math.fsum(
+        v.alpha * math.log1p(v.beta * r)
+        + params.mu * T * adjustment_factor(params.p, b.b_curr, b.b_ref) * r
+        for v, b, r in zip(videos, bufs, rates)
+    )
+    load = math.fsum(rates)
+    return own - params.nu * T / bw * load * load / 2.0
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(n=st.integers(1, 64), seed=st.integers(0, 2**32 - 1), r_max=st.floats(0.5, 60.0))
+def test_solution_maximises_potential(n, seed, r_max):
+    """No feasible perturbation of the solver's output raises the potential."""
+    rng = np.random.default_rng(seed)
+    params, videos, bufs, bw = random_instance(rng, n_users=n)
+    res = solve_equilibrium(params, videos, bufs, bw, r_max=r_max)
+    assert res.converged
+    rates = np.array(res.rates)
+    best = _potential(params, videos, bufs, bw, res.rates)
+    for _ in range(20):
+        scale = r_max * 10.0 ** rng.uniform(-7.0, 0.0)
+        moved = np.clip(rates + scale * rng.uniform(-1.0, 1.0, n), 0.0, r_max)
+        # first order the rise is at most tol per unit moved; the rest is rounding
+        slack = 1e-9 * float(np.abs(moved - rates).sum()) + 1e-12 * max(1.0, abs(best))
+        assert _potential(params, videos, bufs, bw, moved.tolist()) <= best + slack
+
+
+@pytest.mark.parametrize("r_max", [0.0, -1.0, math.inf, math.nan])
+def test_solver_rejects_bad_r_max(ref_params, ref_video, neutral_buffer, r_max):
+    with pytest.raises(ValueError, match="r_max"):
+        solve_equilibrium(ref_params, [ref_video] * 2, [neutral_buffer] * 2, BW, r_max=r_max)
 
 
 def _masked_projected_residuals(grads, rates, r_max):

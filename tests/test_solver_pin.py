@@ -1,14 +1,22 @@
-"""Bit-for-bit pin of ``solve_equilibrium`` on fixed seeded instances.
+"""Bit-for-bit pin of ``solve_equilibrium`` and of its oracle on fixed instances.
 
 For every case the sha256 of ``repr((rates, residual, iterations,
 converged))`` must match ``data/solver_sha256.json``, so any change to the
-solver's arithmetic, iteration count or fallback shows here.  The cases
-cover N in {1, 2, 8, 64, 512}, both methods, and box sizes from tight
-(users pinned at ``r_max``) to loose (starved users pinned at 0).  The
-instances are built here, not from ``conftest.random_instance``, so the pin
-does not move when that helper does.  To regenerate the file after an
-intentional change (name the drift in CHANGES.md), run
-``python tests/test_solver_pin.py``.
+solver's arithmetic or step count shows here.  The cases cover N in
+{1, 2, 8, 64, 512} and box sizes from tight (users pinned at ``r_max``) to
+loose (starved users pinned at 0), plus runs stopped one step short of
+convergence.  The instances are built here, not from
+``conftest.random_instance``, so the pin does not move when that helper
+does.
+
+The cases that name a method pin the N-dimensional Newton solver kept in
+``solver_oracle.py``, through either of its paths, to the digests it had
+as ``solve_equilibrium``, in ``data/oracle_sha256.json``; so the oracle the
+other tests compare against stays the solver it was.
+
+To regenerate the solver's file after an intentional change (name the drift
+in CHANGES.md), run ``python tests/test_solver_pin.py``; the oracle's file
+is never regenerated.
 
 The solver sums with numpy only, never with the builtin ``sum`` (which is
 compensated from CPython 3.12 on and moves the trace digests), so the pin
@@ -24,20 +32,26 @@ import pytest
 
 from dashgame.game import solve_equilibrium
 from dashgame.model import BufferView, GameParams, VideoQualityModel
+from solver_oracle import oracle_solve
 
-DIGESTS = Path(__file__).resolve().parent / "data" / "solver_sha256.json"
+DATA = Path(__file__).resolve().parent / "data"
+DIGESTS = DATA / "solver_sha256.json"
+ORACLE_DIGESTS = DATA / "oracle_sha256.json"
 SIZES = (1, 2, 8, 64, 512)
 R_MAXES = (0.5, 8.0, 60.0)
 METHODS = ("newton", "best_response")
-CASES = {
-    f"n{n} r_max={r_max} {method}": (n, r_max, method, 10000)
+# label -> (n, r_max, max_iter); stopped early, a non-converged result is pinned too
+CASES = {f"n{n} r_max={r_max}": (n, r_max, 10000) for n in SIZES for r_max in R_MAXES}
+CASES.update({f"n{n} r_max=60.0 max_iter=2": (n, 60.0, 2) for n in (8, 64, 512)})
+# label -> (n, r_max, max_iter, method)
+ORACLE_CASES = {
+    f"n{n} r_max={r_max} {method}": (n, r_max, 10000, method)
     for n in SIZES
     for r_max in R_MAXES
     for method in METHODS
 }
-# stopped early: the non-converged result is pinned too
-CASES.update(
-    {f"n{n} r_max=60.0 newton max_iter=3": (n, 60.0, "newton", 3) for n in (8, 64, 512)}
+ORACLE_CASES.update(
+    {f"n{n} r_max=60.0 newton max_iter=3": (n, 60.0, 3, "newton") for n in (8, 64, 512)}
 )
 
 
@@ -62,23 +76,38 @@ def instance(n: int, r_max: float):
     return params, videos, bufs, export_bw
 
 
-def solve_digest(n: int, r_max: float, method: str, max_iter: int) -> str:
-    params, videos, bufs, export_bw = instance(n, r_max)
-    res = solve_equilibrium(
-        params, videos, bufs, export_bw, r_max=r_max, max_iter=max_iter, method=method
-    )
+def digest(res) -> str:
     text = repr((res.rates, res.residual, res.iterations, res.converged))
     return hashlib.sha256(text.encode()).hexdigest()
 
 
+def solve_digest(n: int, r_max: float, max_iter: int) -> str:
+    params, videos, bufs, export_bw = instance(n, r_max)
+    return digest(solve_equilibrium(params, videos, bufs, export_bw, r_max=r_max, max_iter=max_iter))
+
+
+def oracle_digest(n: int, r_max: float, max_iter: int, method: str) -> str:
+    params, videos, bufs, export_bw = instance(n, r_max)
+    return digest(
+        oracle_solve(params, videos, bufs, export_bw, r_max=r_max, max_iter=max_iter, method=method)
+    )
+
+
+def pinned(path: Path) -> dict:
+    return json.loads(path.read_text(encoding="utf-8"))
+
+
 def test_every_case_is_pinned():
-    assert sorted(json.loads(DIGESTS.read_text(encoding="utf-8"))) == sorted(CASES)
+    assert sorted(pinned(DIGESTS)) == sorted(CASES)
+    assert sorted(pinned(ORACLE_DIGESTS)) == sorted(ORACLE_CASES)
 
 
-@pytest.mark.parametrize("label", sorted(CASES))
+@pytest.mark.parametrize("label", sorted(CASES) + sorted(ORACLE_CASES))
 def test_solver_matches_pinned_digest(label):
-    pinned = json.loads(DIGESTS.read_text(encoding="utf-8"))[label]
-    assert solve_digest(*CASES[label]) == pinned
+    if label in CASES:
+        assert solve_digest(*CASES[label]) == pinned(DIGESTS)[label]
+    else:
+        assert oracle_digest(*ORACLE_CASES[label]) == pinned(ORACLE_DIGESTS)[label]
 
 
 if __name__ == "__main__":
