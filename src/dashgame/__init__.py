@@ -11,7 +11,6 @@ from .model import (
     GameParams,
     VideoQualityModel,
     adjustment_factor,
-    avg_buffer_variation,
     estimated_buffer,
     quality,
     utility,
@@ -33,7 +32,6 @@ from .adapt import (
     PayoffReply,
     PayoffServer,
     UserSession,
-    has_converged,
     payoff_gradient_server,
     run_round,
     update_rate,

@@ -44,7 +44,6 @@ __all__ = [
     "PayoffServer",
     "payoff_gradient_server",
     "update_rate",
-    "has_converged",
     "run_round",
 ]
 
@@ -175,22 +174,6 @@ def update_rate(cfg: AdaptConfig, r: float, gradient: float) -> float:
     if math.isfinite(cap):
         step = max(-cap, min(cap, step))
     return max(cfg.r_min, min(cfg.r_max, r + step))
-
-
-def has_converged(history: Sequence[Sequence[float]], tol: float, window: int = 5) -> bool:
-    """True iff no coordinate moved more than ``tol`` over the trailing window.
-
-    ``history`` holds successive rate vectors, most recent last; at least two
-    are required.  Only the last ``window`` transitions are examined.
-    """
-    if len(history) < 2:
-        raise ValueError("has_converged needs at least two rate vectors")
-    recent = list(history[-(window + 1):])
-    for prev, cur in zip(recent, recent[1:]):
-        for a, b in zip(prev, cur):
-            if abs(b - a) > tol:
-                return False
-    return True
 
 
 @dataclass

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -73,13 +73,16 @@ class EquilibriumResult:
 
     ``residual`` is the largest projected-FOC violation: |gradient| at
     interior coordinates, and only the infeasible gradient direction at
-    coordinates stuck on a bound.
+    coordinates stuck on a bound.  ``bracket`` is the final bracket
+    ``(lo, hi)`` on the load ``S = sum(rates)`` that holds the root of the
+    solver's scalar function; ``None`` when the producer keeps none.
     """
 
     rates: list[float]
     residual: float
     iterations: int
     converged: bool
+    bracket: Optional[tuple[float, float]] = None
 
 
 def foc_coefficients(
@@ -182,8 +185,11 @@ def solve_equilibrium(
     leaves the bracket on the root, or lands on one of its ends, is replaced
     by bisection.  ``iterations`` counts these steps, at most ``max_iter``.
     ``residual`` is the projected FOC residual of the gradient at the
-    returned rates, and ``converged`` is ``residual <= tol``:
-    non-convergence is reported, never silent.
+    returned rates (evaluated by the gradients' unchecked core, since every
+    rate is already clipped to the box), and ``converged`` is ``residual <=
+    tol``: non-convergence is reported, never silent.  ``bracket`` is the
+    bracket ``(lo, hi)`` on ``S`` when the solve stopped; the returned load
+    ``sum(rates)`` lies in it to within about ``tol/z3`` once converged.
     """
     if not (math.isfinite(r_max) and r_max > 0):
         raise ValueError(f"r_max must be finite and > 0, got {r_max!r}")
@@ -204,14 +210,14 @@ def solve_equilibrium(
     lo = min(hi, float((top + z2).min()) / grad.z3)
     # start from the load of n identical users with the mean coefficients,
     # the root of beta*z3*S^2 + (n*z3 - beta*z2)*S - n*(z1 + z2) = 0
-    m1, m2, mb = float(z1.mean()), float(z2.mean()), float(betas.mean())
+    m1, m2, mb = float(z1.sum()) / n, float(z2.sum()) / n, float(betas.sum()) / n
     s = _positive_root(mb * grad.z3, n * grad.z3 - mb * m2, n * (m1 + m2))
     if not lo < s < hi:
         s = 0.5 * (lo + hi)
     iterations = 0
 
     def projected_residual(r: np.ndarray) -> float:
-        return float(_projected_residuals(grad(r), r, r_max).max())
+        return float(_projected_residuals(grad._gradients(r), r, r_max).max())
 
     while True:
         lever = grad.load(s) - z2
@@ -240,4 +246,4 @@ def solve_equilibrium(
                 break
         s = step
         iterations += 1
-    return EquilibriumResult(rates.tolist(), residual, iterations, residual <= tol)
+    return EquilibriumResult(rates.tolist(), residual, iterations, residual <= tol, (float(lo), float(hi)))

@@ -29,7 +29,6 @@ __all__ = [
     "quantize_rate",
     "serial_sum",
     "adjustment_factor",
-    "avg_buffer_variation",
     "estimated_buffer",
     "utility",
     "utility_gradient",
@@ -167,6 +166,11 @@ def serial_sum(values: Iterable[float]) -> float:
     return total
 
 
+# the adjustment factor is kept in the open interval (0, 2)
+_AF_MIN = math.nextafter(0.0, 1.0)
+_AF_MAX = math.nextafter(2.0, 0.0)
+
+
 def adjustment_factor(p: float, b_curr: float, b_ref: float) -> float:
     """Sigmoid buffer-deviation factor in (0, 2), exactly 1 at b_curr == b_ref.
 
@@ -185,9 +189,9 @@ def adjustment_factor(p: float, b_curr: float, b_ref: float) -> float:
         value = 2.0 * e / (1.0 + e)
     # keep the open interval even when the exponential saturates in floats
     if value >= 2.0:
-        return math.nextafter(2.0, 0.0)
+        return _AF_MAX
     if value <= 0.0:
-        return math.nextafter(0.0, 1.0)
+        return _AF_MIN
     return value
 
 
@@ -199,15 +203,11 @@ def _check_rates_bw(rates: Sequence[float], export_bw: float) -> None:
             raise ValueError(f"rates must be finite and >= 0, got {r!r}")
 
 
-def avg_buffer_variation(params: GameParams, rates: Sequence[float], export_bw: float) -> float:
-    """Average per-segment buffer change across all users (seconds).
-
-    ``T - omega * T * sum(rates) / export_bw`` with ``omega = nu / mu``;
-    positive when the system is underloaded, negative when overloaded.
-    """
-    _check_rates_bw(rates, export_bw)
-    T = params.segment_duration
-    return T - params.omega * T * (serial_sum(rates) / export_bw)
+def _check_rate_array(r: np.ndarray) -> None:
+    """Reject a float array holding a negative or non-finite rate, naming the first."""
+    bad = r[~(np.isfinite(r) & (r >= 0))]
+    if bad.size:
+        raise ValueError(f"rates must be finite and >= 0, got {float(bad[0])!r}")
 
 
 def estimated_buffer(
@@ -280,14 +280,21 @@ class UtilityGradients:
 
     The per-user coefficients are computed once, at construction:
     ``z1 = alpha*beta``, ``z2 = mu*T*A_f`` and the load slope
-    ``z3 = nu*T/export_bw``, which is the same for every user.  Calling the
-    object with a rate vector validates the rates, sums the load once and
-    returns every user's own-rate gradient ``z1/(1 + beta*r_i) + z2 -
-    z3*sum(rates)``, so one evaluation costs O(N).
+    ``z3 = nu*T/export_bw``, which is the same for every user.  They are
+    built in array passes over the users, bit-identical to
+    :func:`adjustment_factor` and ``foc_coefficients`` per user: the products
+    are gathered in Python float arithmetic, the sigmoid's two branches and
+    its clamps are array operations, and ``exp(-|x|)`` is ``math.exp``
+    mapped over the deviations (``np.exp`` can differ in the last bit).
+    Calling the object with a rate vector validates the rates, sums the load
+    once and returns every user's own-rate gradient ``z1/(1 + beta*r_i) +
+    z2 - z3*sum(rates)``, so one evaluation costs O(N).
 
     An ``(m, N)`` stack of rate vectors is evaluated in one call and gives
     ``(m, N)`` gradients, each row bit-identical to a 1-D call on that row
     (each row's load is summed along the last axis as a 1-D sum would be).
+    Callers inside the package that have already checked their rates use
+    the unchecked core, ``_gradients``.
     """
 
     def __init__(
@@ -298,15 +305,20 @@ class UtilityGradients:
         export_bw: float,
     ) -> None:
         _check_rates_bw((), export_bw)
-        if len(models) != len(bufs):
+        n = len(models)
+        if len(bufs) != n:
             raise ValueError("models and bufs must have the same length")
         T = params.segment_duration
-        self.betas = np.array([m.beta for m in models], dtype=float)
-        self.z1 = np.array([m.alpha * m.beta for m in models], dtype=float)
-        self.z2 = np.array(
-            [params.mu * T * adjustment_factor(params.p, b.b_curr, b.b_ref) for b in bufs],
-            dtype=float,
-        )
+        p = params.p
+        self.betas = np.fromiter([m.beta for m in models], float, n)
+        self.z1 = np.fromiter([m.alpha * m.beta for m in models], float, n)
+        # adjustment_factor's deviation and exponential, one user per entry
+        x = np.fromiter([p * (b.b_curr - b.b_ref) for b in bufs], float, n)
+        e = np.fromiter(map(math.exp, (-np.abs(x)).tolist()), float, n)
+        # 2/(1 + exp(-x)) for x >= 0, 2*exp(x)/(1 + exp(x)) below
+        a_f = np.where(x >= 0, 2.0, 2.0 * e) / (1.0 + e)
+        a_f = np.minimum(np.maximum(a_f, _AF_MIN), _AF_MAX)
+        self.z2 = params.mu * T * a_f
         self.z3 = params.nu * T / export_bw
         self._load_weight = params.nu * T
         self._export_bw = export_bw
@@ -319,9 +331,11 @@ class UtilityGradients:
                 f"expected {self.betas.size} rates or an (m, {self.betas.size}) stack,"
                 f" got shape {r.shape}"
             )
-        bad = r[~(np.isfinite(r) & (r >= 0))]
-        if bad.size:
-            raise ValueError(f"rates must be finite and >= 0, got {float(bad[0])!r}")
+        _check_rate_array(r)
+        return self._gradients(r)
+
+    def _gradients(self, r: np.ndarray) -> np.ndarray:
+        """The gradients at a C-order float array ``r`` of valid rates, unchecked."""
         if r.ndim == 1:
             load = self.load(float(r.sum()))
         else:

@@ -20,7 +20,14 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .model import BufferView, GameParams, UtilityGradients, VideoQualityModel, _check_rates_bw
+from .model import (
+    BufferView,
+    GameParams,
+    UtilityGradients,
+    VideoQualityModel,
+    _check_rate_array,
+    _check_rates_bw,
+)
 from .game import foc_coefficients
 
 __all__ = [
@@ -113,10 +120,13 @@ def jacobian_numeric(
     Central differences, except in the columns of rates below ``step``,
     whose minus leg would leave the domain ``r >= 0``: those use the
     one-sided second-order stencil ``(-3 f(r) + 4 f(r + h) - f(r + 2h)) /
-    2h``.  The stencil points (the base point, ``r + h*e_j``, and ``r -
-    h*e_j`` or ``r + 2h*e_j``) form one ``(2N + 1, N)`` stack, and the map
-    (no step cap, no box projection) is evaluated on it in a single call,
-    so the whole Jacobian is O(N^2) in time and memory.
+    2h``, built only when some column needs it.  The stencil points (the
+    base point, ``r + h*e_j``, and ``r - h*e_j`` or ``r + 2h*e_j``) form one
+    ``(2N + 1, N)`` stack, and the map (no step cap, no box projection) is
+    evaluated on it in a single call, so the whole Jacobian is O(N^2) in
+    time and memory.  The N base rates are checked once; every stencil
+    point is then finite and >= 0, so the stack goes to the gradients'
+    unchecked core.
     """
     n = len(rates)
     if not (len(models) == len(bufs) == len(thetas) == n >= 1):
@@ -126,44 +136,70 @@ def jacobian_numeric(
     theta = _check_thetas(thetas)
     grad = UtilityGradients(params, models, bufs, export_bw)
     r = np.asarray(rates, dtype=float)
+    if r.shape != (n,):
+        raise ValueError(f"rates must be a flat sequence of {n} values, got shape {r.shape}")
+    _check_rate_array(r)
     one_sided = r < step
-    cols = np.arange(n)
-    points = np.tile(r, (2 * n + 1, 1))
-    points[1 + cols, cols] += step
-    points[1 + n + cols, cols] += np.where(one_sided, 2.0 * step, -step)
-    f = points + theta * points * grad(points)
+    any_one_sided = bool(one_sided.any())
+    points = np.empty((2 * n + 1, n))
+    points[:] = r
+    # row j of each leg's block moves coordinate j: add along the block diagonals
+    up, down = _diagonal(points[1 : n + 1]), _diagonal(points[n + 1 :])
+    up += step
+    down += np.where(one_sided, 2.0 * step, -step) if any_one_sided else -step
+    f = points + theta * points * grad._gradients(points)
     # row j of plus/other is the map at the column-j legs
     plus, other = f[1 : n + 1], f[n + 1 :]
     central = (plus - other) / (2.0 * step)
+    if not any_one_sided:
+        return central.T
     forward = (-3.0 * f[0] + 4.0 * plus - other) / (2.0 * step)
     return np.where(one_sided[:, None], forward, central).T
+
+
+def _diagonal(block: np.ndarray) -> np.ndarray:
+    """Writable view of the diagonal of a C-contiguous square ``block``."""
+    return block.reshape(-1)[:: block.shape[1] + 1]
+
+
+def _square_matrix(matrix) -> np.ndarray:
+    """``matrix`` as a float array (complex if it is complex), checked square and nonempty."""
+    a = np.asarray(matrix)
+    a = a.astype(complex if np.iscomplexobj(a) else float, copy=False)
+    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+        raise ValueError(f"matrix must be square, got shape {a.shape}")
+    if a.shape[0] < 1:
+        raise ValueError("matrix must be at least 1x1")
+    return a
+
+
+def _sorted_eigenvalues(a: np.ndarray) -> list[complex]:
+    try:
+        w = np.linalg.eigvals(a)
+    except np.linalg.LinAlgError as exc:
+        # eigvals rejects a non-finite matrix itself; tell that apart here,
+        # on the failure path, instead of scanning every matrix twice
+        if not np.isfinite(a).all():
+            raise ValueError("matrix entries must be finite") from None
+        raise EigenvalueError(f"eigenvalues did not converge (order {a.shape[0]}): {exc}") from exc
+    w = w.astype(complex, copy=False)
+    # lexsort's last key is the primary one: -|z|, then -Re z, then -Im z
+    return w[np.lexsort((-w.imag, -w.real, -np.abs(w)))].tolist()
 
 
 def eigenvalues_small(matrix) -> list[complex]:
     """Eigenvalues of a dense square matrix, descending in magnitude.
 
     Computed by LAPACK (``numpy.linalg.eigvals``) for any order; ties in
-    magnitude are ordered by descending real, then imaginary part.  Raises
-    :class:`EigenvalueError` if LAPACK does not converge.
+    magnitude are ordered by descending real, then imaginary part, by one
+    stable ``numpy.lexsort``.  Raises :class:`EigenvalueError` if LAPACK
+    does not converge.
     """
-    a = np.asarray(matrix)
-    a = a.astype(complex if np.iscomplexobj(a) else float)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError(f"matrix must be square, got shape {a.shape}")
-    if a.shape[0] < 1:
-        raise ValueError("matrix must be at least 1x1")
-    if not np.isfinite(a).all():
-        raise ValueError("matrix entries must be finite")
-    try:
-        eigs = [complex(z) for z in np.linalg.eigvals(a)]
-    except np.linalg.LinAlgError as exc:
-        raise EigenvalueError(f"eigenvalues did not converge (order {a.shape[0]}): {exc}") from exc
-    eigs.sort(key=lambda z: (-abs(z), -z.real, -z.imag))
-    return eigs
+    return _sorted_eigenvalues(_square_matrix(matrix))
 
 
 def spectral_radius(matrix) -> float:
-    return max(abs(z) for z in eigenvalues_small(matrix))
+    return abs(eigenvalues_small(matrix)[0])
 
 
 def _verdict(radius: float) -> tuple[bool, str]:
@@ -173,11 +209,13 @@ def _verdict(radius: float) -> tuple[bool, str]:
 
 
 def build_report(jacobian: np.ndarray, closed_form: Optional[tuple[bool, bool]] = None) -> StabilityReport:
-    eigs = eigenvalues_small(jacobian)
-    radius = max(abs(z) for z in eigs)
+    """Spectrum and verdict of ``jacobian``, kept in the dtype it was analysed in."""
+    a = _square_matrix(jacobian)
+    eigs = _sorted_eigenvalues(a)
+    radius = abs(eigs[0])
     stable, verdict = _verdict(radius)
     return StabilityReport(
-        jacobian=np.asarray(jacobian, dtype=float),
+        jacobian=a,
         eigenvalues=eigs,
         spectral_radius=radius,
         stable=stable,

@@ -12,7 +12,6 @@ from dashgame.adapt import (
     PayoffReply,
     PayoffServer,
     UserSession,
-    has_converged,
     payoff_gradient_server,
     run_round,
     update_rate,
@@ -100,21 +99,6 @@ def test_adapt_config_validation():
         AdaptConfig(theta=50.0, r_max=6.0, r_min=0.2, r_init=0.1)
 
 
-def test_has_converged_constant_history():
-    history = [[1.0, 2.0]] * 6
-    assert has_converged(history, tol=1e-9)
-
-
-def test_has_converged_oscillation():
-    history = [[1.0], [1.0 + 2e-3], [1.0], [1.0 + 2e-3], [1.0], [1.0 + 2e-3]]
-    assert not has_converged(history, tol=1e-3)
-
-
-def test_has_converged_requires_history():
-    with pytest.raises(ValueError):
-        has_converged([[1.0]], tol=1e-3)
-
-
 def _sessions(params, video, theta, rates, b_curr=15.0, b_ref=15.0, msf=0.25):
     cfg = AdaptConfig(theta=theta, r_max=60.0, r_min=0.01, r_init=0.1, max_step_fraction=msf)
     return [
@@ -135,7 +119,11 @@ def test_round_iterates_to_stable_fixed_point():
     history = [[s.rate for s in sessions]]
     for _ in range(400):
         history.append(run_round(sessions, CAL_PARAMS, BW))
-    assert has_converged(history, tol=1e-9)
+    # no coordinate moved more than 1e-9 over the last five rounds
+    window = history[-6:]
+    assert all(
+        abs(b - a) <= 1e-9 for prev, cur in zip(window, window[1:]) for a, b in zip(prev, cur)
+    )
     assert history[-1][0] == pytest.approx(3.0, abs=1e-6)
 
 

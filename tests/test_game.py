@@ -241,6 +241,24 @@ def test_solver_paths_meet_tolerance_and_agree(n, seed, r_max):
     np.testing.assert_allclose(res.rates, oracle.rates, rtol=0, atol=1e-6)
 
 
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(n=st.integers(1, 512), seed=st.integers(0, 2**32 - 1), r_max=st.floats(0.5, 60.0))
+def test_result_reports_the_final_load_bracket(n, seed, r_max):
+    """The returned load lies in the reported bracket, within tol/z3 plus rounding."""
+    rng = np.random.default_rng(seed)
+    params, videos, bufs, bw = random_instance(rng, n_users=n)
+    tol = 1e-9
+    res = solve_equilibrium(params, videos, bufs, bw, r_max=r_max, tol=tol)
+    assert res.converged
+    lo, hi = res.bracket
+    assert type(lo) is float and type(hi) is float
+    assert lo <= hi
+    z3 = params.nu * params.segment_duration / bw
+    load = math.fsum(res.rates)
+    slack = tol / z3 + 1e-12 * max(1.0, hi)
+    assert lo - slack <= load <= hi + slack
+
+
 def _potential(params, videos, bufs, bw, rates):
     """Exact potential of the game, summed in Python from the model's constants.
 

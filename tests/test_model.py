@@ -8,13 +8,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from dashgame.game import foc_coefficients
+
 from dashgame.model import (
     BufferView,
     GameParams,
     UtilityGradients,
     VideoQualityModel,
     adjustment_factor,
-    avg_buffer_variation,
     estimated_buffer,
     log_quality,
     quality,
@@ -85,26 +86,6 @@ def test_adjustment_factor_range_and_monotone():
 def test_adjustment_factor_requires_positive_p():
     with pytest.raises(ValueError):
         adjustment_factor(0.0, 10.0, 15.0)
-
-
-def test_avg_buffer_variation_balanced():
-    # omega = 1 and total demand equal to the bottleneck cancel exactly
-    params = GameParams(mu=0.003, nu=0.003, p=0.1, segment_duration=2.0)
-    assert avg_buffer_variation(params, [3.0, 3.0], BW) == pytest.approx(0.0, abs=1e-15)
-
-
-def test_avg_buffer_variation_idle(ref_params):
-    assert avg_buffer_variation(ref_params, [0.0, 0.0], BW) == 2.0
-
-
-def test_avg_buffer_variation_worked_value(ref_params):
-    got = avg_buffer_variation(ref_params, [3.0, 3.0], BW)
-    assert got == pytest.approx(-0.733333333333333, rel=1e-12)
-
-
-def test_avg_buffer_variation_rejects_bad_bw(ref_params):
-    with pytest.raises(ValueError):
-        avg_buffer_variation(ref_params, [1.0], 0.0)
 
 
 def test_estimated_buffer_zero_rate(ref_params, neutral_buffer):
@@ -253,6 +234,48 @@ def test_vectorised_gradients_validate_rates(ref_params, ref_video, neutral_buff
         UtilityGradients(ref_params, [ref_video], [neutral_buffer], 0.0)
     with pytest.raises(ValueError, match="same length"):
         UtilityGradients(ref_params, [ref_video] * 2, [neutral_buffer], BW)
+
+
+def _hexes(values):
+    return [float.hex(v) for v in values]
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(n=st.integers(1, 600), seed=st.integers(0, 2**32 - 1), p=st.floats(1e-3, 10.0))
+def test_gradient_coefficients_match_per_user_foc(n, seed, p):
+    """betas, z1 and z2 built in array passes equal foc_coefficients per user,
+    bit for bit.
+
+    The first three users sit at ``x = p*(b_curr - b_ref)`` = 0, >= 10 (past
+    ~37 the sigmoid saturates at 2) and <= -10 (past ~-745 exp underflows to
+    0), so both clamps, both branches and ``x == 0`` are hit in every draw
+    with N >= 3; the rest spread ``b_curr - b_ref`` over +-1e7, from 1e-12 up.
+    """
+    rng = np.random.default_rng(seed)
+    params = GameParams(
+        mu=float(10 ** rng.uniform(-4, 1)),
+        nu=float(10 ** rng.uniform(-4, 0)),
+        p=p,
+        segment_duration=float(rng.uniform(0.5, 10.0)),
+    )
+    videos = [
+        VideoQualityModel(alpha=float(a), beta=float(b), ladder=(1.0,))
+        for a, b in zip(10 ** rng.uniform(-3, 2, n), 10 ** rng.uniform(-3, 2, n))
+    ]
+    dev = rng.choice([-1.0, 1.0], n) * 10 ** rng.uniform(-12, 7, n)
+    dev[rng.random(n) < 0.3] = 0.0
+    dev[:3] = [0.0, 1e7, -1e7][:n]
+    b_ref = rng.uniform(0.5, 40.0, n)
+    bufs = [BufferView(b_curr=float(r + d), b_ref=float(r)) for r, d in zip(b_ref, dev)]
+    bw = float(rng.uniform(0.5, 50.0))
+    grad = UtilityGradients(params, videos, bufs, bw)
+    zs = [foc_coefficients(params, v, b, bw) for v, b in zip(videos, bufs)]
+    assert _hexes(grad.betas.tolist()) == _hexes(v.beta for v in videos)
+    assert _hexes(grad.z1.tolist()) == _hexes(z.z1 for z in zs)
+    assert _hexes(grad.z2.tolist()) == _hexes(z.z2 for z in zs)
+    if n >= 3:
+        af = [adjustment_factor(p, b.b_curr, b.b_ref) for b in bufs[:3]]
+        assert af == [1.0, math.nextafter(2.0, 0.0), math.nextafter(0.0, 1.0)]
 
 
 def test_hessian_diagonal_at_zero(ref_params, ref_video):

@@ -298,6 +298,8 @@ def test_eigenvalues_input_validation():
         eigenvalues_small(np.zeros((0, 0)))
     with pytest.raises(ValueError):
         eigenvalues_small([[float("nan"), 0.0], [0.0, 1.0]])
+    with pytest.raises(ValueError, match="finite"):
+        build_report([[float("inf"), 0.0], [0.0, 1.0]])
     # no size limit: 65x65 and above are accepted
     m = np.diag(np.arange(65.0)) + np.triu(np.ones((65, 65)), 1)
     assert eigenvalues_small(m) == [pytest.approx(float(k)) for k in range(64, -1, -1)]
@@ -310,6 +312,62 @@ def test_eigenvalues_lapack_failure_raises_eigenvalue_error(monkeypatch):
     monkeypatch.setattr(np.linalg, "eigvals", fail)
     with pytest.raises(EigenvalueError):
         eigenvalues_small(np.eye(3))
+
+
+def oracle_eigenvalues(matrix):
+    """The key-sorted spectrum: one Python complex per eigenvalue, sorted by
+    ``(-abs(z), -z.real, -z.imag)``."""
+    a = np.asarray(matrix)
+    a = a.astype(complex if np.iscomplexobj(a) else float)
+    eigs = [complex(z) for z in np.linalg.eigvals(a)]
+    eigs.sort(key=lambda z: (-abs(z), -z.real, -z.imag))
+    return eigs
+
+
+def _tie_matrices():
+    yield np.eye(5)
+    # 0.0 and -0.0 tie on every key: only a stable sort keeps LAPACK's order
+    yield np.diag([0.0, -0.0, 1.0, -0.0])
+    yield np.diag([0.0, -0.0, 1.0, -0.0]).astype(complex)
+    yield np.diag([2.0, -2.0, 2.0, 1.0, -1.0, 0.0, 0.0])
+    yield np.diag([1j, -1j, 1.0, -1.0, 1.0 + 0j])  # four eigenvalues of magnitude 1
+    yield np.array([[0.0, -1.0], [1.0, 0.0]])  # the conjugate pair +-i
+    # block-diagonal rotations: repeated conjugate pairs of equal magnitude
+    rot = np.array([[0.6, -0.8], [0.8, 0.6]])
+    yield np.kron(np.eye(3), rot)
+    yield np.kron(np.diag([1.0, -1.0]), rot)
+
+
+def test_eigenvalues_match_key_sort_oracle():
+    """The numpy lexsort gives the old Python key sort's list, value for value."""
+    rng = np.random.default_rng(31)
+    cases = list(_tie_matrices())
+    for _ in range(120):
+        n = int(rng.integers(1, 70))
+        m = rng.normal(size=(n, n))
+        if rng.random() < 0.5:
+            m = m + 1j * rng.normal(size=(n, n))
+        cases.append(m)
+    for m in cases:
+        got = eigenvalues_small(m)
+        ref = oracle_eigenvalues(m)
+        assert got == ref
+        assert [repr(z) for z in got] == [repr(z) for z in ref]
+        assert all(type(z) is complex for z in got)
+        assert build_report(m).spectral_radius == max(abs(z) for z in ref)
+
+
+@pytest.mark.filterwarnings("error")
+def test_report_keeps_a_complex_jacobian():
+    # the report stored a zeroed float copy, with a ComplexWarning
+    m = np.array([[0.0, 1j], [1j, 0.0]])
+    report = build_report(m)
+    assert report.jacobian.dtype == complex
+    assert np.array_equal(report.jacobian, m)
+    assert sorted(z.imag for z in report.eigenvalues) == [pytest.approx(-1.0), pytest.approx(1.0)]
+    assert report.verdict == "marginal"
+    # a real matrix stays real
+    assert build_report([[0.5, 0.0], [0.0, 0.2]]).jacobian.dtype == float
 
 
 def test_report_verdicts():
