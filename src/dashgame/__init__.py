@@ -15,7 +15,6 @@ from .model import (
     quality,
     utility,
     utility_gradient,
-    utility_hessian,
     utility_hessian_entries,
 )
 from .game import (

@@ -73,12 +73,16 @@ class AdaptConfig:
             raise ValueError(f"AdaptConfig.theta must be > 0, got {self.theta!r}")
         if not (math.isfinite(self.epsilon) and self.epsilon > 0):
             raise ValueError(f"AdaptConfig.epsilon must be > 0, got {self.epsilon!r}")
-        if not 0 < self.r_min <= self.r_init <= self.r_max:
+        if not math.isfinite(self.r_max):
+            raise ValueError(f"AdaptConfig.r_max must be finite, got {self.r_max!r}")
+        if not self.r_min > 0:
+            raise ValueError(f"AdaptConfig.r_min must be > 0, got {self.r_min!r}")
+        if not self.r_min <= self.r_init <= self.r_max:
             raise ValueError(
-                "AdaptConfig requires 0 < r_min <= r_init <= r_max, got "
+                "AdaptConfig.r_init must lie in [r_min, r_max], got "
                 f"r_min={self.r_min!r} r_init={self.r_init!r} r_max={self.r_max!r}"
             )
-        if self.max_step_fraction <= 0:
+        if not self.max_step_fraction > 0:
             raise ValueError("AdaptConfig.max_step_fraction must be > 0 (use inf to disable)")
 
 
@@ -231,7 +235,7 @@ class PayoffServer:
         b_ref: float,
         initial_rate: float,
         initial_b_curr: float,
-        epsilon: float = 1e-4,
+        epsilon: float = AdaptConfig.epsilon,
         b_0: float = 0.0,
     ) -> None:
         where = f"PayoffServer.register user {user_id}"

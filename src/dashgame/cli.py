@@ -96,7 +96,7 @@ def _run_one(sc: Scenario, out_dir: Path, scenario_doc: dict, source: str) -> tu
     """Run one scenario, write its outputs; return the summary and its JSON text."""
     out_dir.mkdir(parents=True, exist_ok=True)
     traces = run_scenario(sc)
-    qoe_params = QoeMetricParams(b_ref=sc.users[0].b_ref if sc.users else 15.0)
+    qoe_params = QoeMetricParams(b_ref=sc.users[0].b_ref)
     trace_paths = []
     per_user = []
     for trace in traces:

@@ -34,7 +34,6 @@ __all__ = [
     "utility_gradient",
     "UtilityGradients",
     "utility_hessian_entries",
-    "utility_hessian",
 ]
 
 
@@ -94,8 +93,8 @@ class VideoQualityModel:
         ladder = tuple(float(r) for r in self.ladder)
         if not ladder:
             raise ValueError("VideoQualityModel.ladder must be nonempty")
-        if any(r <= 0 for r in ladder):
-            raise ValueError("VideoQualityModel.ladder entries must be > 0")
+        if not all(0 < r < math.inf for r in ladder):
+            raise ValueError("VideoQualityModel.ladder entries must be finite and > 0")
         if any(b <= a for a, b in zip(ladder, ladder[1:])):
             raise ValueError("VideoQualityModel.ladder must be strictly increasing")
         object.__setattr__(self, "ladder", ladder)
@@ -376,19 +375,3 @@ def utility_hessian_entries(
     denom = 1.0 + model.beta * rates[i]
     return -model.alpha * model.beta * model.beta / (denom * denom) + shared
 
-
-def utility_hessian(
-    params: GameParams,
-    models: Sequence[VideoQualityModel],
-    rates: Sequence[float],
-    export_bw: float,
-) -> np.ndarray:
-    """N x N matrix with entry (i, j) = d2(utility_i)/d(r_i)d(r_j)."""
-    n = len(rates)
-    if len(models) != n:
-        raise ValueError("models and rates must have the same length")
-    h = np.empty((n, n))
-    for i in range(n):
-        for j in range(n):
-            h[i, j] = utility_hessian_entries(params, models[i], i, j, rates, export_bw)
-    return h

@@ -61,6 +61,10 @@ class SimulationError(RuntimeError):
     pass
 
 
+def _positive(x: float) -> bool:
+    return 0 < x < math.inf
+
+
 @dataclass(frozen=True)
 class BandwidthProfile:
     """Piecewise-constant export bandwidth: right-continuous steps."""
@@ -71,12 +75,14 @@ class BandwidthProfile:
     def __post_init__(self) -> None:
         bps = tuple((float(t), float(bw)) for t, bw in self.breakpoints)
         if not bps or bps[0][0] != 0.0:
-            raise ValueError("profile breakpoints must start at t=0")
+            raise ValueError("BandwidthProfile.breakpoints must start at t=0")
         times = [t for t, _ in bps]
-        if any(b <= a for a, b in zip(times, times[1:])):
-            raise ValueError("profile breakpoint times must be strictly increasing")
-        if any(bw <= 0 for _, bw in bps):
-            raise ValueError("profile bandwidths must be > 0")
+        if any(not b > a for a, b in zip(times, times[1:])) or not math.isfinite(times[-1]):
+            raise ValueError(
+                "BandwidthProfile.breakpoints times must be finite and strictly increasing"
+            )
+        if not all(_positive(bw) for _, bw in bps):
+            raise ValueError("BandwidthProfile.breakpoints bandwidths must be finite and > 0")
         object.__setattr__(self, "breakpoints", bps)
 
 
@@ -87,8 +93,10 @@ def make_profile(kind: str, base: float = 6.0, breakpoints=None) -> BandwidthPro
     ``staged`` steps through base+2 / base / base-2 / base at 100/180/260/340 s;
     ``short_term`` dips 2 Mbps at 100 s and spikes 2 Mbps at 260 s, 10 s each.
     """
-    if base <= 0:
-        raise ValueError(f"base bandwidth must be > 0, got {base!r}")
+    # staged and short_term step 2 Mbps below base
+    floor = 2.0 if kind in ("staged", "short_term") else 0.0
+    if not (math.isfinite(base) and base > floor):
+        raise ValueError(f"base bandwidth must be finite and > {floor:g}, got {base!r}")
     if kind == "fixed":
         points = ((0.0, base),)
     elif kind == "persistent":
@@ -134,26 +142,32 @@ class CapSpec:
     def __post_init__(self) -> None:
         if self.kind not in ("none", "fixed", "breakpoints", "random"):
             raise ValueError(f"unknown cap kind {self.kind!r}")
-        if self.kind == "fixed" and not (self.cap and self.cap > 0):
-            raise ValueError("fixed cap requires cap > 0")
+        if self.kind == "fixed" and not (self.cap is not None and _positive(self.cap)):
+            raise ValueError(f"CapSpec.cap must be finite and > 0, got {self.cap!r}")
         if self.kind == "breakpoints":
             if not self.breakpoints:
-                raise ValueError("breakpoints cap requires a schedule")
+                raise ValueError("CapSpec.breakpoints must be a nonempty schedule")
             times = [t for t, _ in self.breakpoints]
             if times[0] != 0:
                 raise ValueError(f"CapSpec.breakpoints must start at t=0, got t={times[0]!r}")
-            if any(not b > a for a, b in zip(times, times[1:])):
-                raise ValueError("CapSpec.breakpoints times must be strictly increasing")
-            if any(not c > 0 for _, c in self.breakpoints):
-                raise ValueError("CapSpec.breakpoints cap values must be > 0")
+            if any(not b > a for a, b in zip(times, times[1:])) or not math.isfinite(times[-1]):
+                raise ValueError(
+                    "CapSpec.breakpoints times must be finite and strictly increasing"
+                )
+            if not all(_positive(c) for _, c in self.breakpoints):
+                raise ValueError("CapSpec.breakpoints cap values must be finite and > 0")
         if self.kind == "random":
             if self.choices is not None:
-                if not self.choices or any(c <= 0 for c in self.choices):
-                    raise ValueError("random cap choices must be positive")
+                if not (self.choices and all(_positive(c) for c in self.choices)):
+                    raise ValueError("CapSpec.choices must be nonempty, finite and > 0")
+            elif not math.isfinite(self.hi):
+                raise ValueError(f"CapSpec.hi must be finite, got {self.hi!r}")
             elif not 0 < self.lo <= self.hi:
-                raise ValueError("random cap requires 0 < lo <= hi")
-            if self.dwell <= 0:
-                raise ValueError("random cap requires dwell > 0")
+                raise ValueError(
+                    f"CapSpec.lo must lie in (0, hi], got lo={self.lo!r} hi={self.hi!r}"
+                )
+            if not _positive(self.dwell):
+                raise ValueError(f"CapSpec.dwell must be finite and > 0, got {self.dwell!r}")
 
     def materialize(self, rng: np.random.Generator, horizon: float):
         """Resolve to an explicit schedule (or None for unlimited)."""
@@ -260,14 +274,22 @@ class SimConfig:
     def __post_init__(self) -> None:
         if self.total_segments < 1:
             raise ValueError(f"total_segments must be >= 1, got {self.total_segments!r}")
-        if self.segment_duration <= 0:
-            raise ValueError("segment_duration must be > 0")
-        if self.initial_buffer < 0:
-            raise ValueError("initial_buffer must be >= 0")
+        if not _positive(self.segment_duration):
+            raise ValueError(
+                f"segment_duration must be finite and > 0, got {self.segment_duration!r}"
+            )
+        if not (math.isfinite(self.initial_buffer) and self.initial_buffer >= 0):
+            raise ValueError(
+                f"initial_buffer must be finite and >= 0, got {self.initial_buffer!r}"
+            )
+        if self.rng_seed < 0:
+            raise ValueError(f"rng_seed must be >= 0, got {self.rng_seed!r}")
         if self.resume_policy != "next-segment":
-            raise ValueError(f"unsupported resume policy {self.resume_policy!r}")
-        if self.exchange_latency < 0:
-            raise ValueError("exchange_latency must be >= 0")
+            raise ValueError(f"unsupported resume_policy {self.resume_policy!r}")
+        if not (math.isfinite(self.exchange_latency) and self.exchange_latency >= 0):
+            raise ValueError(
+                f"exchange_latency must be finite and >= 0, got {self.exchange_latency!r}"
+            )
 
 
 class TraceRecord(NamedTuple):

@@ -2,48 +2,45 @@
 
 A scenario document has four blocks::
 
-    {
-      "name": "...",
-      "params": {"mu": ..., "nu": ..., "p": ...},
-      "users": [
-        {"video": {"alpha": ..., "beta": ..., "ladder": [...]},
-         "theta": ..., "b_ref": ..., "policy": "game",
-         "cap_profile": null | 1.5 | {"kind": "random", "lo":.., "hi":.., "dwell":..}
-                         | {"kind": "breakpoints", "breakpoints": [[t, cap], ...]},
-         ... optional adaptation overrides ...},
-        ...
-      ],
-      "server": {"kind": "fixed|persistent|staged|short_term|custom",
-                 "base": 6.0, "breakpoints": [[t, bw], ...]},
-      "sim": {"segment_duration": 2, "total_segments": ..., "initial_buffer": 2,
-              "quantize": false, "seed": 0}
-    }
+    {"name": "...",
+     "params": {"mu": ..., "nu": ..., "p": ...},
+     "users": [{"video": {"alpha": ..., "beta": ..., "ladder": [...]},
+                "theta": ..., "b_ref": ..., "policy": "game",
+                "cap_profile": null | 1.5 | {"kind": "random", "lo": .., "hi": .., "dwell": ..}
+                               | {"kind": "breakpoints", "breakpoints": [[t, cap], ...]},
+                ... optional adaptation overrides ...}, ...],
+     "server": {"kind": "fixed|persistent|staged|short_term", "base": 6.0}
+               | {"kind": "custom", "breakpoints": [[t, bw], ...]},
+     "sim": {"segment_duration": 2, "total_segments": ..., "initial_buffer": 2,
+             "quantize": false, "seed": 0}}
 
-Validation errors name the offending field.  Presets covering the
-experimental cases ship with the package and load by name.
+Each block is parsed and serialised through one table of its keys, in
+document order, with a typed reader each.  A number is a JSON int or float
+(never a bool or NaN) stored as a float, an integer an int, a flag a bool, a
+text a string; null is accepted only for optional fields.  Unknown keys, and
+keys that the block's ``kind`` does not use, are rejected.  Defaults live on
+the dataclasses, range checks in their ``__post_init__``; every error names
+the offending field.  Presets for the experimental cases load by name.
 """
 
 from __future__ import annotations
 
+import inspect
 import json
+import math
+import re
 from dataclasses import dataclass, field, replace
 from importlib import resources
-from typing import Optional
+from typing import Callable, Optional
 
 from .adapt import AdaptConfig
+from .baselines import ThroughputEstimator
 from .model import GameParams, VideoQualityModel
-from .netsim import BandwidthProfile, CapSpec, SimConfig, calibrate_nu, make_profile
+from .netsim import PROFILE_KINDS, BandwidthProfile, CapSpec, SimConfig, calibrate_nu, make_profile
 
 __all__ = [
-    "ScenarioError",
-    "UserSpec",
-    "Scenario",
-    "scenario_from_dict",
-    "scenario_to_dict",
-    "load_scenario",
-    "list_presets",
-    "load_preset",
-    "apply_override",
+    "ScenarioError", "UserSpec", "Scenario", "scenario_from_dict", "scenario_to_dict",
+    "load_scenario", "list_presets", "load_preset", "apply_override",
 ]
 
 POLICIES = ("game", "qf", "bf")
@@ -54,7 +51,13 @@ class ScenarioError(ValueError):
 
     def __init__(self, fieldname: str, message: str):
         self.fieldname = fieldname
+        self.message = message
         super().__init__(f"{fieldname}: {message}")
+
+    def within(self, key: str) -> "ScenarioError":
+        """The same failure, seen from the block or list that holds ``key``."""
+        sub = self.fieldname
+        return ScenarioError(key + ("." + sub if sub and sub[0] != "[" else sub), self.message)
 
 
 @dataclass(frozen=True)
@@ -66,24 +69,33 @@ class UserSpec:
     b_ref: float
     policy: str = "game"
     cap: CapSpec = field(default_factory=CapSpec)
-    r_init: float = 0.1
-    r_min: float = 0.05
+    r_init: float = AdaptConfig.r_init
+    r_min: float = AdaptConfig.r_min
     r_max: Optional[float] = None
-    max_step_fraction: float = 0.25
-    epsilon: float = 1e-4
-    estimator_weight: float = 0.2
+    max_step_fraction: float = AdaptConfig.max_step_fraction
+    epsilon: float = AdaptConfig.epsilon
+    estimator_weight: float = ThroughputEstimator.weight
     qf_startup: float = 10.0
     bf_gain: float = 0.5
+
+    def __post_init__(self) -> None:
+        if self.policy not in POLICIES:
+            raise ValueError(f"UserSpec.policy must be one of {POLICIES}, got {self.policy!r}")
+        if not (math.isfinite(self.b_ref) and self.b_ref > 0):
+            raise ValueError(f"UserSpec.b_ref must be finite and > 0, got {self.b_ref!r}")
+        if not math.isfinite(self.bf_gain):
+            raise ValueError(f"UserSpec.bf_gain must be finite, got {self.bf_gain!r}")
+        try:
+            ThroughputEstimator(weight=self.estimator_weight)
+        except ValueError as exc:
+            raise ValueError(f"UserSpec.estimator_weight: {exc}") from None
+        self.adapt_config()
 
     def adapt_config(self) -> AdaptConfig:
         r_max = self.r_max if self.r_max is not None else self.video.ladder[-1]
         return AdaptConfig(
-            theta=self.theta,
-            r_max=r_max,
-            epsilon=self.epsilon,
-            r_init=self.r_init,
-            r_min=self.r_min,
-            max_step_fraction=self.max_step_fraction,
+            theta=self.theta, r_max=r_max, epsilon=self.epsilon, r_init=self.r_init,
+            r_min=self.r_min, max_step_fraction=self.max_step_fraction,
         )
 
 
@@ -96,206 +108,209 @@ class Scenario:
     sim: SimConfig
 
 
-def _require(d: dict, key: str, where: str):
-    if key not in d:
-        raise ScenarioError(f"{where}.{key}", "missing required field")
-    return d[key]
-
-
-def _positive(value, where: str) -> float:
-    try:
-        value = float(value)
-    except (TypeError, ValueError):
-        raise ScenarioError(where, f"must be a number, got {value!r}") from None
-    if not value > 0:
-        raise ScenarioError(where, f"must be > 0, got {value!r}")
-    return value
-
-
-def _parse_cap(raw, where: str) -> CapSpec:
-    if raw is None:
-        return CapSpec(kind="none")
-    if isinstance(raw, (int, float)):
-        return CapSpec(kind="fixed", cap=_positive(raw, where))
-    if isinstance(raw, dict):
-        kind = raw.get("kind")
+# Typed readers, document value -> attribute value.  A reader raises ScenarioError
+# with a path relative to its value; each block or list that holds the value
+# prefixes its key on the way out, so paths are built only for a failure.
+def _number(value) -> float:
+    if isinstance(value, (int, float)) and not isinstance(value, bool) and value == value:
         try:
-            if kind == "fixed":
-                return CapSpec(kind="fixed", cap=float(raw["cap"]))
-            if kind == "random":
-                choices = raw.get("choices")
-                return CapSpec(
-                    kind="random",
-                    lo=float(raw.get("lo", 1.0)),
-                    hi=float(raw.get("hi", 2.0)),
-                    dwell=float(raw.get("dwell", 40.0)),
-                    choices=(tuple(float(c) for c in choices) if choices else None),
-                )
-            if kind == "breakpoints":
-                return CapSpec(
-                    kind="breakpoints",
-                    breakpoints=tuple((float(t), float(c)) for t, c in raw["breakpoints"]),
-                )
-            if kind == "none":
-                return CapSpec(kind="none")
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ScenarioError(where, f"invalid cap profile: {exc}") from exc
-        raise ScenarioError(where, f"unknown cap kind {kind!r}")
-    raise ScenarioError(where, f"expected null, number, or object, got {raw!r}")
+            return float(value)
+        except OverflowError:
+            pass
+    raise ScenarioError("", f"must be a number, got {value!r}")
 
 
-def _parse_user(raw: dict, where: str) -> UserSpec:
-    video_raw = _require(raw, "video", where)
+def _typed(ok: Callable, what: str) -> Callable:
+    def read(value):
+        if ok(value):
+            return value
+        raise ScenarioError("", f"must be {what}, got {value!r}")
+    return read
+
+
+_integer = _typed(lambda v: isinstance(v, int) and not isinstance(v, bool), "an integer")
+_flag = _typed(lambda v: isinstance(v, bool), "true or false")
+_text = _typed(lambda v: isinstance(v, str), "a string")
+
+
+def _optional(read: Callable) -> Callable:
+    return lambda value: None if value is None else read(value)
+
+
+def _list_of(read: Callable, what: str = "a list", size_ok: Callable = lambda n: True) -> Callable:
+    def read_list(value) -> tuple:
+        if not (isinstance(value, list) and size_ok(len(value))):
+            raise ScenarioError("", f"must be {what}, got {value!r}")
+        try:
+            return tuple(map(read, value))
+        except ScenarioError:
+            for i, item in enumerate(value):  # the failing item, for the path
+                try:
+                    read(item)
+                except ScenarioError as exc:
+                    raise exc.within(f"[{i}]") from None
+            raise
+    return read_list
+
+
+_numbers = _list_of(_number)
+_pairs = _list_of(_list_of(_number, "a [time, value] pair", lambda n: n == 2))
+
+
+class _Table:
+    """One block: its document keys in order, and the callable that builds it.
+
+    Each key maps to its reader, or to a (reader, writer) pair for a nested
+    block.  A key names the builder's keyword and the built object's attribute
+    unless ``renamed`` maps it to another, and is required when that keyword
+    has no default.  With ``kinds``, each kind uses only the keys listed.
+    """
+
+    def __init__(self, build: Callable, renamed=None, kinds=None, **fields):
+        self.build = build
+        self.kinds = kinds
+        self.fields = {
+            key: ((renamed or {}).get(key, key), *(f if isinstance(f, tuple) else (f, None)))
+            for key, f in fields.items()
+        }
+        keywords = inspect.signature(build).parameters
+        self.required = [
+            (key, attr) for key, (attr, _, _) in self.fields.items()
+            if keywords[attr].default is inspect.Parameter.empty
+        ]
+
+    def read(self, raw, given: dict) -> dict:
+        """The builder's keywords: ``given`` plus the fields of object ``raw``."""
+        if not isinstance(raw, dict):
+            raise ScenarioError("", f"must be an object, got {raw!r}")
+        fields = self.fields
+        for key, value in raw.items():
+            if key not in fields:
+                raise ScenarioError(key, f"unknown field; expected one of {list(fields)}")
+            attr, read, _ = fields[key]
+            try:
+                given[attr] = read(value)
+            except ScenarioError as exc:
+                raise exc.within(key) from None
+        for key, attr in self.required:
+            if attr not in given:
+                raise ScenarioError(key, "missing required field")
+        if self.kinds:
+            kind = given.get("kind")
+            if kind not in self.kinds:
+                raise ScenarioError("kind", "missing required field" if kind is None
+                                    else f"must be one of {tuple(self.kinds)}, got {kind!r}")
+            for key, value in raw.items():
+                if value is not None and key != "kind" and key not in self.kinds[kind]:
+                    raise ScenarioError(key, f"not used by kind {kind!r}")
+        return given
+
+    def make(self, kwargs: dict):
+        """Build the block; a range error is reported at the first field it names."""
+        try:
+            return self.build(**kwargs)
+        except ValueError as exc:
+            keys = {attr: key for key, (attr, _, _) in self.fields.items()}
+            named = re.search(r"\b(%s)\b" % "|".join(keys), str(exc))
+            raise ScenarioError(keys[named[1]] if named else "", str(exc)) from None
+
+    def read_block(self, raw):
+        return self.make(self.read(raw, {}))
+
+    def write(self, obj, kind: Optional[str] = None) -> dict:
+        """The block's document (with a kind: the kind and the set keys it uses).
+
+        A value without a writer is written as stored, a tuple as a list."""
+        doc = {} if kind is None else {"kind": kind}
+        for key in self.fields if kind is None else self.kinds[kind]:
+            attr, _, write = self.fields[key]
+            value = getattr(obj, attr)
+            if write is not None:
+                doc[key] = write(value)
+            elif isinstance(value, tuple):
+                doc[key] = [list(v) if isinstance(v, tuple) else v for v in value]
+            elif value is not None or kind is None:
+                doc[key] = value
+        return doc
+
+
+_VIDEO = _Table(VideoQualityModel, alpha=_number, beta=_number, ladder=_numbers, metric_label=_text)
+
+_CAP = _Table(
+    CapSpec,
+    kinds={"none": (), "fixed": ("cap",), "random": ("lo", "hi", "dwell", "choices"),
+           "breakpoints": ("breakpoints",)},
+    kind=_text, cap=_optional(_number), lo=_number, hi=_number, dwell=_number,
+    choices=_optional(_numbers), breakpoints=_optional(_pairs),
+)
+
+
+def _read_cap(raw) -> CapSpec:
+    """``cap_profile``: null (no cap), a number (a fixed cap) or an object with a kind."""
+    if raw is None:
+        return CapSpec()
+    if isinstance(raw, dict):
+        return _CAP.read_block(raw)
     try:
-        video = VideoQualityModel(
-            alpha=float(_require(video_raw, "alpha", f"{where}.video")),
-            beta=float(_require(video_raw, "beta", f"{where}.video")),
-            ladder=tuple(float(r) for r in _require(video_raw, "ladder", f"{where}.video")),
-            metric_label=str(video_raw.get("metric_label", "")),
-        )
-    except ScenarioError:
-        raise
-    except ValueError as exc:
-        raise ScenarioError(f"{where}.video", str(exc)) from exc
-    theta = _positive(_require(raw, "theta", where), f"{where}.theta")
-    b_ref = _positive(_require(raw, "b_ref", where), f"{where}.b_ref")
-    policy = raw.get("policy", "game")
-    if policy not in POLICIES:
-        raise ScenarioError(f"{where}.policy", f"must be one of {POLICIES}, got {policy!r}")
-    spec = UserSpec(
-        video=video,
-        theta=theta,
-        b_ref=b_ref,
-        policy=policy,
-        cap=_parse_cap(raw.get("cap_profile"), f"{where}.cap_profile"),
-        r_init=float(raw.get("r_init", 0.1)),
-        r_min=float(raw.get("r_min", 0.05)),
-        r_max=(float(raw["r_max"]) if raw.get("r_max") is not None else None),
-        max_step_fraction=float(raw.get("max_step_fraction", 0.25)),
-        epsilon=float(raw.get("epsilon", 1e-4)),
-        estimator_weight=float(raw.get("estimator_weight", 0.2)),
-        qf_startup=float(raw.get("qf_startup", 10.0)),
-        bf_gain=float(raw.get("bf_gain", 0.5)),
-    )
-    try:
-        spec.adapt_config()
-    except ValueError as exc:
-        raise ScenarioError(where, str(exc)) from exc
-    return spec
+        return _CAP.make({"kind": "fixed", "cap": _number(raw)})
+    except ScenarioError as exc:  # reported at cap_profile itself
+        raise ScenarioError("", exc.message) from None
+
+
+_USER = _Table(
+    UserSpec,
+    renamed={"cap_profile": "cap"},
+    video=(_VIDEO.read_block, _VIDEO.write),
+    theta=_number, b_ref=_number, policy=_text,
+    cap_profile=(_read_cap, lambda cap: None if cap.kind == "none" else _CAP.write(cap, cap.kind)),
+    r_init=_number, r_min=_number, r_max=_optional(_number), max_step_fraction=_number,
+    epsilon=_number, estimator_weight=_number, qf_startup=_number, bf_gain=_number,
+)
+
+# built with the run's segment duration once ``sim`` is read
+_PARAMS = _Table(GameParams, mu=_number, nu=_number, p=_number)
+
+_SERVER = _Table(
+    make_profile,
+    kinds={**dict.fromkeys(PROFILE_KINDS, ("base",)), "custom": ("breakpoints",)},
+    kind=_text, base=_number, breakpoints=_optional(_pairs),
+)
+
+_SIM = _Table(
+    SimConfig,
+    renamed={"seed": "rng_seed"},
+    segment_duration=_number, total_segments=_integer, initial_buffer=_number, quantize=_flag,
+    seed=_integer, resume_policy=_text, exchange_latency=_number,
+)
+
+_SCENARIO = _Table(
+    Scenario,
+    name=_text,
+    params=(lambda raw: _PARAMS.read(raw, {}), _PARAMS.write),
+    users=(_list_of(_USER.read_block, "a nonempty list", lambda n: n > 0),
+           lambda users: [_USER.write(u) for u in users]),
+    # a resolved server is written as its explicit schedule
+    server=(_SERVER.read_block, lambda server: _SERVER.write(server, "custom")),
+    sim=(_SIM.read_block, _SIM.write),
+)
 
 
 def scenario_from_dict(doc: dict, name: str = "") -> Scenario:
     """Validate a scenario document and resolve it into typed objects."""
     if not isinstance(doc, dict):
         raise ScenarioError("scenario", "document must be a JSON object")
-    sim_raw = _require(doc, "sim", "scenario")
+    kwargs = _SCENARIO.read(doc, {"name": name})
+    segment_duration = kwargs["sim"].segment_duration
     try:
-        sim = SimConfig(
-            total_segments=int(_require(sim_raw, "total_segments", "sim")),
-            segment_duration=float(sim_raw.get("segment_duration", 2.0)),
-            initial_buffer=float(sim_raw.get("initial_buffer", 2.0)),
-            quantize=bool(sim_raw.get("quantize", False)),
-            rng_seed=int(sim_raw.get("seed", 0)),
-            resume_policy=str(sim_raw.get("resume_policy", "next-segment")),
-            exchange_latency=float(sim_raw.get("exchange_latency", 0.0)),
-        )
-    except ScenarioError:
-        raise
-    except ValueError as exc:
-        raise ScenarioError("sim", str(exc)) from exc
-
-    params_raw = _require(doc, "params", "scenario")
-    try:
-        params = GameParams(
-            mu=float(_require(params_raw, "mu", "params")),
-            nu=float(_require(params_raw, "nu", "params")),
-            p=float(_require(params_raw, "p", "params")),
-            segment_duration=sim.segment_duration,
-        )
-    except ScenarioError:
-        raise
-    except ValueError as exc:
-        raise ScenarioError("params", str(exc)) from exc
-
-    users_raw = _require(doc, "users", "scenario")
-    if not isinstance(users_raw, list) or not users_raw:
-        raise ScenarioError("users", "must be a nonempty list")
-    users = tuple(
-        _parse_user(u, f"users[{i}]") for i, u in enumerate(users_raw)
-    )
-
-    server_raw = _require(doc, "server", "scenario")
-    try:
-        server = make_profile(
-            kind=str(_require(server_raw, "kind", "server")),
-            base=float(server_raw.get("base", 6.0)),
-            breakpoints=server_raw.get("breakpoints"),
-        )
-    except ScenarioError:
-        raise
-    except ValueError as exc:
-        raise ScenarioError("server", str(exc)) from exc
-
-    return Scenario(
-        name=str(doc.get("name", name)),
-        params=params,
-        users=users,
-        server=server,
-        sim=sim,
-    )
+        kwargs["params"] = _PARAMS.make({**kwargs["params"], "segment_duration": segment_duration})
+    except ScenarioError as exc:
+        raise exc.within("params") from None
+    return Scenario(**kwargs)
 
 
 def scenario_to_dict(sc: Scenario) -> dict:
     """Serialise a resolved scenario back into its document form."""
-    users = []
-    for u in sc.users:
-        cap = None
-        if u.cap.kind == "fixed":
-            cap = {"kind": "fixed", "cap": u.cap.cap}
-        elif u.cap.kind == "random":
-            cap = {"kind": "random", "lo": u.cap.lo, "hi": u.cap.hi, "dwell": u.cap.dwell}
-            if u.cap.choices is not None:
-                cap["choices"] = list(u.cap.choices)
-        elif u.cap.kind == "breakpoints":
-            cap = {"kind": "breakpoints", "breakpoints": [list(bp) for bp in u.cap.breakpoints]}
-        users.append({
-            "video": {
-                "alpha": u.video.alpha,
-                "beta": u.video.beta,
-                "ladder": list(u.video.ladder),
-                "metric_label": u.video.metric_label,
-            },
-            "theta": u.theta,
-            "b_ref": u.b_ref,
-            "policy": u.policy,
-            "cap_profile": cap,
-            "r_init": u.r_init,
-            "r_min": u.r_min,
-            "r_max": u.r_max,
-            "max_step_fraction": u.max_step_fraction,
-            "epsilon": u.epsilon,
-            "estimator_weight": u.estimator_weight,
-            "qf_startup": u.qf_startup,
-            "bf_gain": u.bf_gain,
-        })
-    return {
-        "name": sc.name,
-        "params": {"mu": sc.params.mu, "nu": sc.params.nu, "p": sc.params.p},
-        "users": users,
-        "server": {
-            "kind": "custom",
-            "breakpoints": [list(bp) for bp in sc.server.breakpoints],
-        },
-        "sim": {
-            "segment_duration": sc.sim.segment_duration,
-            "total_segments": sc.sim.total_segments,
-            "initial_buffer": sc.sim.initial_buffer,
-            "quantize": sc.sim.quantize,
-            "seed": sc.sim.rng_seed,
-            "resume_policy": sc.sim.resume_policy,
-            "exchange_latency": sc.sim.exchange_latency,
-        },
-    }
+    return _SCENARIO.write(sc)
 
 
 def load_scenario(path: str) -> Scenario:
@@ -308,11 +323,8 @@ def load_scenario(path: str) -> Scenario:
 
 
 def list_presets() -> list[str]:
-    names = []
-    for entry in resources.files("dashgame.presets").iterdir():
-        if entry.name.endswith(".json"):
-            names.append(entry.name[:-5])
-    return sorted(names)
+    entries = resources.files("dashgame.presets").iterdir()
+    return sorted(e.name[:-5] for e in entries if e.name.endswith(".json"))
 
 
 def load_preset(name: str) -> Scenario:
@@ -332,19 +344,11 @@ def recalibrate_nu(sc: Scenario, r_target: Optional[float] = None) -> Scenario:
     video = sc.users[0].video
     bw0 = sc.server.breakpoints[0][1]
     nu = calibrate_nu(
-        alpha=video.alpha,
-        beta=video.beta,
-        mu=sc.params.mu,
-        segment_duration=sc.params.segment_duration,
-        export_bw=bw0,
-        n_users=len(sc.users),
-        r_target=r_target,
+        alpha=video.alpha, beta=video.beta, mu=sc.params.mu,
+        segment_duration=sc.params.segment_duration, export_bw=bw0,
+        n_users=len(sc.users), r_target=r_target,
     )
-    params = GameParams(
-        mu=sc.params.mu, nu=nu, p=sc.params.p,
-        segment_duration=sc.params.segment_duration,
-    )
-    return replace(sc, params=params)
+    return replace(sc, params=replace(sc.params, nu=nu))
 
 
 def apply_override(doc: dict, dotted_key: str, value) -> None:
@@ -353,35 +357,30 @@ def apply_override(doc: dict, dotted_key: str, value) -> None:
     A ``*`` component fans out over every element of a list.  Used by the
     CLI for sweep grids and one-off overrides.
     """
-    parts = dotted_key.split(".")
+    def index(tgt, part: str) -> int:
+        if not isinstance(tgt, list):
+            raise ScenarioError(dotted_key, f"cannot index a {type(tgt).__name__} with {part!r}")
+        try:
+            return range(len(tgt))[int(part)]
+        except (ValueError, IndexError):
+            raise ScenarioError(dotted_key, f"bad list index {part!r}") from None
+
+    *path, leaf = dotted_key.split(".")
     targets = [doc]
-    for part in parts[:-1]:
+    for part in path:
         spread = []
         for tgt in targets:
             if part == "*":
                 if not isinstance(tgt, list):
                     raise ScenarioError(dotted_key, f"cannot fan out over non-list at {part!r}")
                 spread.extend(tgt)
-            elif isinstance(tgt, list):
-                try:
-                    spread.append(tgt[int(part)])
-                except (ValueError, IndexError) as exc:
-                    raise ScenarioError(dotted_key, f"bad list index {part!r}") from exc
             elif isinstance(tgt, dict):
-                if part not in tgt:
-                    tgt[part] = {}
-                spread.append(tgt[part])
+                spread.append(tgt.setdefault(part, {}))
             else:
-                raise ScenarioError(dotted_key, f"cannot descend into {type(tgt).__name__}")
+                spread.append(tgt[index(tgt, part)])
         targets = spread
-    leaf = parts[-1]
     for tgt in targets:
         if isinstance(tgt, dict):
             tgt[leaf] = value
-        elif isinstance(tgt, list):
-            try:
-                tgt[int(leaf)] = value
-            except (ValueError, IndexError) as exc:
-                raise ScenarioError(dotted_key, f"bad list index {leaf!r}") from exc
         else:
-            raise ScenarioError(dotted_key, f"cannot assign into {type(tgt).__name__}")
+            tgt[index(tgt, leaf)] = value

@@ -1,6 +1,7 @@
 """End-to-end CLI runs: files, exit codes, reproducibility."""
 
 import json
+import math
 
 import numpy as np
 import pytest
@@ -58,6 +59,75 @@ def test_simulate_validation_error_exit_2(tmp_path, capsys):
     assert code == 2
     err = json.loads(stderr)
     assert "theta" in err["error"]["message"]
+
+
+def _valid_doc():
+    return {
+        "params": {"mu": 0.003, "nu": 0.0041, "p": 0.1},
+        "users": [{"video": {"alpha": 2.15, "beta": 0.0827, "ladder": [1.0, 2.0, 3.0]},
+                   "theta": 100.0, "b_ref": 15.0}],
+        "server": {"kind": "fixed", "base": 6.0},
+        "sim": {"segment_duration": 2.0, "total_segments": 10},
+    }
+
+
+# (path of the value to set, value, field the error must name)
+MALFORMED = [
+    (("sim", "quantize"), "false", "sim.quantize"),
+    (("users", 0, "video", "ladder"), "123", "users[0].video.ladder"),
+    (("sim", "total_segments"), 2.7, "sim.total_segments"),
+    (("sim", "total_segments"), True, "sim.total_segments"),
+    (("users", 0, "cap_profile"), True, "users[0].cap_profile"),
+    (("params", "mu"), "0.003", "params.mu"),
+    (("users", 0, "thetta"), 100.0, "users[0].thetta"),
+    (("users", 0), "user", "users[0]"),
+    (("sim", "seed"), None, "sim.seed"),
+    (("server",), {"kind": "custom", "breakpoints": [[0, math.nan]]}, "server.breakpoints[0][1]"),
+    (("server",), {"kind": "custom", "breakpoints": [[0, math.inf]]}, "server.breakpoints"),
+    (("server", "base"), math.inf, "server.base"),
+    (("sim", "initial_buffer"), math.nan, "sim.initial_buffer"),
+    (("sim", "initial_buffer"), math.inf, "sim.initial_buffer"),
+    (("sim", "exchange_latency"), math.nan, "sim.exchange_latency"),
+    (("sim", "exchange_latency"), math.inf, "sim.exchange_latency"),
+    (("users", 0, "cap_profile"), {"kind": "random", "lo": 1.0, "hi": math.inf},
+     "users[0].cap_profile.hi"),
+    (("users", 0, "cap_profile"), {"kind": "random", "dwell": math.nan},
+     "users[0].cap_profile.dwell"),
+    (("users", 0, "cap_profile"), {"kind": "fixed", "cap": 2.0, "lo": 1.0},
+     "users[0].cap_profile.lo"),
+    (("server",), {"kind": "custom", "base": 9.0, "breakpoints": [[0, 6.0]]}, "server.base"),
+    (("users", 0, "estimator_weight"), 0.0, "users[0].estimator_weight"),
+]
+
+
+@pytest.mark.parametrize("path, value, fieldname", MALFORMED)
+def test_malformed_scenario_exits_2_naming_the_field(tmp_path, capsys, path, value, fieldname):
+    doc = _valid_doc()
+    *head, leaf = path
+    target = doc
+    for part in head:
+        target = target[part]
+    target[leaf] = value
+    scenario = tmp_path / "scenario.json"
+    scenario.write_text(json.dumps(doc))  # NaN and Infinity as JSON extensions
+    code, _, stderr = run_cli(
+        capsys, "simulate", "--scenario", str(scenario), "--out", str(tmp_path / "x"),
+    )
+    assert code == 2
+    assert json.loads(stderr)["error"]["message"].startswith(fieldname + ":")
+
+
+@pytest.mark.parametrize("param, fieldname", [
+    ("sim.quantize=False", "sim.quantize"),
+    ("server.base=9", "server.base"),
+])
+def test_param_override_the_run_would_ignore_exits_2(tmp_path, capsys, param, fieldname):
+    code, _, stderr = run_cli(
+        capsys, "simulate", "--preset", "case1-fixed", "--param", param,
+        "--out", str(tmp_path / "x"),
+    )
+    assert code == 2
+    assert json.loads(stderr)["error"]["message"].startswith(fieldname + ":")
 
 
 def test_simulate_requires_a_source(tmp_path, capsys):

@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 from dashgame.netsim import (
     BandwidthProfile,
     CapSpec,
+    SimConfig,
     SimulationError,
     allocate_shares,
     bandwidth_at,
@@ -157,6 +158,33 @@ def test_cap_spec_breakpoints_validation(schedule, message):
     with pytest.raises(ValueError, match="CapSpec.breakpoints") as info:
         CapSpec(kind="breakpoints", breakpoints=schedule)
     assert message in str(info.value)
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: BandwidthProfile(breakpoints=((0.0, math.nan),)), "bandwidths must be finite"),
+    (lambda: BandwidthProfile(breakpoints=((0.0, math.inf),)), "bandwidths must be finite"),
+    (lambda: BandwidthProfile(breakpoints=((0.0, 6.0), (math.inf, 3.0))), "times must be finite"),
+    (lambda: BandwidthProfile(breakpoints=((0.0, 6.0), (math.nan, 3.0))), "strictly increasing"),
+    (lambda: make_profile("fixed", base=math.inf), "base bandwidth"),
+    (lambda: make_profile("staged", base=2.0), "base bandwidth must be finite and > 2"),
+    (lambda: SimConfig(total_segments=5, initial_buffer=math.nan), "initial_buffer"),
+    (lambda: SimConfig(total_segments=5, initial_buffer=math.inf), "initial_buffer"),
+    (lambda: SimConfig(total_segments=5, exchange_latency=math.nan), "exchange_latency"),
+    (lambda: SimConfig(total_segments=5, exchange_latency=math.inf), "exchange_latency"),
+    (lambda: SimConfig(total_segments=5, segment_duration=math.inf), "segment_duration"),
+    (lambda: SimConfig(total_segments=5, rng_seed=-1), "rng_seed"),
+    (lambda: CapSpec(kind="random", hi=math.inf), "CapSpec.hi"),
+    (lambda: CapSpec(kind="random", lo=math.nan), "CapSpec.lo"),
+    (lambda: CapSpec(kind="random", dwell=math.nan), "CapSpec.dwell"),
+    (lambda: CapSpec(kind="random", dwell=math.inf), "CapSpec.dwell"),
+    (lambda: CapSpec(kind="random", choices=(1.0, math.inf)), "CapSpec.choices"),
+    (lambda: CapSpec(kind="fixed", cap=math.inf), "CapSpec.cap"),
+    (lambda: CapSpec(kind="breakpoints", breakpoints=((0.0, 1.0), (math.inf, 2.0))),
+     "times must be finite"),
+])
+def test_non_finite_values_rejected_at_construction(build, message):
+    with pytest.raises(ValueError, match=message):
+        build()
 
 
 def test_cap_spec_breakpoints_schedule_values():

@@ -1,9 +1,12 @@
 """Scenario documents: validation messages, round trips, presets, overrides."""
 
 import json
+import math
 
 import pytest
 
+from dashgame.adapt import AdaptConfig
+from dashgame.baselines import ThroughputEstimator
 from dashgame.netsim import calibrate_nu, run_scenario
 from dashgame.scenarios import (
     ScenarioError,
@@ -103,6 +106,63 @@ def test_validation_bad_ladder():
     with pytest.raises(ScenarioError) as err:
         scenario_from_dict(doc)
     assert "video" in str(err.value)
+
+
+def test_user_defaults_are_the_adaptation_defaults():
+    user = scenario_from_dict(minimal_doc()).users[0]
+    assert user.adapt_config() == AdaptConfig(theta=100.0, r_max=3.0)
+    assert user.estimator_weight == ThroughputEstimator().weight
+
+
+def test_numbers_are_stored_as_floats_and_integers_stay_integers():
+    doc = minimal_doc()
+    doc["users"][0]["theta"] = 100
+    doc["sim"].update(seed=3, initial_buffer=0)
+    written = scenario_to_dict(scenario_from_dict(doc))
+    assert type(written["users"][0]["theta"]) is float
+    assert type(written["sim"]["initial_buffer"]) is float
+    assert type(written["sim"]["seed"]) is int
+
+
+@pytest.mark.parametrize("path, value, fieldname", [
+    (("sim", "quantize"), 1, "sim.quantize"),
+    (("sim", "seed"), 3.0, "sim.seed"),
+    (("name",), 5, "name"),
+    (("users", 0, "policy"), None, "users[0].policy"),
+    (("users", 0, "r_max"), "4", "users[0].r_max"),
+    (("users", 0, "video", "ladder"), [1.0, "2"], "users[0].video.ladder[1]"),
+    (("users", 0, "video", "alpha"), 10**400, "users[0].video.alpha"),
+    (("users", 0, "video", "beta"), -1.0, "users[0].video.beta"),
+    (("users", 0, "r_init"), 0.01, "users[0].r_init"),
+    (("users", 0, "bf_gain"), math.inf, "users[0].bf_gain"),
+    (("users", 0, "policy"), "greedy", "users[0].policy"),
+    (("users", 0, "cap_profile"), {"lo": 1.0}, "users[0].cap_profile.kind"),
+    (("users", 0, "cap_profile"), -1.0, "users[0].cap_profile"),
+    (("server",), {"kind": "fixed", "breakpoints": [[0, 6.0]]}, "server.breakpoints"),
+    (("server",), {"kind": "custom", "breakpoints": [[0, 6.0, 1.0]]}, "server.breakpoints[0]"),
+    (("server",), {"kind": "custom"}, "server.breakpoints"),
+    (("sim", "resume_policy"), "restart", "sim.resume_policy"),
+    (("users",), [], "users"),
+    (("params",), [], "params"),
+])
+def test_typed_readers_name_the_field(path, value, fieldname):
+    doc = minimal_doc()
+    *head, leaf = path
+    target = doc
+    for part in head:
+        target = target[part]
+    target[leaf] = value
+    with pytest.raises(ScenarioError) as err:
+        scenario_from_dict(doc)
+    assert err.value.fieldname == fieldname
+
+
+def test_keys_outside_the_kind_may_be_null():
+    doc = minimal_doc()
+    doc["server"] = {"kind": "staged", "base": 6.0, "breakpoints": None}
+    doc["users"][0]["cap_profile"] = {"kind": "fixed", "cap": 2.0, "choices": None}
+    sc = scenario_from_dict(doc)
+    assert sc.server.kind == "staged" and sc.users[0].cap.cap == 2.0
 
 
 def test_load_scenario_file_and_manifest(tmp_path):
