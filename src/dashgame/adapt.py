@@ -10,8 +10,10 @@ exactly the stationary points of the static game.
 The message types (`PayoffQuery`/`PayoffReply`) are immutable named tuples;
 the event loop hands each query to `PayoffServer.handle_query` directly.
 
-`PayoffServer` checks every value when it arrives: the constants and first
-rate at `register`, each requested rate at `note_request`, and a query's own
+Users register with `PayoffServer` once each, in id order 0, 1, ..., so a
+user's id is its index into the server's list of last requested rates.  The
+server checks every value when it arrives: the constants and first rate at
+`register`, each requested rate at `note_request`, and a query's own
 buffer, rate and the export bandwidth.  So a query makes O(1) checks and
 copies nothing; only its two loads are O(N) sums.  `payoff_gradient_server`,
 the stateless form, checks all of its inputs and then runs the same
@@ -21,7 +23,6 @@ central-difference core.
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
@@ -192,15 +193,6 @@ class UserSession:
     b_ref: float
     b_0: float = 0.0
 
-    def query(self) -> PayoffQuery:
-        return PayoffQuery(user_id=self.user_id, b_curr=self.b_curr, last_rate=self.rate)
-
-
-class _Registered:
-    """One user's entry in the server registry."""
-
-    __slots__ = ("model", "epsilon", "b_ref", "b_0", "b_curr", "pos")
-
 
 def _is_rate(value: float) -> bool:
     """True for a finite rate >= 0 (False for NaN)."""
@@ -210,14 +202,13 @@ def _is_rate(value: float) -> bool:
 class PayoffServer:
     """Server side of the payoff exchange.
 
-    Holds the utility constants, the current export bandwidth and one
-    registry entry per user: its video model, adaptation epsilon, buffer
-    constants, last reported buffer and its position in the list of last
-    requested rates, which is kept in user-id order.  Positions are set at
-    ``register``, so a query looks nothing up but its own entry.
+    Holds the utility constants, the current export bandwidth and, per user,
+    its video model, adaptation epsilon, reference buffer and last requested
+    rate.  Users register once each, in id order 0, 1, ..., so a user's id
+    is its index into the server's lists and a query looks nothing up.
 
     Every value is checked when it arrives, and an error names the user and
-    the field, so the registry only ever holds valid rates and constants and
+    the field, so the server only ever holds valid rates and constants and
     a query need not check them again.  ``export_bw`` is a plain attribute
     the caller may update between queries; each query checks it.
     """
@@ -225,7 +216,7 @@ class PayoffServer:
     def __init__(self, params: GameParams, export_bw: float) -> None:
         self.params = params
         self.export_bw = export_bw
-        self._users: dict[int, _Registered] = {}
+        self._users: list[tuple[VideoQualityModel, float, float]] = []  # model, epsilon, b_ref
         self._rates: list[float] = []
 
     def register(
@@ -234,61 +225,41 @@ class PayoffServer:
         model: VideoQualityModel,
         b_ref: float,
         initial_rate: float,
-        initial_b_curr: float,
         epsilon: float = AdaptConfig.epsilon,
-        b_0: float = 0.0,
     ) -> None:
+        """Add the next user; ``user_id`` must equal the number registered so far."""
         where = f"PayoffServer.register user {user_id}"
+        if user_id != len(self._rates):
+            raise ValueError(
+                f"{where}: users register in id order, expected user {len(self._rates)}"
+            )
         if not _is_rate(initial_rate):
             raise ValueError(f"{where}: initial_rate must be finite and >= 0, got {initial_rate!r}")
-        if not math.isfinite(initial_b_curr):
-            raise ValueError(f"{where}: initial_b_curr must be finite, got {initial_b_curr!r}")
         if not (math.isfinite(epsilon) and epsilon > 0):
             raise ValueError(f"{where}: epsilon must be finite and > 0, got {epsilon!r}")
         if not (math.isfinite(b_ref) and b_ref > 0):
             raise ValueError(f"{where}: b_ref must be finite and > 0, got {b_ref!r}")
-        if not math.isfinite(b_0):
-            raise ValueError(f"{where}: b_0 must be finite, got {b_0!r}")
-        entry = self._users.get(user_id)
-        if entry is None:
-            ids = sorted(self._users)
-            pos = bisect_left(ids, user_id)
-            self._rates.insert(pos, initial_rate)
-            for later in ids[pos:]:
-                self._users[later].pos += 1
-            entry = self._users[user_id] = _Registered()
-            entry.pos = pos
-        else:
-            self._rates[entry.pos] = initial_rate
-        entry.model = model
-        entry.epsilon = epsilon
-        entry.b_ref = b_ref
-        entry.b_0 = b_0
-        entry.b_curr = initial_b_curr
+        self._users.append((model, epsilon, b_ref))
+        self._rates.append(initial_rate)
 
-    @property
-    def user_ids(self) -> list[int]:
-        return sorted(self._users)
-
-    def _entry(self, user_id: int) -> _Registered:
-        try:
-            return self._users[user_id]
-        except KeyError:
-            raise KeyError(f"unknown user id {user_id}") from None
+    def _user(self, user_id: int) -> tuple[VideoQualityModel, float, float]:
+        if not 0 <= user_id < len(self._users):
+            raise KeyError(f"unknown user id {user_id}")
+        return self._users[user_id]
 
     def note_request(self, user_id: int, rate: float) -> None:
         """Record the rate a user actually requested its next segment at."""
-        entry = self._entry(user_id)
+        self._user(user_id)
         if not _is_rate(rate):
             raise ValueError(
                 f"PayoffServer.note_request user {user_id}: rate must be finite and >= 0,"
                 f" got {rate!r}"
             )
-        self._rates[entry.pos] = rate
+        self._rates[user_id] = rate
 
     def handle_query(self, query: PayoffQuery) -> PayoffReply:
         user_id, b_curr, last_rate = query
-        entry = self._entry(user_id)
+        model, epsilon, b_ref = self._user(user_id)
         export_bw = self.export_bw
         if not math.isfinite(b_curr):
             raise ValueError(
@@ -301,12 +272,10 @@ class PayoffServer:
             )
         if not 0 < export_bw < math.inf:
             raise ValueError(f"PayoffServer.export_bw must be finite and > 0, got {export_bw!r}")
-        entry.b_curr = b_curr
-        self._rates[entry.pos] = last_rate
-        a_f = adjustment_factor(self.params.p, b_curr, entry.b_ref)
+        self._rates[user_id] = last_rate
+        a_f = adjustment_factor(self.params.p, b_curr, b_ref)
         grad = _central_difference(
-            self.params, entry.model, export_bw, self._rates, entry.pos, entry.epsilon, a_f,
-            entry.b_0,
+            self.params, model, export_bw, self._rates, user_id, epsilon, a_f, 0.0
         )
         return PayoffReply(user_id, grad)
 

@@ -50,7 +50,8 @@ def qf_decide(
     est: ThroughputEstimator,
     ladder: Sequence[float],
     b_curr: float,
-    startup_threshold: float = 10.0,
+    *,
+    startup_threshold: float,
 ) -> float:
     """Quality-first rung choice: aggressive and buffer-blind past startup."""
     if b_curr < startup_threshold or est.ewma is None:
@@ -63,7 +64,8 @@ def bf_decide(
     ladder: Sequence[float],
     b_curr: float,
     b_ref: float,
-    gain: float = 0.5,
+    *,
+    gain: float,
 ) -> float:
     """Buffer-first rung choice: throughput estimate scaled by buffer error.
 

@@ -18,9 +18,10 @@ in the shortfall term is the buffer at segment completion.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Optional, Sequence
 
+from .model import serial_sum
 from .netsim import SessionTrace
 
 __all__ = ["QoeMetricParams", "SummaryStats", "qoe1", "qoe2", "summarize"]
@@ -58,17 +59,7 @@ class SummaryStats:
     avg_buffer: float
 
     def to_dict(self) -> dict:
-        return {
-            "avg_rate": self.avg_rate,
-            "rate_stddev": self.rate_stddev,
-            "switch_count": self.switch_count,
-            "avg_switch_amplitude": self.avg_switch_amplitude,
-            "avg_quality": self.avg_quality,
-            "quality_stddev": self.quality_stddev,
-            "stall_count": self.stall_count,
-            "stall_total": self.stall_total,
-            "avg_buffer": self.avg_buffer,
-        }
+        return asdict(self)
 
 
 def _require_records(trace: SessionTrace) -> None:
@@ -83,7 +74,7 @@ def _start_buffers(trace: SessionTrace) -> list[float]:
 
 
 def _stall_penalty(trace: SessionTrace) -> float:
-    return sum(
+    return serial_sum(
         max(0.0, rec.download_time - b)
         for rec, b in zip(trace.records, _start_buffers(trace))
     )
@@ -101,8 +92,8 @@ def qoe1(
     if _stall is None:
         _stall = _stall_penalty(trace)
     rates = [rec.quantized_rate for rec in trace.records]
-    switches = sum(abs(b - a) for a, b in zip(rates, rates[1:]))
-    return sum(rates) - params.xi * switches - params.psi * _stall
+    switches = serial_sum(abs(b - a) for a, b in zip(rates, rates[1:]))
+    return serial_sum(rates) - params.xi * switches - params.psi * _stall
 
 
 def qoe2(
@@ -116,12 +107,12 @@ def qoe2(
     if _stall is None:
         _stall = _stall_penalty(trace)
     qs = [rec.quality for rec in trace.records]
-    switches = sum(abs(b - a) for a, b in zip(qs, qs[1:]))
-    shortfall = sum(
+    switches = serial_sum(abs(b - a) for a, b in zip(qs, qs[1:]))
+    shortfall = serial_sum(
         max(0.0, params.b_ref - rec.buffer) ** 2 for rec in trace.records[1:]
     )
     return (
-        sum(qs)
+        serial_sum(qs)
         - params.phi * switches
         - params.sigma * shortfall
         - params.eta * _stall
@@ -130,8 +121,8 @@ def qoe2(
 
 def _mean_std(values: Sequence[float]) -> tuple[float, float]:
     n = len(values)
-    mean = sum(values) / n
-    var = sum((v - mean) ** 2 for v in values) / n
+    mean = serial_sum(values) / n
+    var = serial_sum((v - mean) ** 2 for v in values) / n
     return mean, math.sqrt(var)
 
 
@@ -165,10 +156,11 @@ def summarize(
         avg_rate=avg_rate,
         rate_stddev=rate_std,
         switch_count=len(amplitudes),
-        avg_switch_amplitude=(sum(amplitudes) / len(amplitudes)) if amplitudes else 0.0,
+        avg_switch_amplitude=(serial_sum(amplitudes) / len(amplitudes)) if amplitudes else 0.0,
         avg_quality=avg_q,
         quality_stddev=q_std,
         stall_count=len(stalls),
-        stall_total=sum(stalls),
-        avg_buffer=sum(buffers) / len(buffers),
+        # an int 0 when nothing stalled, as summary.json has always written it
+        stall_total=serial_sum(stalls) if stalls else 0,
+        avg_buffer=serial_sum(buffers) / len(buffers),
     )

@@ -156,8 +156,9 @@ def serial_sum(values: Iterable[float]) -> float:
     This is what the builtin ``sum`` of floats does on CPython 3.10 and
     3.11; from 3.12 on, ``sum`` compensates rounding errors and can differ
     in the last bits.  Every load summed in Python (the payoff server, the
-    scalar gradient and buffer, the best response) goes through here, so
-    its rounding does not change with the interpreter version.
+    scalar gradient and buffer, the best response) and every sum in
+    ``metrics`` goes through here, so its rounding does not change with the
+    interpreter version.
     """
     total = 0.0
     for v in values:

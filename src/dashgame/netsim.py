@@ -5,15 +5,17 @@ server's export bandwidth, optionally capped per user.  Between events
 (segment completions and bandwidth/cap breakpoints) downloads accrue bits at
 constant rates and playing buffers drain at one second per second; playback
 stalls when a buffer empties and resumes when the in-flight segment lands.
-The event loop keeps its lists of downloading and waiting users from one
-event to the next and changes them only when a user finishes, starts waiting
-or ends its wait; the shares are recomputed, and checked for starved users,
-only when a breakpoint is crossed or the downloading set changes.
+The event loop keeps one list of unfinished users in user order; the
+downloading and waiting users, their shares and the check for starved users
+are recomputed from it only when a breakpoint is crossed or a user finishes,
+starts waiting or ends its wait.
 On each completion the user picks its next rate: game users exchange payoff
 messages with the server, baseline users consult their throughput
-estimator.  Each segment becomes one `TraceRecord`, an immutable named
-tuple.  Everything is seeded and event ordering is fixed, so identical
-scenarios reproduce bit-identical traces.
+estimator.  Only then does each user start its next download and report its
+rate to the server, so every reply within one event sees the same rates.
+Each segment becomes one `TraceRecord`, an immutable named tuple.
+Everything is seeded and event ordering is fixed, so identical scenarios
+reproduce bit-identical traces.
 """
 
 from __future__ import annotations
@@ -21,14 +23,14 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from dataclasses import dataclass, field
-from operator import attrgetter, itemgetter
+from operator import itemgetter
 from typing import TYPE_CHECKING, NamedTuple, Optional, Sequence
 
 import numpy as np
 
 from .adapt import PayoffQuery, PayoffServer, update_rate
 from .baselines import ThroughputEstimator, bf_decide, qf_decide
-from .model import quality, quantize_rate
+from .model import quality, quantize_rate, serial_sum
 
 if TYPE_CHECKING:  # pragma: no cover
     from .scenarios import Scenario
@@ -54,7 +56,6 @@ PROFILE_KINDS = ("fixed", "persistent", "staged", "short_term", "custom")
 
 _COMPLETION_EPS = 1e-9  # Mbits of residue treated as a finished download
 _TIME = itemgetter(0)  # time of a (time, value) breakpoint
-_USER = attrgetter("idx")  # user order of the event loop's lists
 
 
 class SimulationError(RuntimeError):
@@ -63,6 +64,26 @@ class SimulationError(RuntimeError):
 
 def _positive(x: float) -> bool:
     return 0 < x < math.inf
+
+
+def _check_schedule(points, name: str, values: str) -> None:
+    """Check a (time, value) step schedule: it starts at t=0, its times are
+    finite and strictly increasing, and its values finite and > 0."""
+    if not points:
+        raise ValueError(f"{name} must be a nonempty schedule starting at t=0")
+    if points[0][0] != 0:
+        raise ValueError(f"{name} must start at t=0, got t={points[0][0]!r}")
+    times = [t for t, _ in points]
+    if any(not b > a for a, b in zip(times, times[1:])) or not math.isfinite(times[-1]):
+        raise ValueError(f"{name} times must be finite and strictly increasing")
+    if not all(_positive(v) for _, v in points):
+        raise ValueError(f"{name} {values} must be finite and > 0")
+
+
+def _step_at(schedule, t: float):
+    """Value of the most recent (time, value) step at or before ``t``; the
+    first value before the first step."""
+    return schedule[max(bisect_right(schedule, t, key=_TIME) - 1, 0)][1]
 
 
 @dataclass(frozen=True)
@@ -74,15 +95,7 @@ class BandwidthProfile:
 
     def __post_init__(self) -> None:
         bps = tuple((float(t), float(bw)) for t, bw in self.breakpoints)
-        if not bps or bps[0][0] != 0.0:
-            raise ValueError("BandwidthProfile.breakpoints must start at t=0")
-        times = [t for t, _ in bps]
-        if any(not b > a for a, b in zip(times, times[1:])) or not math.isfinite(times[-1]):
-            raise ValueError(
-                "BandwidthProfile.breakpoints times must be finite and strictly increasing"
-            )
-        if not all(_positive(bw) for _, bw in bps):
-            raise ValueError("BandwidthProfile.breakpoints bandwidths must be finite and > 0")
+        _check_schedule(bps, "BandwidthProfile.breakpoints", "bandwidths")
         object.__setattr__(self, "breakpoints", bps)
 
 
@@ -118,7 +131,7 @@ def bandwidth_at(profile: BandwidthProfile, t: float) -> float:
     """Bandwidth of the most recent breakpoint at or before ``t``."""
     if t < 0:
         raise ValueError(f"t must be >= 0, got {t!r}")
-    return profile.breakpoints[bisect_right(profile.breakpoints, t, key=_TIME) - 1][1]
+    return _step_at(profile.breakpoints, t)
 
 
 @dataclass(frozen=True)
@@ -145,17 +158,7 @@ class CapSpec:
         if self.kind == "fixed" and not (self.cap is not None and _positive(self.cap)):
             raise ValueError(f"CapSpec.cap must be finite and > 0, got {self.cap!r}")
         if self.kind == "breakpoints":
-            if not self.breakpoints:
-                raise ValueError("CapSpec.breakpoints must be a nonempty schedule")
-            times = [t for t, _ in self.breakpoints]
-            if times[0] != 0:
-                raise ValueError(f"CapSpec.breakpoints must start at t=0, got t={times[0]!r}")
-            if any(not b > a for a, b in zip(times, times[1:])) or not math.isfinite(times[-1]):
-                raise ValueError(
-                    "CapSpec.breakpoints times must be finite and strictly increasing"
-                )
-            if not all(_positive(c) for _, c in self.breakpoints):
-                raise ValueError("CapSpec.breakpoints cap values must be finite and > 0")
+            _check_schedule(self.breakpoints, "CapSpec.breakpoints", "cap values")
         if self.kind == "random":
             if self.choices is not None:
                 if not (self.choices and all(_positive(c) for c in self.choices)):
@@ -189,7 +192,7 @@ def cap_at(schedule, t: float) -> Optional[float]:
     """Cap value of a materialized schedule at time ``t`` (None = unlimited)."""
     if schedule is None:
         return None
-    return schedule[max(bisect_right(schedule, t, key=_TIME) - 1, 0)][1]
+    return _step_at(schedule, t)
 
 
 def allocate_shares(
@@ -322,7 +325,7 @@ class SessionTrace:
         return [rec.buffer for rec in self.records]
 
     def total_stall(self) -> float:
-        return sum(rec.stall_seconds for rec in self.records)
+        return serial_sum(rec.stall_seconds for rec in self.records)
 
 
 class _UserRuntime:
@@ -372,6 +375,31 @@ def _link_state(profile, cap_schedules, boundary_times, t):
     )
 
 
+def _next_rate(rt: _UserRuntime, server: PayoffServer, T: float) -> float:
+    """The rate a user picks for its next segment when one completes.
+
+    Game users query the server and take one sub-gradient step; QF and BF
+    users fold the segment's throughput into their estimator and decide.
+    """
+    try:
+        if rt.policy == "game":
+            reply = server.handle_query(PayoffQuery(rt.idx, rt.buffer, rt.request_rate))
+            return update_rate(rt.cfg, rt.request_rate, reply.gradient_estimate)
+        last = rt.trace.records[-1]
+        rt.estimator.observe(last.quantized_rate * T / last.download_time)
+        if rt.policy == "qf":
+            return qf_decide(
+                rt.estimator, rt.ladder, rt.buffer, startup_threshold=rt.spec.qf_startup
+            )
+        if rt.policy == "bf":
+            return bf_decide(
+                rt.estimator, rt.ladder, rt.buffer, rt.spec.b_ref, gain=rt.spec.bf_gain
+            )
+        raise ValueError(f"unknown policy {rt.policy!r}")
+    except (ValueError, KeyError, IndexError) as exc:
+        raise SimulationError(f"policy failure for user {rt.idx} at segment {rt.k}: {exc}") from exc
+
+
 def run_scenario(scenario: "Scenario") -> list[SessionTrace]:
     """Run one scenario to completion and return one trace per user."""
     users = scenario.users
@@ -397,12 +425,7 @@ def run_scenario(scenario: "Scenario") -> list[SessionTrace]:
         rt = _UserRuntime(idx, u, cfg, sim.initial_buffer, quantized)
         rt.start_segment(0.0, T, quantized)
         runs.append(rt)
-        server.register(
-            idx, u.video, u.b_ref,
-            initial_rate=rt.request_rate,
-            initial_b_curr=sim.initial_buffer,
-            epsilon=cfg.epsilon,
-        )
+        server.register(idx, u.video, u.b_ref, initial_rate=rt.request_rate, epsilon=cfg.epsilon)
 
     # merged strictly-increasing event boundary times from all schedules
     boundary_times = sorted(
@@ -412,18 +435,17 @@ def run_scenario(scenario: "Scenario") -> list[SessionTrace]:
     n_boundaries = len(boundary_times)
 
     # caps and bandwidth change only at boundary times, each of which is an
-    # event: they are looked up again only when t crosses one, and the shares
-    # are recomputed only then or when the set of downloading users changes.
-    # Both lists stay in user order.
+    # event: they are looked up again only when t crosses one.  The shares,
+    # and the downloading and waiting users they are split among, are
+    # recomputed from ``active`` (the unfinished users, in user order) only
+    # then or when a user finishes, starts waiting or ends its wait.
     t = 0.0
     bidx, export_bw, caps_now = _link_state(profile, cap_schedules, boundary_times, t)
-    downloading = list(runs)
-    waiting: list[_UserRuntime] = []
-    stale = True  # the shares do not match the link state or the downloading set
-    unfinished = n
+    active = list(runs)
+    stale = True  # the shares do not match the link state or the active users
     guard_limit = 20 * (n * total_segments + n_boundaries) + 1000
     guard = 0
-    while unfinished:
+    while active:
         guard += 1
         if guard > guard_limit:
             raise SimulationError(f"event budget exceeded at t={t:.3f}s")
@@ -431,6 +453,8 @@ def run_scenario(scenario: "Scenario") -> list[SessionTrace]:
             raise SimulationError(f"simulated time exceeded the horizon at t={t:.3f}s")
 
         if stale:
+            downloading = [rt for rt in active if rt.wait_until is None]
+            waiting = [rt for rt in active if rt.wait_until is not None]
             shares = allocate_shares(export_bw, caps_now, [rt.idx for rt in downloading])
             for rt in downloading:
                 rt.share = shares[rt.idx]
@@ -453,34 +477,29 @@ def run_scenario(scenario: "Scenario") -> list[SessionTrace]:
         dt = t_next - t
         for rt in downloading:
             rt.remaining -= rt.share * dt
-        for group in (downloading, waiting):
-            for rt in group:
-                if dt < rt.buffer:
-                    rt.buffer -= dt
-                else:
-                    rt.stall_this += dt - rt.buffer
-                    rt.buffer = 0.0
+        for rt in active:
+            if dt < rt.buffer:
+                rt.buffer -= dt
+            else:
+                rt.stall_this += dt - rt.buffer
+                rt.buffer = 0.0
         t = t_next
         if bidx < n_boundaries and boundary_times[bidx] <= t:
             bidx, export_bw, caps_now = _link_state(profile, cap_schedules, boundary_times, t)
             stale = True
 
         completed = [rt for rt in downloading if rt.remaining <= _COMPLETION_EPS]
-        if waiting:
-            started = [rt for rt in waiting if rt.wait_until <= t + 1e-12]
-            if started:
-                for rt in started:
-                    rt.start_segment(t, T, quantized)
-                    server.note_request(rt.idx, rt.request_rate)
-                waiting = [rt for rt in waiting if rt.wait_until is not None]
-                downloading = sorted(downloading + started, key=_USER)
+        for rt in waiting:
+            if rt.wait_until <= t + 1e-12:
+                rt.start_segment(t, T, quantized)
+                server.note_request(rt.idx, rt.request_rate)
                 stale = True
         if not completed:
             continue
 
-        # payoff exchange for game users against the frozen pre-event rates:
-        # an updated rate reaches the server only through note_request below,
-        # after every reply of this event has been computed
+        # pass 1 records each segment and picks the user's next rate; game
+        # users query against the frozen pre-event rates, since an updated
+        # rate reaches the server only through note_request in pass 2
         server.export_bw = export_bw
         for rt in completed:
             rt.buffer += T
@@ -493,53 +512,21 @@ def run_scenario(scenario: "Scenario") -> list[SessionTrace]:
             rt.k += 1
             if rt.k >= total_segments:
                 rt.done = True
-                unfinished -= 1
-            elif rt.policy == "game":
-                try:
-                    reply = server.handle_query(PayoffQuery(rt.idx, rt.buffer, rt.request_rate))
-                    rt.request_rate = update_rate(rt.cfg, rt.request_rate, reply.gradient_estimate)
-                except (ValueError, KeyError, IndexError) as exc:
-                    raise SimulationError(
-                        f"policy failure for user {rt.idx} at segment {rt.k}: {exc}"
-                    ) from exc
+            else:
+                rt.request_rate = _next_rate(rt, server, T)
 
-        leaving = False
+        # pass 2 starts each user's next download, or parks it for the
+        # signalling delay
         for rt in completed:
             if rt.done:
-                leaving = True
-                continue
-            if rt.policy != "game":
-                last = rt.trace.records[-1]
-                sample = last.quantized_rate * T / last.download_time
-                try:
-                    rt.estimator.observe(sample)
-                    if rt.policy == "qf":
-                        rt.request_rate = qf_decide(
-                            rt.estimator, rt.ladder, rt.buffer,
-                            startup_threshold=rt.spec.qf_startup,
-                        )
-                    elif rt.policy == "bf":
-                        rt.request_rate = bf_decide(
-                            rt.estimator, rt.ladder, rt.buffer,
-                            rt.spec.b_ref, gain=rt.spec.bf_gain,
-                        )
-                    else:
-                        raise ValueError(f"unknown policy {rt.policy!r}")
-                except ValueError as exc:
-                    raise SimulationError(
-                        f"policy failure for user {rt.idx} at segment {rt.k}: {exc}"
-                    ) from exc
-            if latency > 0.0:
+                stale = True
+            elif latency > 0.0:
                 rt.wait_until = t + latency
-                leaving = True
+                stale = True
             else:
                 rt.start_segment(t, T, quantized)
                 server.note_request(rt.idx, rt.request_rate)
-        if leaving:
-            waiting = sorted(
-                waiting + [rt for rt in completed if rt.wait_until is not None], key=_USER
-            )
-            downloading = [rt for rt in downloading if not rt.done and rt.wait_until is None]
-            stale = True
+        if stale:
+            active = [rt for rt in active if not rt.done]
 
     return [rt.trace for rt in runs]

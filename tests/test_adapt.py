@@ -64,10 +64,17 @@ def test_server_rejects_bad_user_index(ref_params, ref_video):
         payoff_gradient_server(ref_params, ref_video, BW, [3.0], 1, 15.0, 1e-4, b_ref=15.0)
 
 
-def test_payoff_server_unknown_user(ref_params):
+def test_payoff_server_unknown_user(ref_params, ref_video):
     server = PayoffServer(ref_params, BW)
     with pytest.raises(KeyError):
         server.handle_query(PayoffQuery(user_id=7, b_curr=10.0, last_rate=1.0))
+    server.register(0, ref_video, b_ref=15.0, initial_rate=1.0)
+    # an id is an index, but a negative one must not wrap around
+    for uid in (-1, 1):
+        with pytest.raises(KeyError, match=f"unknown user id {uid}"):
+            server.handle_query(PayoffQuery(user_id=uid, b_curr=10.0, last_rate=1.0))
+        with pytest.raises(KeyError, match=f"unknown user id {uid}"):
+            server.note_request(uid, 1.0)
 
 
 def test_update_rate_examples():
@@ -193,8 +200,8 @@ def test_round_fixed_points_match_equilibrium():
 
 def test_payoff_server_query_round_trip(ref_params, ref_video):
     server = PayoffServer(ref_params, BW)
-    server.register(0, ref_video, b_ref=15.0, initial_rate=3.0, initial_b_curr=15.0)
-    server.register(1, ref_video, b_ref=15.0, initial_rate=3.0, initial_b_curr=15.0)
+    server.register(0, ref_video, b_ref=15.0, initial_rate=3.0)
+    server.register(1, ref_video, b_ref=15.0, initial_rate=3.0)
     reply = server.handle_query(PayoffQuery(user_id=0, b_curr=15.0, last_rate=3.0))
     ana = utility_gradient(
         ref_params, ref_video, 0, [3.0, 3.0], BufferView(b_curr=15, b_ref=15), BW
@@ -230,26 +237,38 @@ def test_server_gradient_bit_identical_to_two_utility_calls(seed, n, near_zero):
 
 
 def test_payoff_server_replies_in_user_id_order(ref_params, ref_video):
-    # positions follow the user ids, whatever order the users register in
-    rates = {4: 1.25, 1: 2.5, 9: 0.75, 2: 3.0}
+    # a user's id is its position in the rate list the gradient is taken over
+    rates = [1.25, 2.5, 0.75, 3.0]
+    b_refs = [15.0, 10.0, 15.0, 20.0]
     server = PayoffServer(ref_params, BW)
-    for uid, rate in rates.items():
-        server.register(uid, ref_video, b_ref=15.0, initial_rate=rate, initial_b_curr=15.0)
-    assert server.user_ids == [1, 2, 4, 9]
-    server.note_request(9, 1.75)
-    rates[9] = 1.75
-    reply = server.handle_query(PayoffQuery(user_id=4, b_curr=12.0, last_rate=1.5))
-    rates[4] = 1.5
-    ordered = [rates[u] for u in sorted(rates)]
-    expected = payoff_gradient_server(ref_params, ref_video, BW, ordered, 2, 12.0, 1e-4, 15.0)
-    assert reply == PayoffReply(user_id=4, gradient_estimate=expected)
-    # registering a user again replaces its entry and keeps its position
-    server.register(4, ref_video, b_ref=10.0, initial_rate=1.5, initial_b_curr=12.0, epsilon=1e-3)
-    reply = server.handle_query(PayoffQuery(user_id=4, b_curr=12.0, last_rate=1.5))
-    expected = payoff_gradient_server(ref_params, ref_video, BW, ordered, 2, 12.0, 1e-3, 10.0)
-    assert reply.gradient_estimate == expected
+    for uid, (rate, b_ref) in enumerate(zip(rates, b_refs)):
+        server.register(uid, ref_video, b_ref=b_ref, initial_rate=rate, epsilon=1e-4 * (uid + 1))
+    server.note_request(3, 1.75)
+    rates[3] = 1.75
+    for uid in (1, 2):
+        reply = server.handle_query(PayoffQuery(user_id=uid, b_curr=12.0, last_rate=1.5))
+        rates[uid] = 1.5
+        expected = payoff_gradient_server(
+            ref_params, ref_video, BW, rates, uid, 12.0, 1e-4 * (uid + 1), b_refs[uid]
+        )
+        assert reply == PayoffReply(user_id=uid, gradient_estimate=expected)
     with pytest.raises(KeyError):
-        server.note_request(3, 1.0)
+        server.note_request(4, 1.0)
+
+
+@pytest.mark.parametrize("registered, user_id", [(0, 1), (0, -1), (2, 0), (2, 1), (2, 5)])
+def test_register_rejects_out_of_order_id(ref_params, ref_video, registered, user_id):
+    server = PayoffServer(ref_params, BW)
+    for uid in range(registered):
+        server.register(uid, ref_video, b_ref=15.0, initial_rate=1.0)
+    message = (f"register user {user_id}: users register in id order, "
+               f"expected user {registered}")
+    with pytest.raises(ValueError, match=message):
+        server.register(user_id, ref_video, b_ref=15.0, initial_rate=1.0)
+    # the rejected id changed nothing: the next id still registers
+    server.register(registered, ref_video, b_ref=15.0, initial_rate=1.0)
+    with pytest.raises(KeyError):
+        server.note_request(registered + 1, 1.0)
 
 
 @pytest.mark.parametrize("bad, message", [
@@ -270,27 +289,31 @@ def test_server_gradient_validates_inputs(ref_params, ref_video, bad, message):
     ({"initial_rate": -5.0}, "user 3: initial_rate"),
     ({"initial_rate": math.nan}, "user 3: initial_rate"),
     ({"initial_rate": math.inf}, "user 3: initial_rate"),
-    ({"initial_b_curr": math.nan}, "user 3: initial_b_curr"),
+    ({"epsilon": math.inf}, "user 3: epsilon"),
     ({"epsilon": 0.0}, "user 3: epsilon"),
     ({"epsilon": math.nan}, "user 3: epsilon"),
     ({"b_ref": 0.0}, "user 3: b_ref"),
     ({"b_ref": math.inf}, "user 3: b_ref"),
-    ({"b_0": math.nan}, "user 3: b_0"),
 ])
 def test_register_rejects_bad_values(ref_params, ref_video, kwargs, message):
     # before, a bad initial rate was accepted and blamed on the next user's query
     server = PayoffServer(ref_params, BW)
-    good = {"b_ref": 15.0, "initial_rate": 1.0, "initial_b_curr": 15.0}
+    good = {"b_ref": 15.0, "initial_rate": 1.0}
+    for uid in range(3):
+        server.register(uid, ref_video, **good)
     with pytest.raises(ValueError, match=message):
         server.register(3, ref_video, **{**good, **kwargs})
-    assert server.user_ids == []  # nothing half-registered
+    # nothing half-registered: user 3 is still unknown, and still the next id
+    with pytest.raises(KeyError):
+        server.note_request(3, 1.0)
+    server.register(3, ref_video, **good)
 
 
 @pytest.mark.parametrize("rate", [math.nan, -0.5, math.inf])
 def test_note_request_rejects_bad_rate(ref_params, ref_video, rate):
     server = PayoffServer(ref_params, BW)
     for uid in (0, 1):
-        server.register(uid, ref_video, b_ref=15.0, initial_rate=1.0, initial_b_curr=15.0)
+        server.register(uid, ref_video, b_ref=15.0, initial_rate=1.0)
     with pytest.raises(ValueError, match="note_request user 0: rate"):
         server.note_request(0, rate)
     # the registry is unchanged, so the other user's query still works
@@ -309,7 +332,8 @@ def test_note_request_rejects_bad_rate(ref_params, ref_video, rate):
 ])
 def test_handle_query_rejects_bad_values(ref_params, ref_video, query, export_bw, message):
     server = PayoffServer(ref_params, BW)
-    server.register(2, ref_video, b_ref=15.0, initial_rate=1.0, initial_b_curr=15.0)
+    for uid in range(3):
+        server.register(uid, ref_video, b_ref=15.0, initial_rate=1.0)
     server.export_bw = export_bw
     with pytest.raises(ValueError, match=message):
         server.handle_query(query)
@@ -321,39 +345,37 @@ def test_server_replies_match_stateless_gradient(seed, n):
     """Random register/note_request/handle_query sequences against the stateless form."""
     rng = np.random.default_rng(seed)
     params, videos, _, export_bw = random_instance(rng, n_users=n)
-    ids = [int(u) for u in rng.choice(10 * n, size=n, replace=False)]
-    state = {}  # user id -> [video, b_ref, b_0, epsilon, b_curr, rate]
+    state = []  # per registered user: [video, b_ref, epsilon, rate]
 
-    def register(uid):
-        entry = [videos[ids.index(uid)], float(rng.uniform(5.0, 25.0)),
-                 float(rng.uniform(-5.0, 5.0)), float(rng.choice([1e-4, 1e-3, 0.5])),
-                 float(rng.uniform(0.0, 30.0)), float(rng.uniform(0.0, 20.0))]
-        server.register(uid, entry[0], entry[1], initial_rate=entry[5],
-                        initial_b_curr=entry[4], epsilon=entry[3], b_0=entry[2])
-        state[uid] = entry
+    def register():
+        uid = len(state)
+        entry = [videos[uid], float(rng.uniform(5.0, 25.0)),
+                 float(rng.choice([1e-4, 1e-3, 0.5])), float(rng.uniform(0.0, 20.0))]
+        server.register(uid, entry[0], entry[1], initial_rate=entry[3], epsilon=entry[2])
+        state.append(entry)
 
     server = PayoffServer(params, export_bw)
-    register(ids[0])
+    register()
     for _ in range(4 * n + 8):
-        uid = int(rng.choice(list(state)))
+        uid = int(rng.integers(len(state)))
         action = rng.integers(5)
         if action == 0:
-            register(int(rng.choice(ids)))  # a new user or a re-registration
+            if len(state) < n:
+                register()  # users join over time, in id order
         elif action == 1:
-            state[uid][5] = float(rng.uniform(0.0, 20.0))
-            server.note_request(uid, state[uid][5])
+            state[uid][3] = float(rng.uniform(0.0, 20.0))
+            server.note_request(uid, state[uid][3])
         else:
             if action == 2:
                 server.export_bw = export_bw = float(rng.uniform(2.0, 20.0))
             b_curr = float(rng.uniform(0.0, 30.0))
             rate = float(rng.uniform(0.0, 1e-3)) if action == 3 else float(rng.uniform(0.0, 20.0))
-            state[uid][4:] = [b_curr, rate]
+            state[uid][3] = rate
             reply = server.handle_query(PayoffQuery(user_id=uid, b_curr=b_curr, last_rate=rate))
-            order = sorted(state)
-            video, b_ref, b_0, epsilon, _, _ = state[uid]
+            video, b_ref, epsilon, _ = state[uid]
             expected = payoff_gradient_server(
-                params, video, export_bw, [state[u][5] for u in order], order.index(uid),
-                b_curr, epsilon, b_ref, b_0,
+                params, video, export_bw, [entry[3] for entry in state], uid,
+                b_curr, epsilon, b_ref,
             )
             assert reply == PayoffReply(user_id=uid, gradient_estimate=expected)
             assert reply.gradient_estimate.hex() == expected.hex()

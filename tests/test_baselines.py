@@ -46,23 +46,25 @@ def test_qf_startup_rule():
 
 def test_qf_floor_mapping():
     est = _warm_estimator(4.2)
-    assert qf_decide(est, LADDER, b_curr=20.0) == 4.0
+    assert qf_decide(est, LADDER, b_curr=20.0, startup_threshold=10.0) == 4.0
 
 
 def test_qf_clamps_to_lowest():
     est = _warm_estimator(0.4)
-    assert qf_decide(est, LADDER, b_curr=20.0) == 1.0
+    assert qf_decide(est, LADDER, b_curr=20.0, startup_threshold=10.0) == 1.0
 
 
 def test_qf_buffer_blind_past_startup():
     est = _warm_estimator(3.7)
-    picks = {qf_decide(est, LADDER, b_curr=b) for b in (10.0, 15.0, 40.0, 300.0)}
+    picks = {
+        qf_decide(est, LADDER, b_curr=b, startup_threshold=10.0) for b in (10.0, 15.0, 40.0, 300.0)
+    }
     assert picks == {3.0}
 
 
 def test_bf_neutral_buffer():
     est = _warm_estimator(3.4)
-    assert bf_decide(est, LADDER, b_curr=15.0, b_ref=15.0) == 3.0
+    assert bf_decide(est, LADDER, b_curr=15.0, b_ref=15.0, gain=0.5) == 3.0
 
 
 def test_bf_surplus_scales_up():
@@ -81,7 +83,7 @@ def test_bf_monotone_in_buffer():
     est = _warm_estimator(3.1)
     prev = 0.0
     for b in np.linspace(0.0, 40.0, 60):
-        cur = bf_decide(est, LADDER, b_curr=float(b), b_ref=15.0)
+        cur = bf_decide(est, LADDER, b_curr=float(b), b_ref=15.0, gain=0.5)
         assert cur >= prev
         prev = cur
 
@@ -91,5 +93,5 @@ def test_policies_always_return_a_rung():
     for _ in range(300):
         est = _warm_estimator(float(rng.uniform(0.1, 8.0)))
         b = float(rng.uniform(0.0, 40.0))
-        assert qf_decide(est, LADDER, b) in LADDER
-        assert bf_decide(est, LADDER, b, b_ref=15.0) in LADDER
+        assert qf_decide(est, LADDER, b, startup_threshold=10.0) in LADDER
+        assert bf_decide(est, LADDER, b, b_ref=15.0, gain=0.5) in LADDER

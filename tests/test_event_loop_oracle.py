@@ -81,7 +81,7 @@ def oracle_run_scenario(scenario):
         rt.start_segment(0.0, T, sim.quantize)
         runs.append(rt)
         server.register(idx, u.video, u.b_ref, initial_rate=rt.request_rate,
-                        initial_b_curr=sim.initial_buffer, epsilon=rt.cfg.epsilon)
+                        epsilon=rt.cfg.epsilon)
     boundary_times = sorted(
         {t for t, _ in profile.breakpoints} | {t for s in cap_schedules if s for t, _ in s}
     )
