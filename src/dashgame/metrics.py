@@ -160,7 +160,6 @@ def summarize(
         avg_quality=avg_q,
         quality_stddev=q_std,
         stall_count=len(stalls),
-        # an int 0 when nothing stalled, as summary.json has always written it
-        stall_total=serial_sum(stalls) if stalls else 0,
+        stall_total=serial_sum(stalls),
         avg_buffer=serial_sum(buffers) / len(buffers),
     )

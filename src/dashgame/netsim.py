@@ -5,10 +5,10 @@ server's export bandwidth, optionally capped per user.  Between events
 (segment completions and bandwidth/cap breakpoints) downloads accrue bits at
 constant rates and playing buffers drain at one second per second; playback
 stalls when a buffer empties and resumes when the in-flight segment lands.
-The event loop keeps one list of unfinished users in user order; the
-downloading and waiting users, their shares and the check for starved users
-are recomputed from it only when a breakpoint is crossed or a user finishes,
-starts waiting or ends its wait.
+Every unfinished user is downloading: a user requests its next segment as
+soon as one lands.  The event loop keeps one list of them in user order;
+their shares and the check for starved users are recomputed only when a
+breakpoint is crossed or a user finishes.
 On each completion the user picks its next rate: game users exchange payoff
 messages with the server, baseline users consult their throughput
 estimator.  Only then does each user start its next download and report its
@@ -248,31 +248,25 @@ def calibrate_nu(
     """
     if n_users < 1:
         raise ValueError("n_users must be >= 1")
-    if export_bw <= 0 or segment_duration <= 0 or mu <= 0 or alpha <= 0 or beta <= 0:
-        raise ValueError("calibrate_nu requires positive parameters")
     r = export_bw / n_users if r_target is None else r_target
-    if r <= 0:
-        raise ValueError("r_target must be > 0")
+    checked = dict(alpha=alpha, beta=beta, mu=mu, segment_duration=segment_duration,
+                   export_bw=export_bw, r_target=r)
+    for name, value in checked.items():
+        if not _positive(value):
+            raise ValueError(f"calibrate_nu: {name} must be finite and > 0, got {value!r}")
     marginal = alpha * beta / (1.0 + beta * r) + mu * segment_duration
     return marginal * export_bw / (segment_duration * n_users * r)
 
 
 @dataclass(frozen=True)
 class SimConfig:
-    """Run-level simulation settings.
-
-    ``exchange_latency`` models the payoff/request signalling delay between a
-    segment completing and the next download starting; it is zero by default
-    (the exchange is not on the data path) and exists for sensitivity studies.
-    """
+    """Run-level simulation settings."""
 
     total_segments: int
     segment_duration: float = 2.0
     initial_buffer: float = 2.0
     quantize: bool = False
     rng_seed: int = 0
-    resume_policy: str = "next-segment"
-    exchange_latency: float = 0.0
 
     def __post_init__(self) -> None:
         if self.total_segments < 1:
@@ -287,12 +281,6 @@ class SimConfig:
             )
         if self.rng_seed < 0:
             raise ValueError(f"rng_seed must be >= 0, got {self.rng_seed!r}")
-        if self.resume_policy != "next-segment":
-            raise ValueError(f"unsupported resume_policy {self.resume_policy!r}")
-        if not (math.isfinite(self.exchange_latency) and self.exchange_latency >= 0):
-            raise ValueError(
-                f"exchange_latency must be finite and >= 0, got {self.exchange_latency!r}"
-            )
 
 
 class TraceRecord(NamedTuple):
@@ -334,7 +322,7 @@ class _UserRuntime:
     __slots__ = (
         "idx", "spec", "cfg", "policy", "video", "ladder", "estimator", "buffer",
         "stall_this", "k", "done", "request_rate", "download_rate", "remaining", "share",
-        "started_at", "wait_until", "trace",
+        "started_at", "trace",
     )
 
     def __init__(self, idx, spec, cfg, initial_buffer, quantized):
@@ -354,7 +342,6 @@ class _UserRuntime:
         self.remaining = 0.0
         self.share = 0.0  # set whenever the shares are recomputed
         self.started_at = 0.0
-        self.wait_until = None  # signalling delay before the next download
         self.trace = SessionTrace(user_id=idx, initial_buffer=initial_buffer, quantized=quantized)
 
     def start_segment(self, t, segment_duration, quantized):
@@ -363,7 +350,6 @@ class _UserRuntime:
         )
         self.remaining = self.download_rate * segment_duration
         self.started_at = t
-        self.wait_until = None
 
 
 def _link_state(profile, cap_schedules, boundary_times, t):
@@ -411,7 +397,6 @@ def run_scenario(scenario: "Scenario") -> list[SessionTrace]:
     profile = scenario.server
     quantized = sim.quantize
     total_segments = sim.total_segments
-    latency = sim.exchange_latency
     n = len(users)
 
     horizon = sim.total_segments * T * 20.0 + 1000.0
@@ -435,10 +420,9 @@ def run_scenario(scenario: "Scenario") -> list[SessionTrace]:
     n_boundaries = len(boundary_times)
 
     # caps and bandwidth change only at boundary times, each of which is an
-    # event: they are looked up again only when t crosses one.  The shares,
-    # and the downloading and waiting users they are split among, are
-    # recomputed from ``active`` (the unfinished users, in user order) only
-    # then or when a user finishes, starts waiting or ends its wait.
+    # event: they are looked up again only when t crosses one.  The shares
+    # of ``active`` (the unfinished users, in user order, all downloading)
+    # are recomputed only then or when a user finishes.
     t = 0.0
     bidx, export_bw, caps_now = _link_state(profile, cap_schedules, boundary_times, t)
     active = list(runs)
@@ -453,31 +437,26 @@ def run_scenario(scenario: "Scenario") -> list[SessionTrace]:
             raise SimulationError(f"simulated time exceeded the horizon at t={t:.3f}s")
 
         if stale:
-            downloading = [rt for rt in active if rt.wait_until is None]
-            waiting = [rt for rt in active if rt.wait_until is not None]
-            shares = allocate_shares(export_bw, caps_now, [rt.idx for rt in downloading])
-            for rt in downloading:
+            shares = allocate_shares(export_bw, caps_now, [rt.idx for rt in active])
+            for rt in active:
                 rt.share = shares[rt.idx]
                 if rt.share <= 0:
                     raise SimulationError(f"user {rt.idx} starved of bandwidth at t={t:.3f}s")
             stale = False
 
         t_next = boundary_times[bidx] if bidx < n_boundaries else math.inf
-        for rt in downloading:
+        for rt in active:
             finish = t + rt.remaining / rt.share
             if finish < t_next:
                 t_next = finish
-        for rt in waiting:
-            if rt.wait_until < t_next:
-                t_next = rt.wait_until
         if not math.isfinite(t_next):
             raise SimulationError("no next event; simulation wedged")
 
-        # playback drains every buffer, stalling once it is empty
+        # downloads accrue and playback drains every buffer, stalling once
+        # it is empty
         dt = t_next - t
-        for rt in downloading:
-            rt.remaining -= rt.share * dt
         for rt in active:
+            rt.remaining -= rt.share * dt
             if dt < rt.buffer:
                 rt.buffer -= dt
             else:
@@ -488,12 +467,12 @@ def run_scenario(scenario: "Scenario") -> list[SessionTrace]:
             bidx, export_bw, caps_now = _link_state(profile, cap_schedules, boundary_times, t)
             stale = True
 
-        completed = [rt for rt in downloading if rt.remaining <= _COMPLETION_EPS]
-        for rt in waiting:
-            if rt.wait_until <= t + 1e-12:
-                rt.start_segment(t, T, quantized)
-                server.note_request(rt.idx, rt.request_rate)
-                stale = True
+        # a leftover too small to move the clock is finished too, or a huge
+        # segment would spin at a fixed t
+        completed = [
+            rt for rt in active
+            if rt.remaining <= _COMPLETION_EPS or t + rt.remaining / rt.share <= t
+        ]
         if not completed:
             continue
 
@@ -515,13 +494,9 @@ def run_scenario(scenario: "Scenario") -> list[SessionTrace]:
             else:
                 rt.request_rate = _next_rate(rt, server, T)
 
-        # pass 2 starts each user's next download, or parks it for the
-        # signalling delay
+        # pass 2 starts each unfinished user's next download
         for rt in completed:
             if rt.done:
-                stale = True
-            elif latency > 0.0:
-                rt.wait_until = t + latency
                 stale = True
             else:
                 rt.start_segment(t, T, quantized)

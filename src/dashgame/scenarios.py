@@ -107,6 +107,14 @@ class Scenario:
     server: BandwidthProfile
     sim: SimConfig
 
+    def __post_init__(self) -> None:
+        # the run uses params.segment_duration, but a manifest records sim's
+        if self.sim.segment_duration != self.params.segment_duration:
+            raise ValueError(
+                f"sim.segment_duration {self.sim.segment_duration!r} differs from "
+                f"params.segment_duration {self.params.segment_duration!r}"
+            )
+
 
 # Typed readers, document value -> attribute value.  A reader raises ScenarioError
 # with a path relative to its value; each block or list that holds the value
@@ -280,7 +288,7 @@ _SIM = _Table(
     SimConfig,
     renamed={"seed": "rng_seed"},
     segment_duration=_number, total_segments=_integer, initial_buffer=_number, quantize=_flag,
-    seed=_integer, resume_policy=_text, exchange_latency=_number,
+    seed=_integer,
 )
 
 _SCENARIO = _Table(

@@ -8,9 +8,8 @@ completion then adds one segment duration.  So, with ``t_end[-1] = 0`` and
     buffer[k] = max(buffer[k-1] - elapsed, 0) + T
     stall[k]  = max(elapsed - buffer[k-1], 0)
 
-where ``elapsed = t_end[k] - t_end[k-1]``.  A signalling delay between a
-completion and the next download does not change this: the buffer drains
-through the delay like any other time.
+where ``elapsed = t_end[k] - t_end[k-1]``.  Each download starts when the
+user's previous one lands, so ``t_start[k] = t_end[k-1]``.
 """
 
 from hypothesis import given, settings, strategies as st
@@ -32,6 +31,7 @@ def test_buffer_and_stall_follow_the_playback_identity(seed):
         assert [rec.k for rec in records] == list(range(len(records)))
         prev_end, prev_buffer = 0.0, scenario.sim.initial_buffer
         for rec in records:
+            assert rec.t_start == prev_end
             assert rec.t_end > prev_end
             elapsed = rec.t_end - prev_end
             assert abs(rec.buffer - (max(prev_buffer - elapsed, 0.0) + T)) <= TOL

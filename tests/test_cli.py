@@ -87,6 +87,7 @@ MALFORMED = [
     (("server", "base"), math.inf, "server.base"),
     (("sim", "initial_buffer"), math.nan, "sim.initial_buffer"),
     (("sim", "initial_buffer"), math.inf, "sim.initial_buffer"),
+    # a key that sim no longer has is unknown, whatever its value
     (("sim", "exchange_latency"), math.nan, "sim.exchange_latency"),
     (("sim", "exchange_latency"), math.inf, "sim.exchange_latency"),
     (("users", 0, "cap_profile"), {"kind": "random", "lo": 1.0, "hi": math.inf},
@@ -115,6 +116,35 @@ def test_malformed_scenario_exits_2_naming_the_field(tmp_path, capsys, path, val
     )
     assert code == 2
     assert json.loads(stderr)["error"]["message"].startswith(fieldname + ":")
+
+
+@pytest.mark.parametrize("key, value", [("resume_policy", "next-segment"), ("exchange_latency", 0.0)])
+def test_manifest_with_a_removed_sim_key_exits_2(tmp_path, capsys, key, value):
+    code, _, _ = run_cli(
+        capsys, "simulate", "--preset", "case1-fixed", "--segments", "5",
+        "--out", str(tmp_path / "run"),
+    )
+    assert code == 0
+    manifest = tmp_path / "run" / "run_manifest.json"
+    doc = json.loads(manifest.read_text())
+    doc["scenario"]["sim"][key] = value
+    manifest.write_text(json.dumps(doc))
+    code, _, stderr = run_cli(
+        capsys, "simulate", "--scenario", str(manifest), "--out", str(tmp_path / "rerun"),
+    )
+    assert code == 2
+    assert json.loads(stderr)["error"]["message"].startswith(f"sim.{key}: unknown field")
+
+
+def test_summary_stall_total_is_a_float_without_stalls(tmp_path, capsys):
+    code, stdout, _ = run_cli(
+        capsys, "simulate", "--preset", "case1-fixed", "--out", str(tmp_path / "run"),
+    )
+    assert code == 0
+    for text in (stdout, (tmp_path / "run" / "summary.json").read_text()):
+        users = json.loads(text)["users"]
+        assert [u["stall_count"] for u in users] == [0, 0]
+        assert all(type(u["stall_total"]) is float for u in users)
 
 
 @pytest.mark.parametrize("param, fieldname", [

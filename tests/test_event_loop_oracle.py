@@ -3,10 +3,10 @@
 ``oracle_run_scenario`` is the simulator's earlier event loop, slimmed down:
 it recomputes every cap, the export bandwidth and the max-min fair shares at
 every event.  ``run_scenario`` reuses them until a boundary time is crossed
-or the set of downloading users changes, which must not change a single
-output bit.  A derandomised property compares the two on small random
-scenarios that cover every profile kind, every cap kind, quantized mode,
-signalling latency and mixed game/QF/BF populations.
+or a user finishes, which must not change a single output bit.  A
+derandomised property compares the two on small random scenarios that cover
+every profile kind, every cap kind, quantized mode and mixed game/QF/BF
+populations.
 """
 
 import math
@@ -52,7 +52,6 @@ class _Runtime:
         self.download_rate = self.cfg.r_init
         self.remaining = 0.0
         self.started_at = 0.0
-        self.wait_until = None
         self.trace = SessionTrace(
             user_id=idx, initial_buffer=sim.initial_buffer, quantized=sim.quantize
         )
@@ -64,7 +63,6 @@ class _Runtime:
         )
         self.remaining = self.download_rate * T
         self.started_at = t
-        self.wait_until = None
 
 
 def oracle_run_scenario(scenario):
@@ -94,8 +92,7 @@ def oracle_run_scenario(scenario):
             raise SimulationError(f"event budget exceeded at t={t:.3f}s")
         if t > horizon:
             raise SimulationError(f"simulated time exceeded the horizon at t={t:.3f}s")
-        downloading = [i for i in range(n) if not runs[i].done and runs[i].wait_until is None]
-        waiting = [i for i in range(n) if not runs[i].done and runs[i].wait_until is not None]
+        downloading = [i for i in range(n) if not runs[i].done]
         caps_now = [cap_at(cap_schedules[i], t) for i in range(n)]
         shares = allocate_shares(bandwidth_at(profile, t), caps_now, downloading)
 
@@ -107,27 +104,22 @@ def oracle_run_scenario(scenario):
             if shares[i] <= 0:
                 raise SimulationError(f"user {i} starved of bandwidth at t={t:.3f}s")
             t_next = min(t_next, t + runs[i].remaining / shares[i])
-        for i in waiting:
-            t_next = min(t_next, runs[i].wait_until)
         if not math.isfinite(t_next):
             raise SimulationError("no next event; simulation wedged")
 
         dt = t_next - t
-        for i in downloading + waiting:
+        for i in downloading:
             rt = runs[i]
             played = min(rt.buffer, dt)
             rt.buffer -= played
             rt.stall_this += dt - played
-            if rt.wait_until is None:
-                rt.remaining -= shares[i] * dt
+            rt.remaining -= shares[i] * dt
         t = t_next
 
-        for i in waiting:
-            if runs[i].wait_until <= t + 1e-12:
-                runs[i].start_segment(t, T, sim.quantize)
-                server.note_request(i, runs[i].request_rate)
-
-        completed = [i for i in downloading if runs[i].remaining <= COMPLETION_EPS]
+        completed = [
+            i for i in downloading
+            if runs[i].remaining <= COMPLETION_EPS or t + runs[i].remaining / shares[i] <= t
+        ]
         if not completed:
             continue
         server.export_bw = bandwidth_at(profile, t)
@@ -168,11 +160,8 @@ def oracle_run_scenario(scenario):
                 else:
                     rt.request_rate = bf_decide(rt.estimator, rt.spec.video.ladder, rt.buffer,
                                                 rt.spec.b_ref, gain=rt.spec.bf_gain)
-            if sim.exchange_latency > 0.0:
-                rt.wait_until = t + sim.exchange_latency
-            else:
-                rt.start_segment(t, T, sim.quantize)
-                server.note_request(i, rt.request_rate)
+            rt.start_segment(t, T, sim.quantize)
+            server.note_request(i, rt.request_rate)
     return [rt.trace for rt in runs]
 
 
@@ -236,7 +225,6 @@ def random_scenario(seed: int) -> Scenario:
             initial_buffer=float(rng.uniform(0.0, 6.0)),
             quantize=bool(rng.random() < 0.5),
             rng_seed=int(rng.integers(0, 2**31)),
-            exchange_latency=float(rng.choice([0.0, 0.0, rng.uniform(0.01, 1.5)])),
         ),
     )
 
@@ -264,5 +252,4 @@ def test_random_scenarios_cover_every_case():
     }
     assert {u.policy for sc in scenarios for u in sc.users} == {"game", "qf", "bf"}
     assert any(sc.sim.quantize for sc in scenarios)
-    assert any(sc.sim.exchange_latency > 0 for sc in scenarios)
     assert any(len({u.policy for u in sc.users}) == 3 for sc in scenarios)

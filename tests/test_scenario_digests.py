@@ -37,8 +37,7 @@ HAND_WRITTEN = {
         }],
         "server": {"kind": "fixed", "base": 6},
         "sim": {"segment_duration": 2, "total_segments": 10, "initial_buffer": 0,
-                "quantize": True, "seed": 3, "resume_policy": "next-segment",
-                "exchange_latency": 0},
+                "quantize": True, "seed": 3},
     },
     "every-cap-kind": {
         "params": {"mu": 0.001, "nu": 0.004, "p": 1},

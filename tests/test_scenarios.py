@@ -2,6 +2,7 @@
 
 import json
 import math
+from dataclasses import replace
 
 import pytest
 
@@ -141,7 +142,7 @@ def test_numbers_are_stored_as_floats_and_integers_stay_integers():
     (("server",), {"kind": "fixed", "breakpoints": [[0, 6.0]]}, "server.breakpoints"),
     (("server",), {"kind": "custom", "breakpoints": [[0, 6.0, 1.0]]}, "server.breakpoints[0]"),
     (("server",), {"kind": "custom"}, "server.breakpoints"),
-    (("sim", "resume_policy"), "restart", "sim.resume_policy"),
+    (("sim", "resume_policy"), "restart", "sim.resume_policy"),  # no longer a sim key
     (("users",), [], "users"),
     (("params",), [], "params"),
 ])
@@ -155,6 +156,12 @@ def test_typed_readers_name_the_field(path, value, fieldname):
     with pytest.raises(ScenarioError) as err:
         scenario_from_dict(doc)
     assert err.value.fieldname == fieldname
+
+
+def test_scenario_rejects_two_segment_durations():
+    sc = scenario_from_dict(minimal_doc())
+    with pytest.raises(ValueError, match="sim.segment_duration"):
+        replace(sc, sim=replace(sc.sim, segment_duration=4.0))
 
 
 def test_keys_outside_the_kind_may_be_null():
