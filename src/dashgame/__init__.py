@@ -31,7 +31,6 @@ from .adapt import (
     PayoffReply,
     PayoffServer,
     UserSession,
-    payoff_gradient_server,
     run_round,
     update_rate,
 )

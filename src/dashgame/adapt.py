@@ -8,16 +8,15 @@ multiplicative sub-gradient step.  Fixed points of this iteration are
 exactly the stationary points of the static game.
 
 The message types (`PayoffQuery`/`PayoffReply`) are immutable named tuples;
-the event loop hands each query to `PayoffServer.handle_query` directly.
+the event loop and `run_round` hand each query to `PayoffServer.handle_query`
+directly, so every gradient goes through one path.
 
 Users register with `PayoffServer` once each, in id order 0, 1, ..., so a
 user's id is its index into the server's list of last requested rates.  The
 server checks every value when it arrives: the constants and first rate at
 `register`, each requested rate at `note_request`, and a query's own
 buffer, rate and the export bandwidth.  So a query makes O(1) checks and
-copies nothing; only its two loads are O(N) sums.  `payoff_gradient_server`,
-the stateless form, checks all of its inputs and then runs the same
-central-difference core.
+copies nothing; only its two loads are O(N) sums.
 """
 
 from __future__ import annotations
@@ -29,8 +28,6 @@ from typing import NamedTuple, Sequence
 from .model import (
     GameParams,
     VideoQualityModel,
-    _check_buffer,
-    _check_rates_bw,
     _estimated_buffer_at,
     adjustment_factor,
     quality,
@@ -43,7 +40,6 @@ __all__ = [
     "PayoffReply",
     "UserSession",
     "PayoffServer",
-    "payoff_gradient_server",
     "update_rate",
     "run_round",
 ]
@@ -102,37 +98,6 @@ class PayoffReply(NamedTuple):
     gradient_estimate: float
 
 
-def payoff_gradient_server(
-    params: GameParams,
-    model: VideoQualityModel,
-    export_bw: float,
-    all_last_rates: Sequence[float],
-    i: int,
-    b_curr_i: float,
-    epsilon: float,
-    b_ref: float,
-    b_0: float = 0.0,
-) -> float:
-    """Central-difference payoff gradient the server computes for user ``i``.
-
-    Only coordinate ``i`` is perturbed by +/- epsilon; the adjustment factor
-    uses the buffer occupancy the user reported.  The estimate has O(eps^2)
-    error against the analytic gradient.  The inputs are checked and the
-    adjustment factor computed once; each leg is ``utility`` evaluated with
-    the same operations in the same order, so the result is bit-identical
-    to differencing two ``utility`` calls.
-    """
-    if not (math.isfinite(epsilon) and epsilon > 0):
-        raise ValueError(f"epsilon must be > 0, got {epsilon!r}")
-    if not 0 <= i < len(all_last_rates):
-        raise IndexError(f"user index {i} out of range for {len(all_last_rates)} rates")
-    _check_buffer(b_curr_i, b_ref, b_0)
-    rates = list(all_last_rates)
-    _check_rates_bw(rates, export_bw)
-    a_f = adjustment_factor(params.p, b_curr_i, b_ref)
-    return _central_difference(params, model, export_bw, rates, i, epsilon, a_f, b_0)
-
-
 def _central_difference(
     params: GameParams,
     model: VideoQualityModel,
@@ -141,10 +106,15 @@ def _central_difference(
     i: int,
     epsilon: float,
     a_f: float,
-    b_0: float,
 ) -> float:
-    """The core of :func:`payoff_gradient_server`, on inputs already checked.
+    """Central-difference payoff gradient of user ``i``, on inputs already checked.
 
+    Only coordinate ``i`` is perturbed by +/- epsilon; ``a_f`` is the
+    adjustment factor of the buffer the user reported.  The estimate has
+    O(eps^2) error against the analytic gradient.  Each leg is ``utility``
+    evaluated with the same operations in the same order, so the result is
+    bit-identical to differencing two ``utility`` calls (at ``b_0 = 0``;
+    ``b_0`` is an additive constant of the estimated buffer and cancels).
     Entry ``i`` of ``rates`` holds each perturbed rate while that leg's load
     is summed, and is restored before returning; no list is copied.
     """
@@ -157,10 +127,10 @@ def _central_difference(
     load_minus = serial_sum(rates)
     rates[i] = r_i
     u_plus = quality(model, r_plus) + params.mu * _estimated_buffer_at(
-        params, r_plus, load_plus, a_f, b_0, export_bw
+        params, r_plus, load_plus, a_f, 0.0, export_bw
     )
     u_minus = quality(model, r_minus) + params.mu * _estimated_buffer_at(
-        params, r_minus, load_minus, a_f, b_0, export_bw
+        params, r_minus, load_minus, a_f, 0.0, export_bw
     )
     # keep the difference symmetric even if the minus leg clipped at zero
     return (u_plus - u_minus) / (r_plus - r_minus)
@@ -191,7 +161,6 @@ class UserSession:
     rate: float
     b_curr: float
     b_ref: float
-    b_0: float = 0.0
 
 
 def _is_rate(value: float) -> bool:
@@ -275,7 +244,7 @@ class PayoffServer:
         self._rates[user_id] = last_rate
         a_f = adjustment_factor(self.params.p, b_curr, b_ref)
         grad = _central_difference(
-            self.params, model, export_bw, self._rates, user_id, epsilon, a_f, 0.0
+            self.params, model, export_bw, self._rates, user_id, epsilon, a_f
         )
         return PayoffReply(user_id, grad)
 
@@ -293,11 +262,14 @@ def run_round(
     """
     if not sessions:
         raise ValueError("run_round requires at least one session")
+    server = PayoffServer(params, export_bw)
+    for i, s in enumerate(sessions):
+        server.register(i, s.model, s.b_ref, s.rate, s.cfg.epsilon)
+    # a query sets the user's rate to the one it already holds, so every
+    # gradient is taken at the snapshot
     snapshot = [s.rate for s in sessions]
     grads = [
-        payoff_gradient_server(
-            params, s.model, export_bw, snapshot, i, s.b_curr, s.cfg.epsilon, s.b_ref, s.b_0
-        )
+        server.handle_query(PayoffQuery(i, s.b_curr, s.rate)).gradient_estimate
         for i, s in enumerate(sessions)
     ]
     rates = [update_rate(s.cfg, r, g) for s, r, g in zip(sessions, snapshot, grads)]

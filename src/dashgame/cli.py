@@ -10,14 +10,15 @@ import argparse
 import csv
 import itertools
 import json
+import math
 import sys
 from pathlib import Path
 
 from . import __version__
 from .game import closed_form_identical_2user, foc_coefficients, solve_equilibrium
 from .metrics import QoeMetricParams, _stall_penalty, qoe1, qoe2, summarize
-from .model import BufferView, GameParams, VideoQualityModel
-from .netsim import SessionTrace, SimulationError, run_scenario
+from .model import BufferView
+from .netsim import SessionTrace, SimulationError, bandwidth_at, run_scenario
 from .scenarios import (
     Scenario,
     ScenarioError,
@@ -68,16 +69,16 @@ def write_trace_csv(path: Path, trace: SessionTrace) -> None:
         fh.write(_TRACE_HEADER + rows)
 
 
-def _resolve_scenario(args) -> dict:
+def _resolve_scenario(args, default_preset: str | None = None) -> dict:
     if args.preset and args.scenario:
         raise CliError("--preset and --scenario are mutually exclusive")
-    if args.preset:
-        doc = scenario_to_dict(load_preset(args.preset))
-        doc["name"] = args.preset
-    elif args.scenario:
-        doc = scenario_to_dict(load_scenario(args.scenario))
-    else:
+    if args.scenario:
+        return scenario_to_dict(load_scenario(args.scenario))
+    preset = args.preset or default_preset
+    if not preset:
         raise CliError("one of --preset or --scenario is required")
+    doc = scenario_to_dict(load_preset(preset))
+    doc["name"] = preset
     return doc
 
 
@@ -201,69 +202,69 @@ def cmd_sweep(args) -> int:
     return EXIT_OK
 
 
-def _params_from_args(args) -> tuple[GameParams, VideoQualityModel, BufferView]:
-    params = GameParams(mu=args.mu, nu=args.nu, p=args.p, segment_duration=args.T)
-    ladder = tuple(float(v) for v in args.ladder.split(",")) if args.ladder else (args.r_max,)
-    model = VideoQualityModel(alpha=args.alpha, beta=args.beta, ladder=ladder)
-    buf = BufferView(b_curr=args.b_curr, b_ref=args.b_ref)
-    return params, model, buf
+def _analysis_input(args):
+    """The scenario, its videos and buffers, the bandwidth at ``--t``, and r_max.
+
+    Every user must play the game and share one effective ``r_max``, the box
+    of the static game.  Caps are not applied.
+    """
+    if not 0 <= args.t < math.inf:
+        raise CliError(f"--t: must be finite and >= 0, got {args.t!r}")
+    doc = _resolve_scenario(args, default_preset="case1-uncalibrated")
+    for key, value in args.param or []:
+        apply_override(doc, key, value)
+    sc = scenario_from_dict(doc, name=doc.get("name", "scenario"))
+    r_max = sc.users[0].adapt_config().r_max
+    for i, u in enumerate(sc.users):
+        if u.policy != "game":
+            raise CliError(f"users[{i}].policy: the analysis models game users only, got {u.policy!r}")
+        if u.adapt_config().r_max != r_max:
+            raise CliError(f"users[{i}].r_max: {u.adapt_config().r_max!r} differs from users[0]'s"
+                           f" {r_max!r}; the analysis solves one box [0, r_max] for every user")
+    bufs = [BufferView(b_curr=u.b_ref if args.b_curr is None else args.b_curr, b_ref=u.b_ref)
+            for u in sc.users]
+    return sc, [u.video for u in sc.users], bufs, bandwidth_at(sc.server, args.t), r_max
 
 
-def _add_param_flags(sub, theta_default=None):
-    sub.add_argument("--alpha", type=float, default=2.15)
-    sub.add_argument("--beta", type=float, default=0.0827)
-    sub.add_argument("--mu", type=float, default=0.003)
-    sub.add_argument("--nu", type=float, default=0.0041)
-    sub.add_argument("--p", type=float, default=0.1)
-    sub.add_argument("--T", type=float, default=2.0, help="segment duration (s)")
-    sub.add_argument("--bw", type=float, default=6.0, help="server export bandwidth (Mbps)")
-    sub.add_argument("--b-curr", dest="b_curr", type=float, default=15.0)
-    sub.add_argument("--b-ref", dest="b_ref", type=float, default=15.0)
-    sub.add_argument("--r-max", dest="r_max", type=float, default=60.0)
-    sub.add_argument("--ladder", default=None, help="comma-separated bitrates")
-    sub.add_argument("--n-users", dest="n_users", type=int, default=2)
-    if theta_default is not None:
-        sub.add_argument("--theta", type=float, default=theta_default)
+def _identical_pair(sc: Scenario, bufs) -> bool:
+    return len(sc.users) == 2 and sc.users[0] == sc.users[1] and bufs[0] == bufs[1]
 
 
 def cmd_equilibrium(args) -> int:
-    params, model, buf = _params_from_args(args)
-    n = args.n_users
-    result = solve_equilibrium(
-        params, [model] * n, [buf] * n, args.bw, r_max=args.r_max
-    )
+    sc, models, bufs, bw, r_max = _analysis_input(args)
+    result = solve_equilibrium(sc.params, models, bufs, bw, r_max=r_max)
     out = {
         "rates": result.rates,
         "residual": result.residual,
         "iterations": result.iterations,
         "converged": result.converged,
     }
-    if n == 2:
-        z = foc_coefficients(params, model, buf, args.bw)
-        out["closed_form_identical"] = closed_form_identical_2user(z, model.beta)
+    if _identical_pair(sc, bufs):
+        z = foc_coefficients(sc.params, models[0], bufs[0], bw)
+        out["closed_form_identical"] = closed_form_identical_2user(z, models[0].beta)
     print(json.dumps(out, indent=2))
     return EXIT_OK if result.converged else EXIT_RUNTIME
 
 
 def cmd_stability(args) -> int:
-    params, model, buf = _params_from_args(args)
-    n = args.n_users
+    sc, models, bufs, bw, r_max = _analysis_input(args)
+    params, n = sc.params, len(models)
     if args.rates:
         rates = [float(v) for v in args.rates.split(",")]
         if len(rates) != n:
             raise CliError(f"--rates needs {n} values")
     else:
-        eq = solve_equilibrium(params, [model] * n, [buf] * n, args.bw, r_max=args.r_max)
+        eq = solve_equilibrium(params, models, bufs, bw, r_max=r_max)
         if not eq.converged:
             raise CliError("equilibrium solve failed; pass --rates explicitly", EXIT_RUNTIME)
         rates = eq.rates
-    thetas = [args.theta] * n
-    out = {"rates": rates, "theta": args.theta, "n_users": n}
+    thetas = [u.theta for u in sc.users]
+    out = {"rates": rates, "theta": thetas, "n_users": n}
     if n == 2:
-        jac = jacobian_2user(params, [model] * n, [buf] * n, args.bw, rates, thetas)
+        jac = jacobian_2user(params, models, bufs, bw, rates, thetas)
         out["jacobian_source"] = "analytic-2user"
     else:
-        jac = jacobian_numeric(params, [model] * n, [buf] * n, args.bw, rates, thetas)
+        jac = jacobian_numeric(params, models, bufs, bw, rates, thetas)
         out["jacobian_source"] = "numeric-central-difference"
     report = build_report(jac)
     out.update({
@@ -272,13 +273,25 @@ def cmd_stability(args) -> int:
         "spectral_radius": report.spectral_radius,
         "verdict": report.verdict,
     })
-    if n == 2 and args.b_curr == args.b_ref and len(set(rates)) == 1:
-        flags, _ = stability_conditions_identical_2user(
-            params, model, args.theta, rates[0], args.bw
-        )
+    if _identical_pair(sc, bufs) and bufs[0].b_curr == bufs[0].b_ref and len(set(rates)) == 1:
+        flags, _ = stability_conditions_identical_2user(params, models[0], thetas[0], rates[0], bw)
         out["closed_form_conditions"] = {"upper": flags[0], "lower": flags[1]}
     print(json.dumps(out, indent=2))
     return EXIT_OK
+
+
+def _add_scenario_flags(sub, presets: list, param=_parse_param, metavar="KEY=VALUE") -> None:
+    """The scenario input every command reads: a preset or a file, then overrides."""
+    sub.add_argument("--preset", choices=presets, default=None)
+    sub.add_argument("--scenario", default=None, help="scenario or run-manifest JSON file")
+    sub.add_argument("--param", action="append", type=param, metavar=metavar,
+                     help="override of a dotted scenario path, e.g. users.*.b_ref")
+
+
+def _add_analysis_flags(sub, presets: list) -> None:
+    _add_scenario_flags(sub, presets)
+    sub.add_argument("--t", type=float, default=0.0, help="time (s) of the server bandwidth used")
+    sub.add_argument("--b-curr", dest="b_curr", type=float, help="every user's buffer (default b_ref)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -289,39 +302,35 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"dashgame {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
+    presets = list_presets()
     sim = sub.add_parser("simulate", help="run one scenario or preset")
-    sim.add_argument("--preset", choices=list_presets(), default=None)
-    sim.add_argument("--scenario", default=None, help="scenario or run-manifest JSON file")
+    _add_scenario_flags(sim, presets)
     sim.add_argument("--out", default="out", help="output directory")
     sim.add_argument("--seed", type=int, default=None)
     sim.add_argument("--mode", choices=["continuous", "quantized"], default=None)
     sim.add_argument("--theta", type=float, default=None, help="override all users' learning rate")
     sim.add_argument("--policy", choices=["game", "qf", "bf"], default=None)
     sim.add_argument("--segments", type=int, default=None, help="override total segments")
-    sim.add_argument("--param", action="append", type=_parse_param, metavar="KEY=VALUE",
-                     help="dotted-path override, e.g. users.*.b_ref=10")
     sim.add_argument("--calibrate-nu", action="store_true",
                      help="recompute nu from the calibration helper before running")
     sim.set_defaults(func=cmd_simulate)
 
     sw = sub.add_parser("sweep", help="run a parameter grid and aggregate a comparison table")
-    sw.add_argument("--preset", choices=list_presets(), default=None)
-    sw.add_argument("--scenario", default=None)
+    _add_scenario_flags(sw, presets, param=_parse_param_list, metavar="KEY=V1,V2")
     sw.add_argument("--out", default="sweep_out")
     sw.add_argument("--seed", type=int, default=None)
     sw.add_argument("--mode", choices=["continuous", "quantized"], default=None)
     sw.add_argument("--segments", type=int, default=None)
     sw.add_argument("--theta", default=None, help="comma list, e.g. 50,100,150,200")
     sw.add_argument("--policy", dest="policy_list", default=None, help="comma list, e.g. game,qf,bf")
-    sw.add_argument("--param", action="append", type=_parse_param_list, metavar="KEY=V1,V2")
     sw.set_defaults(func=cmd_sweep, policy=None)
 
-    eq = sub.add_parser("equilibrium", help="solve the static equilibrium for given constants")
-    _add_param_flags(eq)
+    eq = sub.add_parser("equilibrium", help="solve a scenario's static equilibrium")
+    _add_analysis_flags(eq, presets)
     eq.set_defaults(func=cmd_equilibrium)
 
-    st = sub.add_parser("stability", help="Jacobian spectrum and stability verdict")
-    _add_param_flags(st, theta_default=100.0)
+    st = sub.add_parser("stability", help="Jacobian spectrum and stability verdict of a scenario")
+    _add_analysis_flags(st, presets)
     st.add_argument("--rates", default=None, help="comma list of operating rates (default: solve)")
     st.set_defaults(func=cmd_stability)
     return parser

@@ -282,6 +282,11 @@ class SimConfig:
         if self.rng_seed < 0:
             raise ValueError(f"rng_seed must be >= 0, got {self.rng_seed!r}")
 
+    @property
+    def horizon(self) -> float:
+        """Simulated seconds after which a run is stopped as wedged."""
+        return self.total_segments * self.segment_duration * 20.0 + 1000.0
+
 
 class TraceRecord(NamedTuple):
     """One downloaded segment; the fields are the trace CSV's columns, in order."""
@@ -399,7 +404,7 @@ def run_scenario(scenario: "Scenario") -> list[SessionTrace]:
     total_segments = sim.total_segments
     n = len(users)
 
-    horizon = sim.total_segments * T * 20.0 + 1000.0
+    horizon = sim.horizon
     rng = np.random.default_rng(sim.rng_seed)
     cap_schedules = [u.cap.materialize(rng, horizon) for u in users]
 

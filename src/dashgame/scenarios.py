@@ -45,6 +45,9 @@ __all__ = [
 
 POLICIES = ("game", "qf", "bf")
 
+# a random cap's schedule costs about 150 MB per 10^6 slots
+MAX_CAP_SLOTS = 10**6
+
 
 class ScenarioError(ValueError):
     """Scenario validation failure, pointing at the offending field."""
@@ -108,12 +111,23 @@ class Scenario:
     sim: SimConfig
 
     def __post_init__(self) -> None:
+        sim = self.sim
         # the run uses params.segment_duration, but a manifest records sim's
-        if self.sim.segment_duration != self.params.segment_duration:
+        if sim.segment_duration != self.params.segment_duration:
             raise ValueError(
-                f"sim.segment_duration {self.sim.segment_duration!r} differs from "
+                f"sim.segment_duration {sim.segment_duration!r} differs from "
                 f"params.segment_duration {self.params.segment_duration!r}"
             )
+        # the run's horizon and the payoff gradient's T*r terms must be finite
+        r_max = max((u.adapt_config().r_max for u in self.users), default=0.0)
+        if not math.isfinite(sim.horizon + sim.segment_duration * r_max * len(self.users)):
+            raise ScenarioError("sim.segment_duration", f"{sim.segment_duration!r} s makes the"
+                                " run's horizon or T*r_max*N infinite")
+        # CapSpec.materialize draws ceil(horizon/dwell) + 1 slots for a random cap
+        for i, u in enumerate(self.users):
+            if u.cap.kind == "random" and sim.horizon > u.cap.dwell * (MAX_CAP_SLOTS - 1):
+                raise ScenarioError(f"users[{i}].cap_profile.dwell", f"{u.cap.dwell!r} s makes more"
+                                    f" than {MAX_CAP_SLOTS} random cap slots in {sim.horizon:g} s")
 
 
 # Typed readers, document value -> attribute value.  A reader raises ScenarioError

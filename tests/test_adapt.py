@@ -12,13 +12,13 @@ from dashgame.adapt import (
     PayoffReply,
     PayoffServer,
     UserSession,
-    payoff_gradient_server,
     run_round,
     update_rate,
 )
 from dashgame.game import solve_equilibrium
 from dashgame.model import BufferView, GameParams, VideoQualityModel, utility, utility_gradient
 from conftest import random_instance
+from payoff_oracle import payoff_gradient_server
 
 BW = 6.0
 
@@ -30,7 +30,7 @@ CAL_VIDEO = VideoQualityModel(alpha=0.15, beta=0.0827, ladder=(0.3, 6.0))
 
 def test_server_gradient_matches_analytic(ref_params, ref_video, neutral_buffer):
     got = payoff_gradient_server(
-        ref_params, ref_video, BW, [3.0, 3.0], 0, 15.0, 1e-4, b_ref=15.0, b_0=2.0
+        ref_params, ref_video, BW, [3.0, 3.0], 0, 15.0, 1e-4, b_ref=15.0
     )
     ana = utility_gradient(ref_params, ref_video, 0, [3.0, 3.0], neutral_buffer, BW)
     assert ana == pytest.approx(0.14026054002083166, rel=1e-9)
@@ -198,6 +198,29 @@ def test_round_fixed_points_match_equilibrium():
         checked += 1
 
 
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 11))
+def test_round_matches_stateless_oracle(seed, n):
+    # run_round queries a PayoffServer; each step must equal the oracle's, bit for bit
+    rng = np.random.default_rng(seed)
+    params, videos, bufs, bw = random_instance(rng, n_users=n)
+    cfg = AdaptConfig(theta=float(rng.uniform(1.0, 200.0)), r_max=30.0, r_min=0.01, r_init=0.1,
+                      epsilon=float(rng.choice([1e-4, 1e-3])))
+    sessions = [
+        UserSession(i, videos[i], cfg, rate=float(rng.uniform(0.1, 20.0)),
+                    b_curr=bufs[i].b_curr, b_ref=bufs[i].b_ref)
+        for i in range(n)
+    ]
+    for _ in range(5):
+        snapshot = [s.rate for s in sessions]
+        expected = [
+            update_rate(cfg, r, payoff_gradient_server(
+                params, s.model, bw, snapshot, i, s.b_curr, cfg.epsilon, s.b_ref))
+            for i, (s, r) in enumerate(zip(sessions, snapshot))
+        ]
+        assert run_round(sessions, params, bw) == expected
+
+
 def test_payoff_server_query_round_trip(ref_params, ref_video):
     server = PayoffServer(ref_params, BW)
     server.register(0, ref_video, b_ref=15.0, initial_rate=3.0)
@@ -231,9 +254,13 @@ def test_server_gradient_bit_identical_to_two_utility_calls(seed, n, near_zero):
     epsilon = float(rng.choice([1e-4, 1e-3, 0.5]))
     if near_zero:
         rates[i] = float(rng.uniform(0.0, epsilon))  # the minus leg clips at zero
-    args = (params, videos[i], export_bw, rates, i, bufs[i].b_curr, epsilon, bufs[i].b_ref,
-            float(rng.uniform(-5.0, 5.0)))
-    assert payoff_gradient_server(*args) == _two_utility_difference(*args)
+    args = (params, videos[i], export_bw, rates, i, bufs[i].b_curr, epsilon, bufs[i].b_ref)
+    got = payoff_gradient_server(*args)
+    assert got == _two_utility_difference(*args, 0.0)
+    # b_0 is an additive constant of the estimated buffer: it cancels, up to
+    # the rounding of the two utilities it shifts
+    assert got == pytest.approx(_two_utility_difference(*args, float(rng.uniform(-5.0, 5.0))),
+                                rel=0, abs=1e-9)
 
 
 def test_payoff_server_replies_in_user_id_order(ref_params, ref_video):

@@ -8,6 +8,7 @@ import pytest
 
 from dashgame.cli import _TRACE_HEADER, main
 from dashgame.netsim import TraceRecord
+from dashgame.scenarios import list_presets, load_preset, scenario_to_dict
 
 
 def run_cli(capsys, *argv):
@@ -160,6 +161,26 @@ def test_param_override_the_run_would_ignore_exits_2(tmp_path, capsys, param, fi
     assert json.loads(stderr)["error"]["message"].startswith(fieldname + ":")
 
 
+@pytest.mark.parametrize("argv, fieldname", [
+    # the horizon total_segments*T*20+1000 overflows
+    (["--preset", "case1-fixed", "--param", "sim.segment_duration=1e308"], "sim.segment_duration"),
+    # T*r_max*N overflows, though the horizon of one segment does not
+    (["--preset", "case1-uncalibrated", "--param", "sim.segment_duration=5e306",
+      "--param", "sim.total_segments=1"], "sim.segment_duration"),
+    # 1.1e7 random cap slots per user, about 5 GB, are refused before any is drawn
+    (["--preset", "case4-fixed", "--param", "users.*.cap_profile.dwell=0.001"],
+     "users[0].cap_profile.dwell"),
+])
+@pytest.mark.parametrize("command", ["simulate", "equilibrium"])
+def test_time_scale_the_run_cannot_hold_exits_2(tmp_path, capsys, command, argv, fieldname):
+    if command == "simulate":
+        argv = [*argv, "--out", str(tmp_path / "x")]
+    code, _, stderr = run_cli(capsys, command, *argv)
+    assert code == 2
+    assert json.loads(stderr)["error"]["message"].startswith(fieldname + ":")
+    assert not (tmp_path / "x").exists()
+
+
 def test_simulate_requires_a_source(tmp_path, capsys):
     code, _, _ = run_cli(capsys, "simulate", "--out", str(tmp_path / "x"))
     assert code == 2
@@ -176,8 +197,17 @@ def test_simulate_calibrate_nu_flag(tmp_path, capsys):
     assert manifest["scenario"]["params"]["nu"] == pytest.approx(0.07423027001041584)
 
 
+def _identical_users_file(tmp_path, n):
+    """case1-uncalibrated with its first user repeated ``n`` times."""
+    doc = scenario_to_dict(load_preset("case1-uncalibrated"))
+    doc["users"] = [doc["users"][0]] * n
+    path = tmp_path / f"identical-{n}.json"
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
 def test_equilibrium_command_cross_check(capsys):
-    code, stdout, _ = run_cli(capsys, "equilibrium", "--n-users", "2")
+    code, stdout, _ = run_cli(capsys, "equilibrium")
     assert code == 0
     out = json.loads(stdout)
     assert out["converged"]
@@ -185,30 +215,33 @@ def test_equilibrium_command_cross_check(capsys):
     assert out["closed_form_identical"] == pytest.approx(23.993192638983356, rel=1e-9)
 
 
-def test_equilibrium_single_user(capsys):
-    code, stdout, _ = run_cli(capsys, "equilibrium", "--n-users", "1")
+def test_equilibrium_single_user(tmp_path, capsys):
+    code, stdout, _ = run_cli(capsys, "equilibrium", "--scenario", _identical_users_file(tmp_path, 1))
     assert code == 0
     out = json.loads(stdout)
     assert len(out["rates"]) == 1 and out["converged"]
 
 
 def test_equilibrium_invalid_params_exit_2(capsys):
-    code, _, stderr = run_cli(capsys, "equilibrium", "--nu", "-0.1")
+    code, _, stderr = run_cli(capsys, "equilibrium", "--param", "params.nu=-0.1")
     assert code == 2
     assert "nu" in json.loads(stderr)["error"]["message"]
 
 
 def test_stability_marginal_at_vanishing_theta(capsys):
-    code, stdout, _ = run_cli(capsys, "stability", "--theta", "1e-9", "--rates", "3,3")
+    code, stdout, _ = run_cli(
+        capsys, "stability", "--param", "users.*.theta=1e-9", "--rates", "3,3",
+    )
     assert code == 0
     out = json.loads(stdout)
     assert out["spectral_radius"] == pytest.approx(1.0, abs=1e-6)
     assert out["verdict"] == "marginal"
 
 
-def test_stability_three_users_numeric_path(capsys):
+def test_stability_three_users_numeric_path(tmp_path, capsys):
     code, stdout, _ = run_cli(
-        capsys, "stability", "--n-users", "3", "--theta", "5", "--rates", "2,2,2",
+        capsys, "stability", "--scenario", _identical_users_file(tmp_path, 3),
+        "--param", "users.*.theta=5", "--rates", "2,2,2",
     )
     assert code == 0
     out = json.loads(stdout)
@@ -216,9 +249,12 @@ def test_stability_three_users_numeric_path(capsys):
     assert len(out["eigenvalues"]) == 3
 
 
-def test_stability_many_users(capsys):
+def test_stability_many_users(tmp_path, capsys):
     # above 64 users the spectrum used to be rejected
-    code, stdout, _ = run_cli(capsys, "stability", "--n-users", "100", "--theta", "5")
+    code, stdout, _ = run_cli(
+        capsys, "stability", "--scenario", _identical_users_file(tmp_path, 100),
+        "--param", "users.*.theta=5",
+    )
     assert code == 0
     out = json.loads(stdout)
     assert len(out["eigenvalues"]) == 100
@@ -232,9 +268,8 @@ def test_stability_theta_sweep_finds_boundary(capsys):
     for theta in (5, 20, 80, 320, 1280):
         code, stdout, _ = run_cli(
             capsys, "stability",
-            "--alpha", "2.15", "--beta", "0.0827",
-            "--mu", "0.003", "--nu", "0.07423027001041584",
-            "--theta", str(theta), "--rates", "3,3",
+            "--param", "params.nu=0.07423027001041584",
+            "--param", f"users.*.theta={theta}", "--rates", "3,3",
         )
         assert code == 0
         verdicts.append(json.loads(stdout)["verdict"])
@@ -242,6 +277,51 @@ def test_stability_theta_sweep_finds_boundary(capsys):
     assert verdicts[-1] == "unstable"
     flips = sum(a != b for a, b in zip(verdicts, verdicts[1:]))
     assert flips == 1
+
+
+@pytest.mark.parametrize("preset", list_presets())
+def test_every_preset_gets_an_equilibrium_and_a_verdict(capsys, preset):
+    code, stdout, _ = run_cli(capsys, "equilibrium", "--preset", preset)
+    assert code == 0
+    eq = json.loads(stdout)
+    assert eq["converged"]
+    n = len(load_preset(preset).users)
+    assert len(eq["rates"]) == n
+    code, stdout, _ = run_cli(capsys, "stability", "--preset", preset)
+    assert code == 0
+    out = json.loads(stdout)
+    assert out["rates"] == eq["rates"]
+    assert out["theta"] == [u.theta for u in load_preset(preset).users]
+    assert out["verdict"] in ("stable", "marginal", "unstable")
+
+
+def test_stability_reads_the_bandwidth_at_t(capsys):
+    # case2-persistent runs at 1.5 x 6 Mbps from 100 s to 200 s
+    code, stdout, _ = run_cli(capsys, "stability", "--preset", "case2-persistent", "--t", "150")
+    assert code == 0
+    out = json.loads(stdout)
+    assert out["rates"] == pytest.approx([4.217, 4.217], abs=1e-3)
+    code, stdout, _ = run_cli(
+        capsys, "stability", "--preset", "case2-persistent", "--param", "server.kind=fixed",
+        "--param", "server.base=9.0", "--param", "server.breakpoints=null",
+    )
+    assert code == 0
+    assert json.loads(stdout)["rates"] == out["rates"]
+
+
+@pytest.mark.parametrize("command", ["equilibrium", "stability"])
+@pytest.mark.parametrize("argv, fieldname", [
+    (["--t", "nan"], "--t"),
+    (["--t", "inf"], "--t"),
+    (["--t", "-1"], "--t"),
+    (["--param", "users.0.policy=qf"], "users[0].policy"),
+    (["--param", "users.0.r_max=2"], "users[1].r_max"),
+    (["--preset", "case3", "--scenario", "x.json"], "--preset"),
+])
+def test_analysis_input_the_game_does_not_model_exits_2(capsys, command, argv, fieldname):
+    code, _, stderr = run_cli(capsys, command, *argv)
+    assert code == 2
+    assert json.loads(stderr)["error"]["message"].startswith(fieldname)
 
 
 def test_sweep_theta_grid(tmp_path, capsys):

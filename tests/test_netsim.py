@@ -79,6 +79,9 @@ def test_allocate_shares_is_max_min_fair(bw, caps, data):
         assert all(shares[i] >= shares[j] * (1 - 1e-12) for j in active)
     if uncapped:
         assert sum(shares) == pytest.approx(bw, rel=1e-12)
+    # in every branch the link carries what it and the active caps allow
+    cap_total = sum(math.inf if caps[i] is None else caps[i] for i in active)
+    assert sum(shares) == pytest.approx(min(bw, cap_total), rel=1e-12)
 
 
 def test_bandwidth_at_persistent_preset_values():
@@ -193,7 +196,7 @@ def test_cap_spec_breakpoints_schedule_values():
 def test_nan_gradient_is_a_policy_failure(monkeypatch):
     import dashgame.adapt
 
-    # the server's queries and payoff_gradient_server share this core
+    # every payoff query runs this core
     monkeypatch.setattr(dashgame.adapt, "_central_difference", lambda *a, **k: math.nan)
     message = r"user 0 at segment 1: update_rate gradient must be finite"
     with pytest.raises(SimulationError, match=message):
