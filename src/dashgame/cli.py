@@ -20,8 +20,8 @@ from .metrics import QoeMetricParams, _stall_penalty, qoe1, qoe2, summarize
 from .model import BufferView
 from .netsim import SessionTrace, SimulationError, bandwidth_at, run_scenario
 from .scenarios import (
+    POLICIES,
     Scenario,
-    ScenarioError,
     apply_override,
     list_presets,
     load_preset,
@@ -69,31 +69,20 @@ def write_trace_csv(path: Path, trace: SessionTrace) -> None:
         fh.write(_TRACE_HEADER + rows)
 
 
-def _resolve_scenario(args, default_preset: str | None = None) -> dict:
+def _scenario(args, point=(), default_preset: str | None = None) -> Scenario:
+    """The input scenario with ``args.overrides``, then ``point``, applied in order."""
+    preset = args.preset or default_preset
     if args.preset and args.scenario:
         raise CliError("--preset and --scenario are mutually exclusive")
-    if args.scenario:
-        return scenario_to_dict(load_scenario(args.scenario))
-    preset = args.preset or default_preset
-    if not preset:
+    if not (args.scenario or preset):
         raise CliError("one of --preset or --scenario is required")
-    doc = scenario_to_dict(load_preset(preset))
-    doc["name"] = preset
-    return doc
+    doc = scenario_to_dict(load_scenario(args.scenario) if args.scenario else load_preset(preset))
+    for key, value in [*(args.overrides or ()), *point]:
+        apply_override(doc, key, value)
+    return scenario_from_dict(doc)
 
 
-def _apply_common_overrides(doc: dict, args) -> None:
-    if getattr(args, "seed", None) is not None:
-        apply_override(doc, "sim.seed", args.seed)
-    if getattr(args, "mode", None):
-        apply_override(doc, "sim.quantize", args.mode == "quantized")
-    if getattr(args, "policy", None):
-        apply_override(doc, "users.*.policy", args.policy)
-    if getattr(args, "segments", None) is not None:
-        apply_override(doc, "sim.total_segments", args.segments)
-
-
-def _run_one(sc: Scenario, out_dir: Path, scenario_doc: dict, source: str) -> tuple[dict, str]:
+def _run_one(sc: Scenario, out_dir: Path, source: str) -> tuple[dict, str]:
     """Run one scenario, write its outputs; return the summary and its JSON text."""
     out_dir.mkdir(parents=True, exist_ok=True)
     traces = run_scenario(sc)
@@ -121,7 +110,7 @@ def _run_one(sc: Scenario, out_dir: Path, scenario_doc: dict, source: str) -> tu
         "seed": sc.sim.rng_seed,
         "output_dir": str(out_dir),
         "trace_files": trace_paths,
-        "scenario": scenario_doc,
+        "scenario": scenario_to_dict(sc),
     }
     (out_dir / "run_manifest.json").write_text(
         json.dumps(manifest, indent=2) + "\n", encoding="utf-8"
@@ -130,69 +119,41 @@ def _run_one(sc: Scenario, out_dir: Path, scenario_doc: dict, source: str) -> tu
 
 
 def cmd_simulate(args) -> int:
-    doc = _resolve_scenario(args)
-    _apply_common_overrides(doc, args)
-    if args.theta is not None:
-        apply_override(doc, "users.*.theta", args.theta)
-    for key, value in args.param or []:
-        apply_override(doc, key, value)
-    sc = scenario_from_dict(doc, name=doc.get("name", "scenario"))
+    sc = _scenario(args)
     if args.calibrate_nu:
         sc = recalibrate_nu(sc)
-        doc["params"]["nu"] = sc.params.nu
-    _, summary_json = _run_one(sc, Path(args.out), doc, source=args.preset or args.scenario)
+    _, summary_json = _run_one(sc, Path(args.out), source=args.preset or args.scenario)
     print(summary_json)
     return EXIT_OK
 
 
-def _parse_value(text: str):
-    try:
-        return json.loads(text)
-    except json.JSONDecodeError:
-        return text
-
-
-def _parse_param(text: str) -> tuple[str, object]:
-    if "=" not in text:
-        raise argparse.ArgumentTypeError(f"expected KEY=VALUE, got {text!r}")
-    key, raw = text.split("=", 1)
-    return key, _parse_value(raw)
-
-
-def _parse_param_list(text: str) -> tuple[str, list]:
-    if "=" not in text:
-        raise argparse.ArgumentTypeError(f"expected KEY=V1,V2,..., got {text!r}")
-    key, raw = text.split("=", 1)
-    return key, [_parse_value(v) for v in raw.split(",")]
-
-
 def cmd_sweep(args) -> int:
-    doc = _resolve_scenario(args)
-    _apply_common_overrides(doc, args)
-    grid: list[tuple[str, list]] = []
-    if args.theta:
-        grid.append(("users.*.theta", [float(v) for v in args.theta.split(",")]))
-    if args.policy_list:
-        grid.append(("users.*.policy", args.policy_list.split(",")))
-    for key, values in args.param or []:
-        grid.append((key, values))
+    grid = args.grid
     if not grid:
         raise CliError("sweep requires a parameter grid (--theta, --policy, or --param)")
-    keys = [k for k, _ in grid]
-    out_root = Path(args.out)
-    out_root.mkdir(parents=True, exist_ok=True)
-    rows = []
+    # each key is one sweep.csv column, named by its last component
+    columns = {}
+    for key, _ in grid:
+        column = key.split(".")[-1]
+        if column in columns:
+            other = columns[column]
+            raise CliError(f"{key}: given twice in the sweep grid" if other == key
+                           else f"{key}: shares the sweep.csv column {column!r} with {other}")
+        columns[column] = key
+    for key, _ in args.overrides or ():
+        if key in columns.values():
+            raise CliError(f"{key}: given both as a grid axis and for every run")
+    # every run's scenario is built, so checked, before the first run writes
+    runs = []
     for combo in itertools.product(*(values for _, values in grid)):
-        run_doc = json.loads(json.dumps(doc))
-        label_parts = []
-        for key, value in zip(keys, combo):
-            apply_override(run_doc, key, value)
-            label_parts.append(f"{key.split('.')[-1]}={value}")
-        label = "_".join(label_parts).replace("/", "-")
-        sc = scenario_from_dict(run_doc, name=f"{doc.get('name', 'scenario')}[{label}]")
-        summary, _ = _run_one(sc, out_root / label, run_doc, source=label)
+        label = "_".join(f"{col}={value}" for col, value in zip(columns, combo)).replace("/", "-")
+        runs.append((label, combo, _scenario(args, [(key, v) for (key, _), v in zip(grid, combo)])))
+    out_root = Path(args.out)
+    rows = []
+    for label, combo, sc in runs:
+        summary, _ = _run_one(sc, out_root / label, source=label)
         for user_row in summary["users"]:
-            rows.append({"run": label, **{k.split(".")[-1]: v for k, v in zip(keys, combo)}, **user_row})
+            rows.append({"run": label, **dict(zip(columns, combo)), **user_row})
     table = out_root / "sweep.csv"
     with table.open("w", newline="", encoding="utf-8") as fh:
         writer = csv.DictWriter(fh, fieldnames=list(rows[0].keys()))
@@ -208,12 +169,10 @@ def _analysis_input(args):
     Every user must play the game and share one effective ``r_max``, the box
     of the static game.  Caps are not applied.
     """
-    if not 0 <= args.t < math.inf:
-        raise CliError(f"--t: must be finite and >= 0, got {args.t!r}")
-    doc = _resolve_scenario(args, default_preset="case1-uncalibrated")
-    for key, value in args.param or []:
-        apply_override(doc, key, value)
-    sc = scenario_from_dict(doc, name=doc.get("name", "scenario"))
+    for flag, value in (("--t", args.t), ("--b-curr", args.b_curr)):
+        if value is not None and not 0 <= value < math.inf:
+            raise CliError(f"{flag}: must be finite and >= 0, got {value!r}")
+    sc = _scenario(args, default_preset="case1-uncalibrated")
     r_max = sc.users[0].adapt_config().r_max
     for i, u in enumerate(sc.users):
         if u.policy != "game":
@@ -250,9 +209,12 @@ def cmd_stability(args) -> int:
     sc, models, bufs, bw, r_max = _analysis_input(args)
     params, n = sc.params, len(models)
     if args.rates:
-        rates = [float(v) for v in args.rates.split(",")]
-        if len(rates) != n:
-            raise CliError(f"--rates needs {n} values")
+        try:
+            rates = [float(v) for v in args.rates.split(",")]
+        except ValueError:
+            rates = []
+        if len(rates) != n or not all(0 <= r < math.inf for r in rates):
+            raise CliError(f"--rates: needs {n} finite numbers >= 0, got {args.rates!r}")
     else:
         eq = solve_equilibrium(params, models, bufs, bw, r_max=r_max)
         if not eq.converged:
@@ -280,12 +242,59 @@ def cmd_stability(args) -> int:
     return EXIT_OK
 
 
-def _add_scenario_flags(sub, presets: list, param=_parse_param, metavar="KEY=VALUE") -> None:
-    """The scenario input every command reads: a preset or a file, then overrides."""
+def _parse_value(text: str):
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError:
+        return text
+
+
+def _one_of(choices: dict):
+    """A reader of a choice's text as its value; argparse reports any other text."""
+    def read(text: str):
+        if text not in choices:
+            raise argparse.ArgumentTypeError(
+                f"invalid choice: {text!r} (choose from {', '.join(choices)})")
+        return choices[text]
+    return read
+
+
+# Every flag that adds to a command's override list: the dotted key it sets
+# (``--param`` names its own) and the reader of its value.
+_OVERRIDE_FLAGS = {
+    "--param": (None, _parse_value),
+    "--seed": ("sim.seed", int),
+    "--mode": ("sim.quantize", _one_of({"continuous": False, "quantized": True})),
+    "--theta": ("users.*.theta", float),
+    "--policy": ("users.*.policy", _one_of(dict(zip(POLICIES, POLICIES)))),
+    "--segments": ("sim.total_segments", int),
+}
+
+
+def _override_type(key: str | None, read, axis: bool):
+    """The argparse type of an override flag, (key, value); an axis reads a comma list."""
+    def parse(text: str) -> tuple[str, object]:
+        if key is None and "=" not in text:
+            raise argparse.ArgumentTypeError(f"expected KEY=VALUE, got {text!r}")
+        name, raw = text.split("=", 1) if key is None else (key, text)
+        return name, [read(v) for v in raw.split(",")] if axis else read(raw)
+    parse.__name__ = read.__name__  # argparse names it in "invalid int value: 'x'"
+    return parse
+
+
+def _add_scenario_flags(sub, presets: list, overrides=("--param",), axes=()) -> None:
+    """A preset or a file, then the flags of ``overrides`` (into ``args.overrides``)
+    and of sweep ``axes`` (into ``args.grid``), each list in command-line order."""
     sub.add_argument("--preset", choices=presets, default=None)
     sub.add_argument("--scenario", default=None, help="scenario or run-manifest JSON file")
-    sub.add_argument("--param", action="append", type=param, metavar=metavar,
-                     help="override of a dotted scenario path, e.g. users.*.b_ref")
+    for flag in (*overrides, *axes):
+        key, read = _OVERRIDE_FLAGS[flag]
+        axis = flag in axes
+        metavar = (flag[2:].upper() if key else "KEY=VALUE") + ",..." * axis
+        sub.add_argument(flag, dest="grid" if axis else "overrides", action="append",
+                         type=_override_type(key, read, axis), metavar=metavar,
+                         help=f"alias of --param {key}=..." if key
+                         else "override of a dotted scenario path, e.g. users.*.b_ref")
 
 
 def _add_analysis_flags(sub, presets: list) -> None:
@@ -304,26 +313,17 @@ def build_parser() -> argparse.ArgumentParser:
 
     presets = list_presets()
     sim = sub.add_parser("simulate", help="run one scenario or preset")
-    _add_scenario_flags(sim, presets)
+    _add_scenario_flags(sim, presets, overrides=list(_OVERRIDE_FLAGS))
     sim.add_argument("--out", default="out", help="output directory")
-    sim.add_argument("--seed", type=int, default=None)
-    sim.add_argument("--mode", choices=["continuous", "quantized"], default=None)
-    sim.add_argument("--theta", type=float, default=None, help="override all users' learning rate")
-    sim.add_argument("--policy", choices=["game", "qf", "bf"], default=None)
-    sim.add_argument("--segments", type=int, default=None, help="override total segments")
     sim.add_argument("--calibrate-nu", action="store_true",
                      help="recompute nu from the calibration helper before running")
     sim.set_defaults(func=cmd_simulate)
 
     sw = sub.add_parser("sweep", help="run a parameter grid and aggregate a comparison table")
-    _add_scenario_flags(sw, presets, param=_parse_param_list, metavar="KEY=V1,V2")
+    _add_scenario_flags(sw, presets, overrides=("--seed", "--mode", "--segments"),
+                        axes=("--param", "--theta", "--policy"))
     sw.add_argument("--out", default="sweep_out")
-    sw.add_argument("--seed", type=int, default=None)
-    sw.add_argument("--mode", choices=["continuous", "quantized"], default=None)
-    sw.add_argument("--segments", type=int, default=None)
-    sw.add_argument("--theta", default=None, help="comma list, e.g. 50,100,150,200")
-    sw.add_argument("--policy", dest="policy_list", default=None, help="comma list, e.g. game,qf,bf")
-    sw.set_defaults(func=cmd_sweep, policy=None)
+    sw.set_defaults(func=cmd_sweep)
 
     eq = sub.add_parser("equilibrium", help="solve a scenario's static equilibrium")
     _add_analysis_flags(eq, presets)
@@ -337,14 +337,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except CliError as exc:
         return _fail(str(exc), exc.code)
-    except ScenarioError as exc:
-        return _fail(str(exc), EXIT_VALIDATION)
     except (ValueError, KeyError) as exc:
         return _fail(str(exc), EXIT_VALIDATION)
     except SimulationError as exc:

@@ -21,6 +21,7 @@ reproduce bit-identical traces.
 from __future__ import annotations
 
 import math
+import sys
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from operator import itemgetter
@@ -212,7 +213,9 @@ def allocate_shares(
     remaining = export_bw
     while undecided:
         fair = remaining / len(undecided)
-        binding = [i for i in undecided if caps[i] is not None and caps[i] <= fair]
+        binding, free = [], []
+        for i in undecided:
+            (binding if caps[i] is not None and caps[i] <= fair else free).append(i)
         if not binding:
             for i in undecided:
                 shares[i] = fair
@@ -220,9 +223,8 @@ def allocate_shares(
         for i in binding:
             shares[i] = caps[i]
             remaining -= caps[i]
-        undecided = [i for i in undecided if i not in binding]
-        remaining = max(remaining, 0.0)
-        if remaining == 0.0:
+        undecided = free
+        if remaining <= 0.0:
             break
     return shares
 
@@ -269,8 +271,8 @@ class SimConfig:
     rng_seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.total_segments < 1:
-            raise ValueError(f"total_segments must be >= 1, got {self.total_segments!r}")
+        if not 1 <= self.total_segments <= sys.float_info.max:  # the horizon is a float
+            raise ValueError(f"total_segments must be >= 1 and fit a float, got {self.total_segments!r}")
         if not _positive(self.segment_duration):
             raise ValueError(
                 f"segment_duration must be finite and > 0, got {self.segment_duration!r}"

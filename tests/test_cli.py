@@ -170,6 +170,8 @@ def test_param_override_the_run_would_ignore_exits_2(tmp_path, capsys, param, fi
     # 1.1e7 random cap slots per user, about 5 GB, are refused before any is drawn
     (["--preset", "case4-fixed", "--param", "users.*.cap_profile.dwell=0.001"],
      "users[0].cap_profile.dwell"),
+    # a segment count above the largest float: the horizon cannot be computed
+    (["--preset", "case1-fixed", "--param", f"sim.total_segments={10**400}"], "sim.total_segments"),
 ])
 @pytest.mark.parametrize("command", ["simulate", "equilibrium"])
 def test_time_scale_the_run_cannot_hold_exits_2(tmp_path, capsys, command, argv, fieldname):
@@ -179,6 +181,30 @@ def test_time_scale_the_run_cannot_hold_exits_2(tmp_path, capsys, command, argv,
     assert code == 2
     assert json.loads(stderr)["error"]["message"].startswith(fieldname + ":")
     assert not (tmp_path / "x").exists()
+
+
+def test_segments_flag_above_the_largest_float_exits_2(tmp_path, capsys):
+    # the shorthand for the last case above; equilibrium has no --segments
+    code, _, stderr = run_cli(capsys, "simulate", "--preset", "case1-fixed", "--segments",
+                              str(10**400), "--out", str(tmp_path / "x"))
+    assert code == 2
+    assert json.loads(stderr)["error"]["message"].startswith("sim.total_segments:")
+    assert not (tmp_path / "x").exists()
+
+
+@pytest.mark.parametrize("first, second, theta", [
+    (["--theta", "50"], ["--param", "users.*.theta=7"], 7.0),
+    (["--param", "users.*.theta=7"], ["--theta", "50"], 50.0),
+])
+def test_shorthand_flags_and_params_apply_in_command_line_order(tmp_path, capsys, first, second, theta):
+    out = tmp_path / "run"
+    code, _, _ = run_cli(capsys, "simulate", "--preset", "case1-fixed", "--segments", "5",
+                         *first, *second, "--out", str(out))
+    assert code == 0
+    users = json.loads((out / "run_manifest.json").read_text())["scenario"]["users"]
+    # the manifest is the scenario that ran, so an int override reads as a float
+    assert [type(u["theta"]) for u in users] == [float, float]
+    assert [u["theta"] for u in users] == [theta, theta]
 
 
 def test_simulate_requires_a_source(tmp_path, capsys):
@@ -324,6 +350,21 @@ def test_analysis_input_the_game_does_not_model_exits_2(capsys, command, argv, f
     assert json.loads(stderr)["error"]["message"].startswith(fieldname)
 
 
+@pytest.mark.parametrize("command", ["equilibrium", "stability"])
+def test_b_curr_that_is_not_a_buffer_exits_2(capsys, command):
+    code, _, stderr = run_cli(capsys, command, "--b-curr", "nan")
+    assert code == 2
+    assert json.loads(stderr)["error"]["message"].startswith("--b-curr:")
+
+
+# "--rates=-1,1": argparse takes a separate "-1,1" for an option
+@pytest.mark.parametrize("rates", ["--rates=1,x", "--rates=nan,1", "--rates=-1,1", "--rates=3"])
+def test_rates_that_are_not_an_operating_point_exit_2(capsys, rates):
+    code, _, stderr = run_cli(capsys, "stability", rates)
+    assert code == 2
+    assert json.loads(stderr)["error"]["message"].startswith("--rates:")
+
+
 def test_sweep_theta_grid(tmp_path, capsys):
     out = tmp_path / "sweep"
     code, stdout, _ = run_cli(
@@ -352,6 +393,56 @@ def test_sweep_policy_grid(tmp_path, capsys):
     assert code == 0
     rows = (out / "sweep.csv").read_text().splitlines()
     assert len(rows) == 1 + 6  # 2 policies * 3 users
+
+
+def test_sweep_labels_follow_command_line_order(tmp_path, capsys):
+    out = tmp_path / "sweep"
+    code, _, _ = run_cli(
+        capsys, "sweep", "--preset", "case1-fixed", "--segments", "5",
+        "--policy", "game,qf", "--theta", "50,100", "--out", str(out),
+    )
+    assert code == 0
+    header, first = (out / "sweep.csv").read_text().splitlines()[:2]
+    assert header.startswith("run,policy,theta,user,")
+    assert first.startswith("policy=game_theta=50.0,game,50.0,0,")
+    assert (out / "policy=qf_theta=100.0" / "user1.csv").exists()
+
+
+@pytest.mark.parametrize("argv, message", [
+    # the --param axis used to override every --theta run, under --theta's labels
+    (["--theta", "50,100", "--param", "users.*.theta=1,2"], "users.*.theta: given twice"),
+    (["--param", "sim.seed=1,2", "--param", "sim.seed=3"], "sim.seed: given twice"),
+    # both used to land in one sweep.csv column
+    (["--param", "users.0.theta=1,2", "--param", "users.1.theta=3,4"],
+     "users.1.theta: shares the sweep.csv column 'theta' with users.0.theta"),
+    # the axis used to override --segments without a word
+    (["--param", "sim.total_segments=6,7"], "sim.total_segments: given both as a grid axis"),
+])
+def test_sweep_grid_that_repeats_a_key_or_column_exits_2(tmp_path, capsys, argv, message):
+    out = tmp_path / "sweep"
+    code, _, stderr = run_cli(capsys, "sweep", "--preset", "case1-fixed", "--segments", "5",
+                              *argv, "--out", str(out))
+    assert code == 2
+    assert json.loads(stderr)["error"]["message"].startswith(message)
+    assert not out.exists()
+
+
+def test_sweep_checks_every_point_before_the_first_run(tmp_path, capsys):
+    out = tmp_path / "sweep"
+    code, _, stderr = run_cli(capsys, "sweep", "--preset", "case1-fixed", "--segments", "5",
+                              "--param", "users.*.theta=50,-1", "--out", str(out))
+    assert code == 2
+    assert json.loads(stderr)["error"]["message"].startswith("users[0].theta:")
+    assert not out.exists()
+
+
+def test_sweep_policy_axis_is_checked_by_the_parser(tmp_path, capsys):
+    out = tmp_path / "sweep"
+    with pytest.raises(SystemExit) as exc:
+        main(["sweep", "--preset", "case1-fixed", "--policy", "game,bogus", "--out", str(out)])
+    assert exc.value.code == 2
+    assert "argument --policy: invalid choice: 'bogus'" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_trace_header_lists_record_fields_in_order():
