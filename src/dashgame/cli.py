@@ -7,6 +7,7 @@ printed to stderr as one JSON object so wrappers can parse them.
 from __future__ import annotations
 
 import argparse
+import copy
 import csv
 import itertools
 import json
@@ -30,12 +31,7 @@ from .scenarios import (
     scenario_from_dict,
     scenario_to_dict,
 )
-from .stability import (
-    build_report,
-    jacobian_2user,
-    jacobian_numeric,
-    stability_conditions_identical_2user,
-)
+from .stability import build_report, jacobian_analytic, stability_conditions_identical_2user
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -69,17 +65,23 @@ def write_trace_csv(path: Path, trace: SessionTrace) -> None:
         fh.write(_TRACE_HEADER + rows)
 
 
-def _scenario(args, point=(), default_preset: str | None = None) -> Scenario:
-    """The input scenario with ``args.overrides``, then ``point``, applied in order."""
+def _scenarios(args, points=((),), default_preset: str | None = None) -> list[Scenario]:
+    """One scenario per override list in ``points``: the input, loaded once, with
+    ``args.overrides`` and then the point applied in order to a copy of it."""
     preset = args.preset or default_preset
     if args.preset and args.scenario:
         raise CliError("--preset and --scenario are mutually exclusive")
     if not (args.scenario or preset):
         raise CliError("one of --preset or --scenario is required")
-    doc = scenario_to_dict(load_scenario(args.scenario) if args.scenario else load_preset(preset))
-    for key, value in [*(args.overrides or ()), *point]:
-        apply_override(doc, key, value)
-    return scenario_from_dict(doc)
+    source = scenario_to_dict(load_scenario(args.scenario) if args.scenario else load_preset(preset))
+    # overrides write into a document, so each point gets its own; the first, the loaded one
+    docs = [source, *(copy.deepcopy(source) for _ in points[1:])]
+    scenarios = []
+    for doc, point in zip(docs, points):
+        for key, value in [*(args.overrides or ()), *point]:
+            apply_override(doc, key, value)
+        scenarios.append(scenario_from_dict(doc))
+    return scenarios
 
 
 def _run_one(sc: Scenario, out_dir: Path, source: str) -> tuple[dict, str]:
@@ -119,7 +121,7 @@ def _run_one(sc: Scenario, out_dir: Path, source: str) -> tuple[dict, str]:
 
 
 def cmd_simulate(args) -> int:
-    sc = _scenario(args)
+    sc, = _scenarios(args)
     if args.calibrate_nu:
         sc = recalibrate_nu(sc)
     _, summary_json = _run_one(sc, Path(args.out), source=args.preset or args.scenario)
@@ -144,13 +146,12 @@ def cmd_sweep(args) -> int:
         if key in columns.values():
             raise CliError(f"{key}: given both as a grid axis and for every run")
     # every run's scenario is built, so checked, before the first run writes
-    runs = []
-    for combo in itertools.product(*(values for _, values in grid)):
-        label = "_".join(f"{col}={value}" for col, value in zip(columns, combo)).replace("/", "-")
-        runs.append((label, combo, _scenario(args, [(key, v) for (key, _), v in zip(grid, combo)])))
+    combos = list(itertools.product(*(values for _, values in grid)))
+    scenarios = _scenarios(args, [[(key, v) for (key, _), v in zip(grid, combo)] for combo in combos])
     out_root = Path(args.out)
     rows = []
-    for label, combo, sc in runs:
+    for combo, sc in zip(combos, scenarios):
+        label = "_".join(f"{col}={value}" for col, value in zip(columns, combo)).replace("/", "-")
         summary, _ = _run_one(sc, out_root / label, source=label)
         for user_row in summary["users"]:
             rows.append({"run": label, **dict(zip(columns, combo)), **user_row})
@@ -172,7 +173,7 @@ def _analysis_input(args):
     for flag, value in (("--t", args.t), ("--b-curr", args.b_curr)):
         if value is not None and not 0 <= value < math.inf:
             raise CliError(f"{flag}: must be finite and >= 0, got {value!r}")
-    sc = _scenario(args, default_preset="case1-uncalibrated")
+    sc, = _scenarios(args, default_preset="case1-uncalibrated")
     r_max = sc.users[0].adapt_config().r_max
     for i, u in enumerate(sc.users):
         if u.policy != "game":
@@ -221,20 +222,16 @@ def cmd_stability(args) -> int:
             raise CliError("equilibrium solve failed; pass --rates explicitly", EXIT_RUNTIME)
         rates = eq.rates
     thetas = [u.theta for u in sc.users]
-    out = {"rates": rates, "theta": thetas, "n_users": n}
-    if n == 2:
-        jac = jacobian_2user(params, models, bufs, bw, rates, thetas)
-        out["jacobian_source"] = "analytic-2user"
-    else:
-        jac = jacobian_numeric(params, models, bufs, bw, rates, thetas)
-        out["jacobian_source"] = "numeric-central-difference"
-    report = build_report(jac)
-    out.update({
+    report = build_report(jacobian_analytic(params, models, bufs, bw, rates, thetas))
+    out = {
+        "rates": rates,
+        "theta": thetas,
+        "n_users": n,
         "jacobian": [list(map(float, row)) for row in report.jacobian],
         "eigenvalues": [[z.real, z.imag] for z in report.eigenvalues],
         "spectral_radius": report.spectral_radius,
         "verdict": report.verdict,
-    })
+    }
     if _identical_pair(sc, bufs) and bufs[0].b_curr == bufs[0].b_ref and len(set(rates)) == 1:
         flags, _ = stability_conditions_identical_2user(params, models[0], thetas[0], rates[0], bw)
         out["closed_form_conditions"] = {"upper": flags[0], "lower": flags[1]}

@@ -3,13 +3,13 @@
 The update ``r_i(t+1) = r_i(t) + theta_i * r_i(t) * grad_i(r(t))`` is a
 discrete-time map whose fixed points are the game's stationary rates; the
 equilibrium is locally stable iff every eigenvalue of the map's Jacobian
-lies strictly inside the unit circle.  This module builds the 2-user
-Jacobian analytically and an N-user Jacobian by finite differences: the
-2N + 1 points of the stencil are stacked into one ``(2N + 1, N)`` array and
-the map is evaluated on all of them in a single vectorised call (O(N^2)
-work and memory, the order of the matrix returned).  Spectra come from
-LAPACK (``numpy.linalg.eigvals``), and the closed-form unit-circle
-conditions for two identical users are evaluated directly.
+lies strictly inside the unit circle.  Users are coupled only through the
+load ``z3 * sum(rates)``, so at any N the Jacobian is a diagonal plus a
+rank-one matrix, ``J = diag(d) + u 1^T``, built analytically in O(N) work
+before the O(N^2) fill (:func:`jacobian_analytic`).  ``jacobian_numeric``,
+the same Jacobian by finite differences, is kept as its cross-oracle.
+Spectra come from LAPACK (``numpy.linalg.eigvals``), and the closed-form
+unit-circle conditions for two identical users are evaluated directly.
 """
 
 from __future__ import annotations
@@ -26,13 +26,13 @@ from .model import (
     UtilityGradients,
     VideoQualityModel,
     _check_rate_array,
-    _check_rates_bw,
 )
 from .game import foc_coefficients
 
 __all__ = [
     "StabilityReport",
     "EigenvalueError",
+    "jacobian_analytic",
     "jacobian_2user",
     "jacobian_numeric",
     "eigenvalues_small",
@@ -62,6 +62,28 @@ class StabilityReport:
     closed_form: Optional[tuple[bool, bool]] = None
 
 
+def jacobian_analytic(
+    params: GameParams,
+    models: Sequence[VideoQualityModel],
+    bufs: Sequence[BufferView],
+    export_bw: float,
+    rates: Sequence[float],
+    thetas: Sequence[float],
+) -> np.ndarray:
+    """Analytic Jacobian of the unclamped update map, any N >= 1.
+
+    Every user's gradient sees the others only through ``z3*sum(rates)``,
+    so ``J = diag(d) + u 1^T`` with ``u_i = -theta_i*z3*r_i`` and ``d_i = 1
+    + theta_i*(g_i - r_i*z1_i*beta_i/(1 + beta_i*r_i)^2)``, where ``g_i`` is
+    user i's gradient at ``rates``.
+    """
+    theta, grad, r = _operating_point(params, models, bufs, export_bw, rates, thetas)
+    denom = 1.0 + grad.betas * r
+    d = 1.0 + theta * (grad._gradients(r) - r * grad.z1 * grad.betas / (denom * denom))
+    u = -theta * grad.z3 * r
+    return np.diag(d) + u[:, None]
+
+
 def jacobian_2user(
     params: GameParams,
     models: Sequence[VideoQualityModel],
@@ -70,40 +92,27 @@ def jacobian_2user(
     rates: Sequence[float],
     thetas: Sequence[float],
 ) -> np.ndarray:
-    """Analytic Jacobian of the unclamped update map for exactly two users.
-
-    Off-diagonals are ``-theta_i * z3 * r_i``; diagonal ``i`` is
-    ``1 + theta_i * (-beta_i*z1_i*r_i/(1+beta_i*r_i)^2 + z1_i/(1+beta_i*r_i)
-    + z2_i - z3*(2*r_i + r_j))``.
-    """
+    """:func:`jacobian_analytic` for exactly two users."""
     if not (len(models) == len(bufs) == len(rates) == len(thetas) == 2):
         raise ValueError("jacobian_2user requires exactly two users")
-    _check_rates_bw(rates, export_bw)
-    _check_thetas(thetas)
-    jac = np.empty((2, 2))
-    for i in range(2):
-        j = 1 - i
-        z = foc_coefficients(params, models[i], bufs[i], export_bw)
-        beta = models[i].beta
-        r_i, r_j = rates[i], rates[j]
-        denom = 1.0 + beta * r_i
-        own = (
-            -beta * z.z1 * r_i / (denom * denom)
-            + z.z1 / denom
-            + z.z2
-            - z.z3 * (2.0 * r_i + r_j)
-        )
-        jac[i, i] = 1.0 + thetas[i] * own
-        jac[i, j] = -thetas[i] * z.z3 * r_i
-    return jac
+    return jacobian_analytic(params, models, bufs, export_bw, rates, thetas)
 
 
-def _check_thetas(thetas: Sequence[float]) -> np.ndarray:
+def _operating_point(params, models, bufs, export_bw, rates, thetas):
+    """The thetas, the game's gradients and the rates, each checked."""
+    n = len(rates)
+    if not (len(models) == len(bufs) == len(thetas) == n >= 1):
+        raise ValueError("models, bufs, rates, thetas must agree and be nonempty")
     theta = np.asarray(thetas, dtype=float)
     bad = theta[~(np.isfinite(theta) & (theta > 0))]
     if bad.size:
         raise ValueError(f"thetas must be finite and > 0, got {float(bad[0])!r}")
-    return theta
+    grad = UtilityGradients(params, models, bufs, export_bw)
+    r = np.asarray(rates, dtype=float)
+    if r.shape != (n,):
+        raise ValueError(f"rates must be a flat sequence of {n} values, got shape {r.shape}")
+    _check_rate_array(r)
+    return theta, grad, r
 
 
 def jacobian_numeric(
@@ -117,28 +126,22 @@ def jacobian_numeric(
 ) -> np.ndarray:
     """Jacobian of the unclamped update map by finite differences.
 
-    Central differences, except in the columns of rates below ``step``,
-    whose minus leg would leave the domain ``r >= 0``: those use the
-    one-sided second-order stencil ``(-3 f(r) + 4 f(r + h) - f(r + 2h)) /
-    2h``, built only when some column needs it.  The stencil points (the
-    base point, ``r + h*e_j``, and ``r - h*e_j`` or ``r + 2h*e_j``) form one
-    ``(2N + 1, N)`` stack, and the map (no step cap, no box projection) is
-    evaluated on it in a single call, so the whole Jacobian is O(N^2) in
-    time and memory.  The N base rates are checked once; every stencil
-    point is then finite and >= 0, so the stack goes to the gradients'
-    unchecked core.
+    The cross-oracle of :func:`jacobian_analytic`, called by acceptance
+    criterion 4 and the benchmark's ``analysis`` workload.  Central
+    differences, except in the columns of rates below ``step``, whose minus
+    leg would leave the domain ``r >= 0``: those use the one-sided
+    second-order stencil ``(-3 f(r) + 4 f(r + h) - f(r + 2h)) / 2h``, built
+    only when some column needs it.  The stencil points (the base point,
+    ``r + h*e_j``, and ``r - h*e_j`` or ``r + 2h*e_j``) form one ``(2N + 1,
+    N)`` stack, and the map (no step cap, no box projection) is evaluated on
+    it in a single call, so the whole Jacobian is O(N^2) in time and memory.
+    The N base rates are checked once; every stencil point is then finite
+    and >= 0, so the stack goes to the gradients' unchecked core.
     """
-    n = len(rates)
-    if not (len(models) == len(bufs) == len(thetas) == n >= 1):
-        raise ValueError("models, bufs, rates, thetas must agree and be nonempty")
     if not (math.isfinite(step) and step > 0):
         raise ValueError(f"step must be finite and > 0, got {step!r}")
-    theta = _check_thetas(thetas)
-    grad = UtilityGradients(params, models, bufs, export_bw)
-    r = np.asarray(rates, dtype=float)
-    if r.shape != (n,):
-        raise ValueError(f"rates must be a flat sequence of {n} values, got shape {r.shape}")
-    _check_rate_array(r)
+    theta, grad, r = _operating_point(params, models, bufs, export_bw, rates, thetas)
+    n = r.size
     one_sided = r < step
     any_one_sided = bool(one_sided.any())
     points = np.empty((2 * n + 1, n))

@@ -6,9 +6,12 @@ import math
 import numpy as np
 import pytest
 
+import dashgame.cli
 from dashgame.cli import _TRACE_HEADER, main
-from dashgame.netsim import TraceRecord
+from dashgame.model import BufferView
+from dashgame.netsim import TraceRecord, bandwidth_at
 from dashgame.scenarios import list_presets, load_preset, scenario_to_dict
+from dashgame.stability import jacobian_analytic, jacobian_numeric
 
 
 def run_cli(capsys, *argv):
@@ -264,15 +267,21 @@ def test_stability_marginal_at_vanishing_theta(capsys):
     assert out["verdict"] == "marginal"
 
 
-def test_stability_three_users_numeric_path(tmp_path, capsys):
-    code, stdout, _ = run_cli(
-        capsys, "stability", "--scenario", _identical_users_file(tmp_path, 3),
-        "--param", "users.*.theta=5", "--rates", "2,2,2",
-    )
+def test_stability_three_users(capsys):
+    # case3's three users have different videos; one of them sits at rate 0
+    code, stdout, _ = run_cli(capsys, "stability", "--preset", "case3", "--rates", "0,1.5,2.5")
     assert code == 0
     out = json.loads(stdout)
-    assert out["jacobian_source"] == "numeric-central-difference"
+    assert "jacobian_source" not in out
     assert len(out["eigenvalues"]) == 3
+    sc = load_preset("case3")
+    game = (
+        sc.params, [u.video for u in sc.users],
+        [BufferView(b_curr=u.b_ref, b_ref=u.b_ref) for u in sc.users],
+        bandwidth_at(sc.server, 0.0), [0.0, 1.5, 2.5], [u.theta for u in sc.users],
+    )
+    assert out["jacobian"] == jacobian_analytic(*game).tolist()
+    assert np.abs(np.array(out["jacobian"]) - jacobian_numeric(*game)).max() <= 1e-6
 
 
 def test_stability_many_users(tmp_path, capsys):
@@ -384,15 +393,23 @@ def test_sweep_empty_grid_exit_2(tmp_path, capsys):
     assert code == 2
 
 
-def test_sweep_policy_grid(tmp_path, capsys):
+def test_sweep_policy_grid(tmp_path, capsys, monkeypatch):
+    loads = []
+
+    def counted_load_preset(name):
+        loads.append(name)
+        return load_preset(name)
+
+    monkeypatch.setattr(dashgame.cli, "load_preset", counted_load_preset)
     out = tmp_path / "pol"
     code, _, _ = run_cli(
         capsys, "sweep", "--preset", "case4-fixed", "--segments", "40",
-        "--policy", "game,bf", "--out", str(out),
+        "--policy", "game,qf,bf", "--out", str(out),
     )
     assert code == 0
     rows = (out / "sweep.csv").read_text().splitlines()
-    assert len(rows) == 1 + 6  # 2 policies * 3 users
+    assert len(rows) == 1 + 9  # 3 policies * 3 users
+    assert loads == ["case4-fixed"]  # the source is loaded once, not once per run
 
 
 def test_sweep_labels_follow_command_line_order(tmp_path, capsys):

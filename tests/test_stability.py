@@ -15,11 +15,13 @@ from dashgame.model import (
     VideoQualityModel,
     utility_gradient,
 )
+from dashgame.netsim import calibrate_nu
 from dashgame.stability import (
     EigenvalueError,
     build_report,
     eigenvalues_small,
     jacobian_2user,
+    jacobian_analytic,
     jacobian_numeric,
     spectral_radius,
     stability_conditions_identical_2user,
@@ -145,6 +147,73 @@ def test_jacobian_numeric_matches_analytic_n_user():
         np.testing.assert_allclose(num, ana, atol=1e-6)
 
 
+def _random_operating_point(n, seed, zeros):
+    """A random instance at random rates in [0, 10], ``zeros`` of them exactly 0."""
+    rng = np.random.default_rng(seed)
+    params, videos, bufs, bw = random_instance(rng, n_users=n)
+    rates = rng.uniform(0.0, 10.0, n)
+    rates[rng.integers(n, size=zeros)] = 0.0
+    thetas = rng.uniform(1.0, 300.0, n)
+    return params, videos, bufs, bw, rates.tolist(), thetas.tolist()
+
+
+_OPERATING_POINTS = dict(n=st.integers(1, 64), seed=st.integers(0, 2**32 - 1), zeros=st.integers(0, 3))
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(**_OPERATING_POINTS)
+@example(n=1, seed=0, zeros=1)
+@example(n=64, seed=1, zeros=3)
+def test_jacobian_analytic_matches_both_oracles(n, seed, zeros):
+    """The diagonal-plus-rank-one formula gives the scalar per-user loop to
+    rounding, and the finite-difference Jacobian to its truncation error."""
+    game = _random_operating_point(n, seed, zeros)
+    got = jacobian_analytic(*game)
+    assert got.shape == (n, n)
+    scale = max(1.0, float(np.abs(got).max()))
+    assert np.abs(got - _jacobian_analytic(*game)).max() <= 1e-12 * scale
+    assert np.abs(got - jacobian_numeric(*game)).max() <= 1e-7 * scale
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(**_OPERATING_POINTS)
+@example(n=64, seed=2, zeros=3)
+def test_jacobian_analytic_spectrum_is_real(n, seed, zeros):
+    """With s_i = sqrt(theta_i*z3*r_i), S^-1 J S = diag(d) - s s^T is
+    symmetric, and a zero-rate row is d_i e_i^T: the spectrum is real."""
+    jac = jacobian_analytic(*_random_operating_point(n, seed, zeros))
+    scale = max(1.0, float(np.abs(jac).max()))
+    assert np.abs(np.linalg.eigvals(jac).imag).max() <= 1e-9 * scale
+
+
+def test_jacobian_analytic_below_one_at_interior_equilibria():
+    """At an interior equilibrium J = I + Theta R H with H the negative
+    definite Hessian of the potential, so every eigenvalue is below 1."""
+    rng = np.random.default_rng(32)
+    interior = 0
+    for _ in range(80):
+        n = int(rng.integers(1, 65))
+        alphas, betas = rng.uniform(0.03, 0.06, n), rng.uniform(0.8, 1.2, n)
+        bw, b_ref = float(rng.uniform(1.5, 3.0)) * n, 15.0
+        nu = calibrate_nu(alpha=float(alphas.mean()), beta=float(betas.mean()), mu=0.006,
+                          segment_duration=2.0, export_bw=bw, n_users=n)
+        params = GameParams(mu=0.006, nu=nu, p=0.25, segment_duration=2.0)
+        videos = [VideoQualityModel(alpha=float(a), beta=float(b), ladder=(1.0,))
+                  for a, b in zip(alphas, betas)]
+        bufs = [BufferView(b_curr=float(b), b_ref=b_ref)
+                for b in rng.uniform(0.5 * b_ref, 1.5 * b_ref, n)]
+        r_max = 10.0 * bw
+        eq = solve_equilibrium(params, videos, bufs, bw, r_max=r_max)
+        assert eq.converged
+        if not all(0.0 < r < r_max for r in eq.rates):
+            continue
+        interior += 1
+        thetas = rng.uniform(1.0, 300.0, n).tolist()
+        jac = jacobian_analytic(params, videos, bufs, bw, eq.rates, thetas)
+        assert np.linalg.eigvals(jac).real.max() < 1.0
+    assert interior >= 50
+
+
 def test_jacobian_numeric_rejects_negative_rates(ref_params, ref_video, neutral_buffer):
     with pytest.raises(ValueError, match="rates"):
         jacobian_numeric(
@@ -172,7 +241,7 @@ def test_jacobian_numeric_rejects_bad_step(step, ref_params, ref_video, neutral_
 
 
 @pytest.mark.parametrize("bad", [float("nan"), float("inf"), 0.0, -5.0])
-@pytest.mark.parametrize("jac_fn", [jacobian_2user, jacobian_numeric])
+@pytest.mark.parametrize("jac_fn", [jacobian_2user, jacobian_analytic, jacobian_numeric])
 def test_jacobians_reject_bad_thetas(jac_fn, bad, ref_params, ref_video, neutral_buffer):
     # a NaN theta gave a silently NaN matrix
     with pytest.raises(ValueError, match="thetas"):
