@@ -19,7 +19,7 @@ from . import __version__
 from .game import closed_form_identical_2user, foc_coefficients, solve_equilibrium
 from .metrics import QoeMetricParams, _stall_penalty, qoe1, qoe2, summarize
 from .model import BufferView
-from .netsim import SessionTrace, SimulationError, bandwidth_at, run_scenario
+from .netsim import Link, SessionTrace, SimulationError, allocate_shares, run_scenario
 from .scenarios import (
     POLICIES,
     Scenario,
@@ -165,11 +165,9 @@ def cmd_sweep(args) -> int:
 
 
 def _analysis_input(args):
-    """The scenario, its videos and buffers, the bandwidth at ``--t``, and r_max.
-
-    Every user must play the game and share one effective ``r_max``, the box
-    of the static game.  Caps are not applied.
-    """
+    """The scenario, its videos and buffers, its link's bandwidth and caps at
+    ``--t``, and r_max.  Every user must play the game and share one effective
+    ``r_max``, the box of the static game, which the caps do not narrow."""
     for flag, value in (("--t", args.t), ("--b-curr", args.b_curr)):
         if value is not None and not 0 <= value < math.inf:
             raise CliError(f"{flag}: must be finite and >= 0, got {value!r}")
@@ -183,7 +181,8 @@ def _analysis_input(args):
                            f" {r_max!r}; the analysis solves one box [0, r_max] for every user")
     bufs = [BufferView(b_curr=u.b_ref if args.b_curr is None else args.b_curr, b_ref=u.b_ref)
             for u in sc.users]
-    return sc, [u.video for u in sc.users], bufs, bandwidth_at(sc.server, args.t), r_max
+    _, bw, caps = Link(sc).at(args.t)
+    return sc, [u.video for u in sc.users], bufs, bw, caps, r_max
 
 
 def _identical_pair(sc: Scenario, bufs) -> bool:
@@ -191,13 +190,14 @@ def _identical_pair(sc: Scenario, bufs) -> bool:
 
 
 def cmd_equilibrium(args) -> int:
-    sc, models, bufs, bw, r_max = _analysis_input(args)
+    sc, models, bufs, bw, caps, r_max = _analysis_input(args)
     result = solve_equilibrium(sc.params, models, bufs, bw, r_max=r_max)
     out = {
         "rates": result.rates,
         "residual": result.residual,
         "iterations": result.iterations,
         "converged": result.converged,
+        "shares": allocate_shares(bw, caps, range(len(caps))),
     }
     if _identical_pair(sc, bufs):
         z = foc_coefficients(sc.params, models[0], bufs[0], bw)
@@ -207,7 +207,7 @@ def cmd_equilibrium(args) -> int:
 
 
 def cmd_stability(args) -> int:
-    sc, models, bufs, bw, r_max = _analysis_input(args)
+    sc, models, bufs, bw, _, r_max = _analysis_input(args)
     params, n = sc.params, len(models)
     if args.rates:
         try:
@@ -296,7 +296,7 @@ def _add_scenario_flags(sub, presets: list, overrides=("--param",), axes=()) -> 
 
 def _add_analysis_flags(sub, presets: list) -> None:
     _add_scenario_flags(sub, presets)
-    sub.add_argument("--t", type=float, default=0.0, help="time (s) of the server bandwidth used")
+    sub.add_argument("--t", type=float, default=0.0, help="time (s) of the bandwidth and caps used")
     sub.add_argument("--b-curr", dest="b_curr", type=float, help="every user's buffer (default b_ref)")
 
 
@@ -334,6 +334,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else list(argv)
+    # argparse takes a word such as "-1,1" for a flag; after stability's --rates it is the value
+    for i in reversed(range(len(argv) - 1) if argv[:1] == ["stability"] else ()):
+        if argv[i] == "--rates" and argv[i + 1][:1] == "-" and argv[i + 1][1:2] in set("0123456789."):
+            argv[i:i + 2] = [f"--rates={argv[i + 1]}"]
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)

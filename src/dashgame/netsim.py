@@ -46,7 +46,7 @@ __all__ = [
     "PROFILE_KINDS",
     "make_profile",
     "bandwidth_at",
-    "cap_at",
+    "Link",
     "allocate_shares",
     "quantize_rate",
     "calibrate_nu",
@@ -189,11 +189,24 @@ class CapSpec:
         return tuple((i * self.dwell, float(v)) for i, v in enumerate(values))
 
 
-def cap_at(schedule, t: float) -> Optional[float]:
-    """Cap value of a materialized schedule at time ``t`` (None = unlimited)."""
-    if schedule is None:
-        return None
-    return _step_at(schedule, t)
+class Link:
+    """A run's export bandwidth and user caps.  Every cap schedule is drawn
+    once, from one ``default_rng(sim.rng_seed)`` in user order over
+    ``sim.horizon``; ``times`` holds every breakpoint, strictly increasing."""
+
+    def __init__(self, scenario: "Scenario") -> None:
+        rng = np.random.default_rng(scenario.sim.rng_seed)
+        self.profile = scenario.server
+        self.caps = [u.cap.materialize(rng, scenario.sim.horizon) for u in scenario.users]
+        self.times = sorted(
+            {t for sched in (self.profile.breakpoints, *self.caps) if sched for t, _ in sched})
+
+    def at(self, t: float) -> tuple[float, float, list[Optional[float]]]:
+        """The next step after ``t`` (inf if none), the export bandwidth, and
+        every user's cap (None = unlimited) in force at ``t``."""
+        i = bisect_right(self.times, t)
+        caps = [None if sched is None else _step_at(sched, t) for sched in self.caps]
+        return self.times[i] if i < len(self.times) else math.inf, bandwidth_at(self.profile, t), caps
 
 
 def allocate_shares(
@@ -359,15 +372,6 @@ class _UserRuntime:
         self.started_at = t
 
 
-def _link_state(profile, cap_schedules, boundary_times, t):
-    """Boundary index, export bandwidth and per-user caps in force at ``t``."""
-    return (
-        bisect_right(boundary_times, t),
-        bandwidth_at(profile, t),
-        [cap_at(sched, t) for sched in cap_schedules],
-    )
-
-
 def _next_rate(rt: _UserRuntime, server: PayoffServer, T: float) -> float:
     """The rate a user picks for its next segment when one completes.
 
@@ -401,16 +405,15 @@ def run_scenario(scenario: "Scenario") -> list[SessionTrace]:
     sim = scenario.sim
     params = scenario.params
     T = params.segment_duration
-    profile = scenario.server
     quantized = sim.quantize
     total_segments = sim.total_segments
     n = len(users)
-
     horizon = sim.horizon
-    rng = np.random.default_rng(sim.rng_seed)
-    cap_schedules = [u.cap.materialize(rng, horizon) for u in users]
 
-    server = PayoffServer(params, bandwidth_at(profile, 0.0))
+    link = Link(scenario)
+    t = 0.0
+    t_step, export_bw, caps_now = link.at(t)
+    server = PayoffServer(params, export_bw)
     runs: list[_UserRuntime] = []
     for idx, u in enumerate(users):
         cfg = u.adapt_config()
@@ -419,22 +422,13 @@ def run_scenario(scenario: "Scenario") -> list[SessionTrace]:
         runs.append(rt)
         server.register(idx, u.video, u.b_ref, initial_rate=rt.request_rate, epsilon=cfg.epsilon)
 
-    # merged strictly-increasing event boundary times from all schedules
-    boundary_times = sorted(
-        {t for t, _ in profile.breakpoints}
-        | {t for sched in cap_schedules if sched for t, _ in sched}
-    )
-    n_boundaries = len(boundary_times)
-
-    # caps and bandwidth change only at boundary times, each of which is an
-    # event: they are looked up again only when t crosses one.  The shares
-    # of ``active`` (the unfinished users, in user order, all downloading)
-    # are recomputed only then or when a user finishes.
-    t = 0.0
-    bidx, export_bw, caps_now = _link_state(profile, cap_schedules, boundary_times, t)
+    # caps and bandwidth change only at the link's steps, each of which is an
+    # event: they are looked up again only when t reaches ``t_step``.  The
+    # shares of ``active`` (the unfinished users, in user order, all
+    # downloading) are recomputed only then or when a user finishes.
     active = list(runs)
     stale = True  # the shares do not match the link state or the active users
-    guard_limit = 20 * (n * total_segments + n_boundaries) + 1000
+    guard_limit = 20 * (n * total_segments + len(link.times)) + 1000
     guard = 0
     while active:
         guard += 1
@@ -451,7 +445,7 @@ def run_scenario(scenario: "Scenario") -> list[SessionTrace]:
                     raise SimulationError(f"user {rt.idx} starved of bandwidth at t={t:.3f}s")
             stale = False
 
-        t_next = boundary_times[bidx] if bidx < n_boundaries else math.inf
+        t_next = t_step
         for rt in active:
             finish = t + rt.remaining / rt.share
             if finish < t_next:
@@ -470,8 +464,8 @@ def run_scenario(scenario: "Scenario") -> list[SessionTrace]:
                 rt.stall_this += dt - rt.buffer
                 rt.buffer = 0.0
         t = t_next
-        if bidx < n_boundaries and boundary_times[bidx] <= t:
-            bidx, export_bw, caps_now = _link_state(profile, cap_schedules, boundary_times, t)
+        if t_step <= t:
+            t_step, export_bw, caps_now = link.at(t)
             stale = True
 
         # a leftover too small to move the clock is finished too, or a huge

@@ -9,7 +9,7 @@ import pytest
 import dashgame.cli
 from dashgame.cli import _TRACE_HEADER, main
 from dashgame.model import BufferView
-from dashgame.netsim import TraceRecord, bandwidth_at
+from dashgame.netsim import Link, TraceRecord, bandwidth_at, run_scenario
 from dashgame.scenarios import list_presets, load_preset, scenario_to_dict
 from dashgame.stability import jacobian_analytic, jacobian_numeric
 
@@ -251,6 +251,31 @@ def test_equilibrium_single_user(tmp_path, capsys):
     assert len(out["rates"]) == 1 and out["converged"]
 
 
+def test_equilibrium_reports_the_capped_shares(capsys):
+    # case3 caps each of its three users at 1.5 Mbps on a 6 Mbps link
+    code, stdout, _ = run_cli(capsys, "equilibrium", "--preset", "case3")
+    assert code == 0
+    assert json.loads(stdout)["shares"] == [1.5, 1.5, 1.5]
+
+
+def test_equilibrium_shares_at_t_are_those_the_run_uses(capsys):
+    # case4-fixed redraws every cap each 30 s; a segment after 100 s that ends by its link's
+    # next step, with every user still downloading, runs at the share reported then
+    sc = load_preset("case4-fixed")
+    traces = run_scenario(sc)
+    link = Link(sc)
+    all_active = min(trace.records[-1].t_end for trace in traces)
+    T = sc.params.segment_duration
+    for i, trace in enumerate(traces):
+        rec = next(r for r in trace.records
+                   if r.t_start >= 100.0 and r.t_end <= min(link.at(r.t_start)[0], all_active))
+        code, stdout, _ = run_cli(capsys, "equilibrium", "--preset", "case4-fixed",
+                                  "--t", str((rec.t_start + rec.t_end) / 2))
+        assert code == 0
+        share = json.loads(stdout)["shares"][i]
+        assert rec.download_time == pytest.approx(T * rec.quantized_rate / share, rel=1e-9)
+
+
 def test_equilibrium_invalid_params_exit_2(capsys):
     code, _, stderr = run_cli(capsys, "equilibrium", "--param", "params.nu=-0.1")
     assert code == 2
@@ -366,12 +391,20 @@ def test_b_curr_that_is_not_a_buffer_exits_2(capsys, command):
     assert json.loads(stderr)["error"]["message"].startswith("--b-curr:")
 
 
-# "--rates=-1,1": argparse takes a separate "-1,1" for an option
-@pytest.mark.parametrize("rates", ["--rates=1,x", "--rates=nan,1", "--rates=-1,1", "--rates=3"])
+# "--rates -1,1": the word after --rates is its value, though argparse reads "-1,1" as a flag
+@pytest.mark.parametrize("rates", ["--rates=1,x", "--rates=nan,1", "--rates=-1,1", "--rates=3",
+                                   "--rates -1,1"])
 def test_rates_that_are_not_an_operating_point_exit_2(capsys, rates):
-    code, _, stderr = run_cli(capsys, "stability", rates)
+    code, _, stderr = run_cli(capsys, "stability", *rates.split(" "))
     assert code == 2
     assert json.loads(stderr)["error"]["message"].startswith("--rates:")
+
+
+def test_rates_before_a_flag_leaves_the_flag_to_argparse(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["stability", "--rates", "--help"])
+    assert exc.value.code == 2
+    assert "--rates: expected one argument" in capsys.readouterr().err
 
 
 def test_sweep_theta_grid(tmp_path, capsys):

@@ -2,8 +2,8 @@
 
 ``oracle_run_scenario`` is the simulator's earlier event loop, slimmed down:
 it recomputes every cap, the export bandwidth and the max-min fair shares at
-every event.  ``run_scenario`` reuses them until a boundary time is crossed
-or a user finishes, which must not change a single output bit.  A
+every event.  ``run_scenario`` reuses them until t reaches its link's next
+step or a user finishes, which must not change a single output bit.  A
 derandomised property compares the two on small random scenarios that cover
 every profile kind, every cap kind, quantized mode and mixed game/QF/BF
 populations.
@@ -28,7 +28,6 @@ from dashgame.netsim import (
     allocate_shares,
     bandwidth_at,
     calibrate_nu,
-    cap_at,
     make_profile,
     quantize_rate,
     run_scenario,
@@ -36,6 +35,13 @@ from dashgame.netsim import (
 from dashgame.scenarios import Scenario, UserSpec
 
 COMPLETION_EPS = 1e-9
+
+
+def cap_at(schedule, t):
+    """The cap of a materialized schedule in force at ``t`` (None = unlimited)."""
+    if schedule is None:
+        return None
+    return schedule[max(bisect_right([s for s, _ in schedule], t) - 1, 0)][1]
 
 
 class _Runtime:

@@ -13,8 +13,8 @@ from dashgame.netsim import (
     SimulationError,
     allocate_shares,
     bandwidth_at,
+    Link,
     calibrate_nu,
-    cap_at,
     make_profile,
     quantize_rate,
     run_scenario,
@@ -189,8 +189,19 @@ def test_non_finite_values_rejected_at_construction(build, message):
 
 
 def test_cap_spec_breakpoints_schedule_values():
-    sched = CapSpec(kind="breakpoints", breakpoints=((0, 3.0), (50, 1.0))).materialize(None, 100.0)
-    assert [cap_at(sched, t) for t in (0.0, 49.9, 50.0, 60.0)] == [3.0, 3.0, 1.0, 1.0]
+    # the link steps at the cap's breakpoints and at the bandwidth's (0, 100, 200, 300)
+    cap = {"kind": "breakpoints", "breakpoints": [[0, 3.0], [50, 1.0]]}
+    sc = _mini_scenario(server={"kind": "persistent", "base": 6.0},
+                        users=[{**_mini_user(), "cap_profile": cap}, _mini_user()])
+    link = Link(sc)
+    assert link.times == [0.0, 50.0, 100.0, 200.0, 300.0]
+    assert [link.at(t) for t in (0.0, 49.9, 50.0, 150.0, 300.0)] == [
+        (50.0, 6.0, [3.0, None]),
+        (50.0, 6.0, [3.0, None]),
+        (100.0, 6.0, [1.0, None]),
+        (200.0, 9.0, [1.0, None]),
+        (math.inf, 9.0, [1.0, None]),
+    ]
 
 
 def test_nan_gradient_is_a_policy_failure(monkeypatch):
@@ -212,8 +223,16 @@ def test_cap_spec_random_materialize_deterministic():
     choice = CapSpec(kind="random", choices=(0.9, 1.5), dwell=30.0)
     sched = choice.materialize(np.random.default_rng(5), horizon=500.0)
     assert set(c for _, c in sched) <= {0.9, 1.5}
-    assert cap_at(sched, 31.0) == sched[1][1]
-    assert cap_at(None, 10.0) is None
+    # a link draws every user's schedule in user order from one rng(seed) over the
+    # horizon; a user without a cap has none
+    random_cap = {"kind": "random", "choices": [0.9, 1.5], "dwell": 30.0}
+    sc = _mini_scenario(users=[{**_mini_user(), "cap_profile": random_cap}, _mini_user(),
+                               {**_mini_user(), "cap_profile": random_cap}])
+    rng = np.random.default_rng(sc.sim.rng_seed)
+    first, second = (choice.materialize(rng, sc.sim.horizon) for _ in range(2))
+    link = Link(sc)
+    assert link.caps == [first, None, second]
+    assert link.at(31.0) == (60.0, 6.0, [first[1][1], None, second[1][1]])
 
 
 def test_calibrate_nu_reference_value():
@@ -249,14 +268,16 @@ def test_calibrate_nu_zeroes_the_stationarity_condition():
         assert abs(residual) < 1e-15
 
 
+def _mini_user():
+    return {"video": {"alpha": 0.1208585, "beta": 0.0827,
+                      "ladder": [round(0.3 * i, 10) for i in range(1, 21)]},
+            "theta": 100.0, "b_ref": 15.0}
+
+
 def _mini_scenario(**overrides):
     doc = {
         "params": {"mu": 0.00075, "nu": 0.004754085389792484, "p": 1.0},
-        "users": [
-            {"video": {"alpha": 0.1208585, "beta": 0.0827,
-                       "ladder": [round(0.3 * i, 10) for i in range(1, 21)]},
-             "theta": 100.0, "b_ref": 15.0},
-        ] * 2,
+        "users": [_mini_user()] * 2,
         "server": {"kind": "fixed", "base": 6.0},
         "sim": {"segment_duration": 2.0, "total_segments": 60, "initial_buffer": 2.0,
                 "quantize": False, "seed": 1},
