@@ -88,10 +88,10 @@ def _run_one(sc: Scenario, out_dir: Path, source: str) -> tuple[dict, str]:
     """Run one scenario, write its outputs; return the summary and its JSON text."""
     out_dir.mkdir(parents=True, exist_ok=True)
     traces = run_scenario(sc)
-    qoe_params = QoeMetricParams(b_ref=sc.users[0].b_ref)
     trace_paths = []
     per_user = []
-    for trace in traces:
+    for trace, user in zip(traces, sc.users):
+        qoe_params = QoeMetricParams(b_ref=user.b_ref)
         path = out_dir / f"user{trace.user_id}.csv"
         write_trace_csv(path, trace)
         trace_paths.append(str(path))
@@ -148,10 +148,19 @@ def cmd_sweep(args) -> int:
     # every run's scenario is built, so checked, before the first run writes
     combos = list(itertools.product(*(values for _, values in grid)))
     scenarios = _scenarios(args, [[(key, v) for (key, _), v in zip(grid, combo)] for combo in combos])
+    labels = ["_".join(f"{col}={v}" for col, v in zip(columns, combo)).replace("/", "-")
+              for combo in combos]
+    # a run is repeated if its label (its directory) or its scenario is an earlier run's
+    by_label, by_scenario = {}, {}
+    for label, sc in zip(labels, scenarios):
+        earlier = by_label.get(label) or by_scenario.get(sc)
+        if earlier:
+            raise CliError(f"{label}: the sweep grid gives this run twice"
+                           + ("" if earlier == label else f", also as {earlier}"))
+        by_label[label] = by_scenario[sc] = label
     out_root = Path(args.out)
     rows = []
-    for combo, sc in zip(combos, scenarios):
-        label = "_".join(f"{col}={value}" for col, value in zip(columns, combo)).replace("/", "-")
+    for combo, label, sc in zip(combos, labels, scenarios):
         summary, _ = _run_one(sc, out_root / label, source=label)
         for user_row in summary["users"]:
             rows.append({"run": label, **dict(zip(columns, combo)), **user_row})
@@ -197,7 +206,7 @@ def cmd_equilibrium(args) -> int:
         "residual": result.residual,
         "iterations": result.iterations,
         "converged": result.converged,
-        "shares": allocate_shares(bw, caps, range(len(caps))),
+        "shares": allocate_shares(bw, caps),
     }
     if _identical_pair(sc, bufs):
         z = foc_coefficients(sc.params, models[0], bufs[0], bw)

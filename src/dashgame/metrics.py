@@ -26,6 +26,8 @@ from .netsim import SessionTrace
 
 __all__ = ["QoeMetricParams", "SummaryStats", "qoe1", "qoe2", "summarize"]
 
+SWITCH_THRESHOLD = 0.05  # Mbps: the smallest continuous rate jump counted as a switch
+
 
 @dataclass(frozen=True)
 class QoeMetricParams:
@@ -126,27 +128,21 @@ def _mean_std(values: Sequence[float]) -> tuple[float, float]:
     return mean, math.sqrt(var)
 
 
-def summarize(
-    trace: SessionTrace,
-    switch_threshold: float = 0.05,
-    quantized: Optional[bool] = None,
-) -> SummaryStats:
+def summarize(trace: SessionTrace) -> SummaryStats:
     """Summary statistics over one trace.
 
     Switches are counted as rung changes when the trace is quantized, and as
-    consecutive rate jumps above ``switch_threshold`` Mbps otherwise (a
-    continuous trace never repeats exactly).  ``quantized`` defaults to the
-    mode recorded on the trace.
+    consecutive rate jumps above ``SWITCH_THRESHOLD`` Mbps otherwise (a
+    continuous trace never repeats exactly).
     """
     _require_records(trace)
-    if quantized is None:
-        quantized = trace.quantized
+    quantized = trace.quantized
     rates = [rec.quantized_rate for rec in trace.records]
     avg_rate, rate_std = _mean_std(rates)
     amplitudes = []
     for a, b in zip(rates, rates[1:]):
         delta = abs(b - a)
-        if (quantized and b != a) or (not quantized and delta > switch_threshold):
+        if (quantized and b != a) or (not quantized and delta > SWITCH_THRESHOLD):
             amplitudes.append(delta)
     qs = [rec.quality for rec in trace.records]
     avg_q, q_std = _mean_std(qs)

@@ -209,36 +209,27 @@ class Link:
         return self.times[i] if i < len(self.times) else math.inf, bandwidth_at(self.profile, t), caps
 
 
-def allocate_shares(
-    export_bw: float,
-    caps: Sequence[Optional[float]],
-    active: Sequence[int],
-) -> list[float]:
-    """Max-min fair throughput split of ``export_bw`` among active users.
+def allocate_shares(export_bw: float, caps: Sequence[Optional[float]]) -> list[float]:
+    """Max-min fair split of ``export_bw`` among the users sharing the link,
+    given their caps (None = unlimited); the shares come back in that order.
 
-    Progressive filling: equal shares, users whose cap binds are frozen at
-    the cap and the surplus is redistributed.  Inactive users get 0.
+    Water filling: walk the users once by cap, uncapped last.  Each takes its
+    cap while that is at most an equal split of what is left; from the first
+    whose cap exceeds the split on, every user takes the split.
     """
     if export_bw <= 0:
         raise ValueError(f"export_bw must be > 0, got {export_bw!r}")
     shares = [0.0] * len(caps)
-    undecided = sorted(set(active))
+    order = sorted(range(len(caps)), key=lambda i: math.inf if caps[i] is None else caps[i])
     remaining = export_bw
-    while undecided:
-        fair = remaining / len(undecided)
-        binding, free = [], []
-        for i in undecided:
-            (binding if caps[i] is not None and caps[i] <= fair else free).append(i)
-        if not binding:
-            for i in undecided:
-                shares[i] = fair
+    for k, i in enumerate(order):
+        fair = remaining / (len(order) - k)
+        if caps[i] is None or caps[i] > fair:
+            for j in order[k:]:
+                shares[j] = fair
             break
-        for i in binding:
-            shares[i] = caps[i]
-            remaining -= caps[i]
-        undecided = free
-        if remaining <= 0.0:
-            break
+        shares[i] = caps[i]
+        remaining -= caps[i]
     return shares
 
 
@@ -438,10 +429,10 @@ def run_scenario(scenario: "Scenario") -> list[SessionTrace]:
             raise SimulationError(f"simulated time exceeded the horizon at t={t:.3f}s")
 
         if stale:
-            shares = allocate_shares(export_bw, caps_now, [rt.idx for rt in active])
-            for rt in active:
-                rt.share = shares[rt.idx]
-                if rt.share <= 0:
+            shares = allocate_shares(export_bw, [caps_now[rt.idx] for rt in active])
+            for rt, share in zip(active, shares):
+                rt.share = share
+                if share <= 0:
                     raise SimulationError(f"user {rt.idx} starved of bandwidth at t={t:.3f}s")
             stale = False
 

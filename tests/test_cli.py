@@ -151,6 +151,18 @@ def test_summary_stall_total_is_a_float_without_stalls(tmp_path, capsys):
         assert all(type(u["stall_total"]) is float for u in users)
 
 
+def test_summary_scores_each_user_against_its_own_b_ref(tmp_path, capsys):
+    code, stdout, _ = run_cli(
+        capsys, "simulate", "--preset", "case1-fixed", "--param", "users.1.b_ref=25",
+        "--segments", "60", "--out", str(tmp_path / "run"),
+    )
+    assert code == 0
+    users = json.loads(stdout)["users"]
+    # scored against user 0's b_ref of 15, user 1's qoe2 read 1.0467
+    assert users[1]["qoe2"] == pytest.approx(-0.2616, abs=1e-4)
+    assert users[0]["qoe2"] != users[1]["qoe2"]
+
+
 @pytest.mark.parametrize("param, fieldname", [
     ("sim.quantize=False", "sim.quantize"),
     ("server.base=9", "server.base"),
@@ -467,6 +479,10 @@ def test_sweep_labels_follow_command_line_order(tmp_path, capsys):
      "users.1.theta: shares the sweep.csv column 'theta' with users.0.theta"),
     # the axis used to override --segments without a word
     (["--param", "sim.total_segments=6,7"], "sim.total_segments: given both as a grid axis"),
+    # a repeated run used to run twice into one directory, or under two labels
+    (["--theta", "50,50"], "theta=50.0: the sweep grid gives this run twice"),
+    (["--param", "users.*.theta=50,50.0"],
+     "theta=50.0: the sweep grid gives this run twice, also as theta=50"),
 ])
 def test_sweep_grid_that_repeats_a_key_or_column_exits_2(tmp_path, capsys, argv, message):
     out = tmp_path / "sweep"

@@ -99,8 +99,8 @@ def oracle_run_scenario(scenario):
         if t > horizon:
             raise SimulationError(f"simulated time exceeded the horizon at t={t:.3f}s")
         downloading = [i for i in range(n) if not runs[i].done]
-        caps_now = [cap_at(cap_schedules[i], t) for i in range(n)]
-        shares = allocate_shares(bandwidth_at(profile, t), caps_now, downloading)
+        caps_now = [cap_at(cap_schedules[i], t) for i in downloading]
+        shares = dict(zip(downloading, allocate_shares(bandwidth_at(profile, t), caps_now)))
 
         t_next = math.inf
         bidx = bisect_right(boundary_times, t)

@@ -21,23 +21,20 @@ from dashgame.netsim import (
 )
 from dashgame.scenarios import load_preset, scenario_from_dict, scenario_to_dict
 
+from share_oracle import progressive_filling
+
 
 def test_allocate_shares_symmetric():
-    assert allocate_shares(6.0, [None, None, None], [0, 1, 2]) == [2.0, 2.0, 2.0]
+    assert allocate_shares(6.0, [None, None, None]) == [2.0, 2.0, 2.0]
 
 
-def test_allocate_shares_progressive_filling():
-    got = allocate_shares(6.0, [1.5, 1.5, None], [0, 1, 2])
+def test_allocate_shares_water_filling():
+    got = allocate_shares(6.0, [1.5, 1.5, None])
     assert got == [1.5, 1.5, 3.0]
 
 
 def test_allocate_shares_underloaded_caps():
-    assert allocate_shares(6.0, [1.0, 1.0, 1.0], [0, 1, 2]) == [1.0, 1.0, 1.0]
-
-
-def test_allocate_shares_inactive_users_get_zero():
-    got = allocate_shares(6.0, [None, 1.5, None], [0, 2])
-    assert got == [3.0, 0.0, 3.0]
+    assert allocate_shares(6.0, [1.0, 1.0, 1.0]) == [1.0, 1.0, 1.0]
 
 
 def test_allocate_shares_conservation_property():
@@ -47,41 +44,49 @@ def test_allocate_shares_conservation_property():
         bw = float(rng.uniform(1.0, 20.0))
         caps = [None if rng.random() < 0.4 else float(rng.uniform(0.2, 5.0)) for _ in range(n)]
         active = [i for i in range(n) if rng.random() < 0.8]
-        shares = allocate_shares(bw, caps, active)
+        shares = allocate_shares(bw, [caps[i] for i in active])
         assert sum(shares) <= bw + 1e-9
-        for i in range(n):
-            if i not in active:
-                assert shares[i] == 0.0
-            elif caps[i] is not None:
-                assert shares[i] <= caps[i] + 1e-12
+        for i, share in zip(active, shares):
+            if caps[i] is not None:
+                assert share <= caps[i] + 1e-12
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(
     bw=st.floats(0.1, 50.0),
-    caps=st.lists(st.one_of(st.none(), st.floats(0.01, 20.0)), min_size=1, max_size=10),
-    data=st.data(),
+    caps=st.lists(st.one_of(st.none(), st.floats(0.01, 20.0)), max_size=10),
 )
-def test_allocate_shares_is_max_min_fair(bw, caps, data):
-    n = len(caps)
-    active = data.draw(st.lists(st.integers(0, n - 1), unique=True))
-    shares = allocate_shares(bw, caps, active)
+def test_allocate_shares_is_max_min_fair(bw, caps):
+    shares = allocate_shares(bw, caps)
+    assert len(shares) == len(caps)
     assert sum(shares) <= bw * (1 + 1e-12)
-    for i in range(n):
-        if i not in active:
-            assert shares[i] == 0.0
-        elif caps[i] is not None:
-            assert shares[i] <= caps[i]
-    # no active user whose cap does not bind gets less than any other active
-    # user, and the link is used up unless every active user is capped
-    uncapped = [i for i in active if caps[i] is None or shares[i] < caps[i]]
-    for i in uncapped:
-        assert all(shares[i] >= shares[j] * (1 - 1e-12) for j in active)
+    for share, cap in zip(shares, caps):
+        if cap is not None:
+            assert share <= cap
+    # no user whose cap does not bind gets less than any other user, and the
+    # link is used up unless every user is capped
+    uncapped = [s for s, cap in zip(shares, caps) if cap is None or s < cap]
+    for s in uncapped:
+        assert all(s >= other * (1 - 1e-12) for other in shares)
     if uncapped:
         assert sum(shares) == pytest.approx(bw, rel=1e-12)
-    # in every branch the link carries what it and the active caps allow
-    cap_total = sum(math.inf if caps[i] is None else caps[i] for i in active)
+    # in every branch the link carries what it and the caps allow
+    cap_total = sum(math.inf if cap is None else cap for cap in caps)
     assert sum(shares) == pytest.approx(min(bw, cap_total), rel=1e-12)
+
+
+@settings(max_examples=500, deadline=None, derandomize=True)
+@given(bw=st.floats(0.1, 100.0), n=st.integers(1, 12), data=st.data())
+def test_allocate_shares_matches_progressive_filling(bw, n, data):
+    """Water filling subtracts the binding caps in order of cap, progressive
+    filling in rounds in user order: the two agree to within 8 ulp of the
+    link's bandwidth."""
+    cap = st.floats(0.0, 3 * bw / n, exclude_min=True)
+    caps = data.draw(st.lists(st.one_of(st.none(), cap), min_size=n, max_size=n))
+    got = allocate_shares(bw, caps)
+    want = progressive_filling(bw, caps)
+    for a, b in zip(got, want, strict=True):
+        assert abs(a - b) <= 8 * math.ulp(bw), (caps, got, want)
 
 
 def test_bandwidth_at_persistent_preset_values():
