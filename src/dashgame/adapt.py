@@ -7,9 +7,10 @@ estimate of the user's payoff gradient; the user then applies a
 multiplicative sub-gradient step.  Fixed points of this iteration are
 exactly the stationary points of the static game.
 
-The message types (`PayoffQuery`/`PayoffReply`) are immutable named tuples;
-the event loop and `run_round` hand each query to `PayoffServer.handle_query`
-directly, so every gradient goes through one path.
+Every gradient is computed by one method, `PayoffServer.gradient`, which the
+event loop and `run_round` call directly.  The message types
+(`PayoffQuery`/`PayoffReply`) are immutable named tuples, and
+`PayoffServer.handle_query` answers a query message through that method.
 
 Users register with `PayoffServer` once each, in id order 0, 1, ..., so a
 user's id is its index into the server's list of last requested rates.  The
@@ -25,14 +26,7 @@ import math
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
-from .model import (
-    GameParams,
-    VideoQualityModel,
-    _estimated_buffer_at,
-    adjustment_factor,
-    quality,
-    serial_sum,
-)
+from .model import GameParams, VideoQualityModel, adjustment_factor
 
 __all__ = [
     "AdaptConfig",
@@ -98,44 +92,6 @@ class PayoffReply(NamedTuple):
     gradient_estimate: float
 
 
-def _central_difference(
-    params: GameParams,
-    model: VideoQualityModel,
-    export_bw: float,
-    rates: list[float],
-    i: int,
-    epsilon: float,
-    a_f: float,
-) -> float:
-    """Central-difference payoff gradient of user ``i``, on inputs already checked.
-
-    Only coordinate ``i`` is perturbed by +/- epsilon; ``a_f`` is the
-    adjustment factor of the buffer the user reported.  The estimate has
-    O(eps^2) error against the analytic gradient.  Each leg is ``utility``
-    evaluated with the same operations in the same order, so the result is
-    bit-identical to differencing two ``utility`` calls (at ``b_0 = 0``;
-    ``b_0`` is an additive constant of the estimated buffer and cancels).
-    Entry ``i`` of ``rates`` holds each perturbed rate while that leg's load
-    is summed, and is restored before returning; no list is copied.
-    """
-    r_i = rates[i]
-    r_plus = r_i + epsilon
-    r_minus = max(r_i - epsilon, 0.0)
-    rates[i] = r_plus
-    load_plus = serial_sum(rates)
-    rates[i] = r_minus
-    load_minus = serial_sum(rates)
-    rates[i] = r_i
-    u_plus = quality(model, r_plus) + params.mu * _estimated_buffer_at(
-        params, r_plus, load_plus, a_f, 0.0, export_bw
-    )
-    u_minus = quality(model, r_minus) + params.mu * _estimated_buffer_at(
-        params, r_minus, load_minus, a_f, 0.0, export_bw
-    )
-    # keep the difference symmetric even if the minus leg clipped at zero
-    return (u_plus - u_minus) / (r_plus - r_minus)
-
-
 def update_rate(cfg: AdaptConfig, r: float, gradient: float) -> float:
     """One multiplicative sub-gradient step: r + theta * r * gradient.
 
@@ -171,10 +127,12 @@ def _is_rate(value: float) -> bool:
 class PayoffServer:
     """Server side of the payoff exchange.
 
-    Holds the utility constants, the current export bandwidth and, per user,
-    its video model, adaptation epsilon, reference buffer and last requested
-    rate.  Users register once each, in id order 0, 1, ..., so a user's id
-    is its index into the server's lists and a query looks nothing up.
+    Holds the game's constants, read once at construction, the current export
+    bandwidth and, per user, its video's ``alpha`` and ``beta``, adaptation
+    epsilon and reference buffer, read once at ``register``, and its last
+    requested rate.  Users register once each, in id order 0, 1, ..., so a
+    user's id is its index into the server's lists and a query looks nothing
+    up.
 
     Every value is checked when it arrives, and an error names the user and
     the field, so the server only ever holds valid rates and constants and
@@ -183,9 +141,10 @@ class PayoffServer:
     """
 
     def __init__(self, params: GameParams, export_bw: float) -> None:
-        self.params = params
         self.export_bw = export_bw
-        self._users: list[tuple[VideoQualityModel, float, float]] = []  # model, epsilon, b_ref
+        self._p, self._T, self._mu, self._omega = (
+            params.p, params.segment_duration, params.mu, params.omega)
+        self._users: list[tuple[float, float, float, float]] = []  # alpha, beta, epsilon, b_ref
         self._rates: list[float] = []
 
     def register(
@@ -208,17 +167,13 @@ class PayoffServer:
             raise ValueError(f"{where}: epsilon must be finite and > 0, got {epsilon!r}")
         if not (math.isfinite(b_ref) and b_ref > 0):
             raise ValueError(f"{where}: b_ref must be finite and > 0, got {b_ref!r}")
-        self._users.append((model, epsilon, b_ref))
+        self._users.append((model.alpha, model.beta, epsilon, b_ref))
         self._rates.append(initial_rate)
-
-    def _user(self, user_id: int) -> tuple[VideoQualityModel, float, float]:
-        if not 0 <= user_id < len(self._users):
-            raise KeyError(f"unknown user id {user_id}")
-        return self._users[user_id]
 
     def note_request(self, user_id: int, rate: float) -> None:
         """Record the rate a user actually requested its next segment at."""
-        self._user(user_id)
+        if not 0 <= user_id < len(self._rates):
+            raise KeyError(f"unknown user id {user_id}")
         if not _is_rate(rate):
             raise ValueError(
                 f"PayoffServer.note_request user {user_id}: rate must be finite and >= 0,"
@@ -226,9 +181,20 @@ class PayoffServer:
             )
         self._rates[user_id] = rate
 
-    def handle_query(self, query: PayoffQuery) -> PayoffReply:
-        user_id, b_curr, last_rate = query
-        model, epsilon, b_ref = self._user(user_id)
+    def gradient(self, user_id: int, b_curr: float, last_rate: float) -> float:
+        """Central-difference payoff gradient of a user at its buffer and last rate.
+
+        The user's last rate is recorded first.  Only its own rate is moved,
+        by +/- epsilon (the minus leg clipped at zero), so the estimate has
+        O(eps^2) error against the analytic gradient.  Each leg is
+        ``utility`` evaluated with the same operations in the same order, so
+        the result is bit-identical to differencing two ``utility`` calls
+        (at ``b_0 = 0``, an additive constant of the estimated buffer that
+        cancels).  Both legs' loads are summed left to right in one pass.
+        """
+        if not 0 <= user_id < len(self._users):
+            raise KeyError(f"unknown user id {user_id}")
+        alpha, beta, epsilon, b_ref = self._users[user_id]
         export_bw = self.export_bw
         if not math.isfinite(b_curr):
             raise ValueError(
@@ -241,12 +207,31 @@ class PayoffServer:
             )
         if not 0 < export_bw < math.inf:
             raise ValueError(f"PayoffServer.export_bw must be finite and > 0, got {export_bw!r}")
-        self._rates[user_id] = last_rate
-        a_f = adjustment_factor(self.params.p, b_curr, b_ref)
-        grad = _central_difference(
-            self.params, model, export_bw, self._rates, user_id, epsilon, a_f
-        )
-        return PayoffReply(user_id, grad)
+        rates = self._rates
+        rates[user_id] = last_rate
+        a_f = adjustment_factor(self._p, b_curr, b_ref)
+        r_plus = last_rate + epsilon
+        r_minus = max(last_rate - epsilon, 0.0)
+        # the loads of both legs share the sum of the rates before the user's
+        load_plus = 0.0
+        for k in range(user_id):
+            load_plus += rates[k]
+        load_minus = load_plus + r_minus
+        load_plus += r_plus
+        for k in range(user_id + 1, len(rates)):
+            load_plus += rates[k]
+            load_minus += rates[k]
+        T, mu, omega = self._T, self._mu, self._omega
+        u_plus = alpha * math.log1p(beta * r_plus) + mu * (a_f * T * r_plus - omega * (
+            T * (0.5 * r_plus * r_plus + r_plus * (load_plus - r_plus)) / export_bw))
+        u_minus = alpha * math.log1p(beta * r_minus) + mu * (a_f * T * r_minus - omega * (
+            T * (0.5 * r_minus * r_minus + r_minus * (load_minus - r_minus)) / export_bw))
+        # keep the difference symmetric even if the minus leg clipped at zero
+        return (u_plus - u_minus) / (r_plus - r_minus)
+
+    def handle_query(self, query: PayoffQuery) -> PayoffReply:
+        """The reply to one query message: :meth:`gradient` of its fields."""
+        return PayoffReply(query[0], self.gradient(*query))
 
 
 def run_round(
@@ -268,10 +253,7 @@ def run_round(
     # a query sets the user's rate to the one it already holds, so every
     # gradient is taken at the snapshot
     snapshot = [s.rate for s in sessions]
-    grads = [
-        server.handle_query(PayoffQuery(i, s.b_curr, s.rate)).gradient_estimate
-        for i, s in enumerate(sessions)
-    ]
+    grads = [server.gradient(i, s.b_curr, s.rate) for i, s in enumerate(sessions)]
     rates = [update_rate(s.cfg, r, g) for s, r, g in zip(sessions, snapshot, grads)]
     for s, r in zip(sessions, rates):
         s.rate = r

@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import copy
 import csv
+import functools
 import itertools
 import json
 import math
@@ -51,8 +52,8 @@ def _fail(message: str, code: int) -> int:
 
 # one row per segment, byte-identical to csv.writer over format(x, ".10g")
 # fields: csv's default terminator is \r\n and no field needs quoting.  The
-# columns are the fields of a TraceRecord, in order, so a record (a named
-# tuple) formats as a row by itself.
+# columns are the fields of a TraceRecord, in order, so the records, laid end
+# to end, format as the rows in one step.
 _TRACE_HEADER = (
     "k,t_start,t_end,requested_rate,quantized_rate,download_time,buffer,stall_seconds,quality\r\n"
 )
@@ -60,20 +61,25 @@ _TRACE_ROW = "%d" + ",%.10g" * 8 + "\r\n"
 
 
 def write_trace_csv(path: Path, trace: SessionTrace) -> None:
-    rows = "".join([_TRACE_ROW % rec for rec in trace.records])
+    records = trace.records
+    rows = (_TRACE_ROW * len(records)) % tuple(itertools.chain.from_iterable(records))
     with path.open("w", newline="", encoding="utf-8") as fh:
         fh.write(_TRACE_HEADER + rows)
 
 
 def _scenarios(args, points=((),), default_preset: str | None = None) -> list[Scenario]:
     """One scenario per override list in ``points``: the input, loaded once, with
-    ``args.overrides`` and then the point applied in order to a copy of it."""
+    ``args.overrides`` and then the point applied in order to a copy of it (the
+    input itself when there is nothing to apply)."""
     preset = args.preset or default_preset
     if args.preset and args.scenario:
         raise CliError("--preset and --scenario are mutually exclusive")
     if not (args.scenario or preset):
         raise CliError("one of --preset or --scenario is required")
-    source = scenario_to_dict(load_scenario(args.scenario) if args.scenario else load_preset(preset))
+    loaded = load_scenario(args.scenario) if args.scenario else load_preset(preset)
+    if not (args.overrides or any(points)):
+        return [loaded] * len(points)
+    source = scenario_to_dict(loaded)
     # overrides write into a document, so each point gets its own; the first, the loaded one
     docs = [source, *(copy.deepcopy(source) for _ in points[1:])]
     scenarios = []
@@ -309,7 +315,9 @@ def _add_analysis_flags(sub, presets: list) -> None:
     sub.add_argument("--b-curr", dest="b_curr", type=float, help="every user's buffer (default b_ref)")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process; parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="dashgame",
         description="Multi-user DASH rate adaptation: game solvers, stability analysis, and a fluid bottleneck simulator.",

@@ -64,22 +64,17 @@ class SummaryStats:
         return asdict(self)
 
 
-def _require_records(trace: SessionTrace) -> None:
+def _records(trace: SessionTrace) -> list:
     if not trace.records:
         raise ValueError("trace has no records")
-
-
-def _start_buffers(trace: SessionTrace) -> list[float]:
-    starts = [trace.initial_buffer]
-    starts.extend(rec.buffer for rec in trace.records[:-1])
-    return starts
+    return trace.records
 
 
 def _stall_penalty(trace: SessionTrace) -> float:
-    return serial_sum(
-        max(0.0, rec.download_time - b)
-        for rec, b in zip(trace.records, _start_buffers(trace))
-    )
+    """Sum over segments of how far the download time passed the buffer at its start."""
+    records = _records(trace)
+    starts = [trace.initial_buffer, *[rec.buffer for rec in records]]
+    return serial_sum([max(0.0, rec.download_time - b) for rec, b in zip(records, starts)])
 
 
 def qoe1(
@@ -90,11 +85,10 @@ def qoe1(
     ``_stall`` is ``_stall_penalty(trace)`` when the caller already has it, so
     scoring one trace both ways walks its buffers once.
     """
-    _require_records(trace)
+    rates = [rec.quantized_rate for rec in _records(trace)]
     if _stall is None:
         _stall = _stall_penalty(trace)
-    rates = [rec.quantized_rate for rec in trace.records]
-    switches = serial_sum(abs(b - a) for a, b in zip(rates, rates[1:]))
+    switches = serial_sum([abs(b - a) for a, b in zip(rates, rates[1:])])
     return serial_sum(rates) - params.xi * switches - params.psi * _stall
 
 
@@ -105,14 +99,13 @@ def qoe2(
 
     ``_stall`` is as in :func:`qoe1`.
     """
-    _require_records(trace)
+    records = _records(trace)
     if _stall is None:
         _stall = _stall_penalty(trace)
-    qs = [rec.quality for rec in trace.records]
-    switches = serial_sum(abs(b - a) for a, b in zip(qs, qs[1:]))
-    shortfall = serial_sum(
-        max(0.0, params.b_ref - rec.buffer) ** 2 for rec in trace.records[1:]
-    )
+    qs = [rec.quality for rec in records]
+    switches = serial_sum([abs(b - a) for a, b in zip(qs, qs[1:])])
+    b_ref = params.b_ref
+    shortfall = serial_sum([max(0.0, b_ref - rec.buffer) ** 2 for rec in records[1:]])
     return (
         serial_sum(qs)
         - params.phi * switches
@@ -124,7 +117,7 @@ def qoe2(
 def _mean_std(values: Sequence[float]) -> tuple[float, float]:
     n = len(values)
     mean = serial_sum(values) / n
-    var = serial_sum((v - mean) ** 2 for v in values) / n
+    var = serial_sum([(v - mean) ** 2 for v in values]) / n
     return mean, math.sqrt(var)
 
 
@@ -135,19 +128,17 @@ def summarize(trace: SessionTrace) -> SummaryStats:
     consecutive rate jumps above ``SWITCH_THRESHOLD`` Mbps otherwise (a
     continuous trace never repeats exactly).
     """
-    _require_records(trace)
-    quantized = trace.quantized
-    rates = [rec.quantized_rate for rec in trace.records]
+    records = _records(trace)
+    rates = [rec.quantized_rate for rec in records]
     avg_rate, rate_std = _mean_std(rates)
-    amplitudes = []
-    for a, b in zip(rates, rates[1:]):
-        delta = abs(b - a)
-        if (quantized and b != a) or (not quantized and delta > SWITCH_THRESHOLD):
-            amplitudes.append(delta)
-    qs = [rec.quality for rec in trace.records]
-    avg_q, q_std = _mean_std(qs)
-    stalls = [rec.stall_seconds for rec in trace.records if rec.stall_seconds > 0]
-    buffers = [rec.buffer for rec in trace.records]
+    pairs = zip(rates, rates[1:])
+    if trace.quantized:
+        amplitudes = [abs(b - a) for a, b in pairs if b != a]
+    else:
+        amplitudes = [d for d in [abs(b - a) for a, b in pairs] if d > SWITCH_THRESHOLD]
+    avg_q, q_std = _mean_std([rec.quality for rec in records])
+    stalls = [rec.stall_seconds for rec in records if rec.stall_seconds > 0]
+    buffers = [rec.buffer for rec in records]
     return SummaryStats(
         avg_rate=avg_rate,
         rate_stddev=rate_std,

@@ -9,8 +9,8 @@ Every unfinished user is downloading: a user requests its next segment as
 soon as one lands.  The event loop keeps one list of them in user order;
 their shares and the check for starved users are recomputed only when a
 breakpoint is crossed or a user finishes.
-On each completion the user picks its next rate: game users exchange payoff
-messages with the server, baseline users consult their throughput
+On each completion the user picks its next rate: game users step along the
+payoff gradient the server computes, baseline users consult their throughput
 estimator.  Only then does each user start its next download and report its
 rate to the server, so every reply within one event sees the same rates.
 Each segment becomes one `TraceRecord`, an immutable named tuple.
@@ -29,7 +29,7 @@ from typing import TYPE_CHECKING, NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .adapt import PayoffQuery, PayoffServer, update_rate
+from .adapt import PayoffServer, update_rate
 from .baselines import ThroughputEstimator, bf_decide, qf_decide
 from .model import quality, quantize_rate, serial_sum
 
@@ -186,7 +186,7 @@ class CapSpec:
             values = rng.choice(np.array(self.choices, dtype=float), size=n_slots)
         else:
             values = rng.uniform(self.lo, self.hi, size=n_slots)
-        return tuple((i * self.dwell, float(v)) for i, v in enumerate(values))
+        return tuple(zip((np.arange(n_slots) * self.dwell).tolist(), values.tolist()))
 
 
 class Link:
@@ -363,29 +363,16 @@ class _UserRuntime:
         self.started_at = t
 
 
-def _next_rate(rt: _UserRuntime, server: PayoffServer, T: float) -> float:
-    """The rate a user picks for its next segment when one completes.
-
-    Game users query the server and take one sub-gradient step; QF and BF
-    users fold the segment's throughput into their estimator and decide.
-    """
-    try:
-        if rt.policy == "game":
-            reply = server.handle_query(PayoffQuery(rt.idx, rt.buffer, rt.request_rate))
-            return update_rate(rt.cfg, rt.request_rate, reply.gradient_estimate)
-        last = rt.trace.records[-1]
-        rt.estimator.observe(last.quantized_rate * T / last.download_time)
-        if rt.policy == "qf":
-            return qf_decide(
-                rt.estimator, rt.ladder, rt.buffer, startup_threshold=rt.spec.qf_startup
-            )
-        if rt.policy == "bf":
-            return bf_decide(
-                rt.estimator, rt.ladder, rt.buffer, rt.spec.b_ref, gain=rt.spec.bf_gain
-            )
-        raise ValueError(f"unknown policy {rt.policy!r}")
-    except (ValueError, KeyError, IndexError) as exc:
-        raise SimulationError(f"policy failure for user {rt.idx} at segment {rt.k}: {exc}") from exc
+def _next_rate(rt: _UserRuntime, T: float) -> float:
+    """The rate a QF or BF user picks for its next segment when one completes:
+    it folds the segment's throughput into its estimator and decides."""
+    last = rt.trace.records[-1]
+    rt.estimator.observe(last.quantized_rate * T / last.download_time)
+    if rt.policy == "qf":
+        return qf_decide(rt.estimator, rt.ladder, rt.buffer, startup_threshold=rt.spec.qf_startup)
+    if rt.policy == "bf":
+        return bf_decide(rt.estimator, rt.ladder, rt.buffer, rt.spec.b_ref, gain=rt.spec.bf_gain)
+    raise ValueError(f"unknown policy {rt.policy!r}")
 
 
 def run_scenario(scenario: "Scenario") -> list[SessionTrace]:
@@ -405,6 +392,7 @@ def run_scenario(scenario: "Scenario") -> list[SessionTrace]:
     t = 0.0
     t_step, export_bw, caps_now = link.at(t)
     server = PayoffServer(params, export_bw)
+    gradient = server.gradient
     runs: list[_UserRuntime] = []
     for idx, u in enumerate(users):
         cfg = u.adapt_config()
@@ -445,8 +433,10 @@ def run_scenario(scenario: "Scenario") -> list[SessionTrace]:
             raise SimulationError("no next event; simulation wedged")
 
         # downloads accrue and playback drains every buffer, stalling once
-        # it is empty
+        # it is empty; a leftover too small to move the clock is finished
+        # too, or a huge segment would spin at a fixed t
         dt = t_next - t
+        completed = []
         for rt in active:
             rt.remaining -= rt.share * dt
             if dt < rt.buffer:
@@ -454,37 +444,41 @@ def run_scenario(scenario: "Scenario") -> list[SessionTrace]:
             else:
                 rt.stall_this += dt - rt.buffer
                 rt.buffer = 0.0
+            if rt.remaining <= _COMPLETION_EPS or t_next + rt.remaining / rt.share <= t_next:
+                completed.append(rt)
         t = t_next
         if t_step <= t:
             t_step, export_bw, caps_now = link.at(t)
             stale = True
-
-        # a leftover too small to move the clock is finished too, or a huge
-        # segment would spin at a fixed t
-        completed = [
-            rt for rt in active
-            if rt.remaining <= _COMPLETION_EPS or t + rt.remaining / rt.share <= t
-        ]
         if not completed:
             continue
 
-        # pass 1 records each segment and picks the user's next rate; game
-        # users query against the frozen pre-event rates, since an updated
-        # rate reaches the server only through note_request in pass 2
+        # pass 1 records each segment and picks the user's next rate: a game
+        # user takes one step along the server's payoff gradient, against the
+        # frozen pre-event rates, since an updated rate reaches the server
+        # only through note_request in pass 2
         server.export_bw = export_bw
         for rt in completed:
             rt.buffer += T
-            rt.trace.records.append(TraceRecord(
+            rt.trace.records.append(tuple.__new__(TraceRecord, (
                 rt.k, rt.started_at, t, rt.request_rate, rt.download_rate,
                 t - rt.started_at, rt.buffer, rt.stall_this,
                 quality(rt.video, rt.download_rate),
-            ))
+            )))
             rt.stall_this = 0.0
             rt.k += 1
             if rt.k >= total_segments:
                 rt.done = True
-            else:
-                rt.request_rate = _next_rate(rt, server, T)
+                continue
+            try:
+                if rt.policy == "game":
+                    rt.request_rate = update_rate(
+                        rt.cfg, rt.request_rate, gradient(rt.idx, rt.buffer, rt.request_rate))
+                else:
+                    rt.request_rate = _next_rate(rt, T)
+            except (ValueError, KeyError, IndexError) as exc:
+                raise SimulationError(
+                    f"policy failure for user {rt.idx} at segment {rt.k}: {exc}") from exc
 
         # pass 2 starts each unfinished user's next download
         for rt in completed:

@@ -512,5 +512,42 @@ def test_sweep_policy_axis_is_checked_by_the_parser(tmp_path, capsys):
 
 
 def test_trace_header_lists_record_fields_in_order():
-    # write_trace_csv formats each TraceRecord tuple under this header as is
+    # write_trace_csv formats the TraceRecord tuples, end to end, under this header as is
     assert _TRACE_HEADER == ",".join(TraceRecord._fields) + "\r\n"
+
+
+def test_parser_is_built_once_per_process():
+    assert dashgame.cli.build_parser() is dashgame.cli.build_parser()
+
+
+def test_override_does_not_leak_into_the_next_call(tmp_path, capsys):
+    # the parser is shared by every call: a --param list lives in that call's namespace only
+    preset_theta = load_preset("case1-fixed").users[0].theta
+    assert preset_theta != 30.0
+    runs = {"with": ["--param", "users.*.theta=30"], "without": []}
+    for label, extra in runs.items():
+        code, _, _ = run_cli(capsys, "simulate", "--preset", "case1-fixed", "--segments", "5",
+                             *extra, "--out", str(tmp_path / label))
+        assert code == 0
+    thetas = {label: [u["theta"] for u in json.loads(
+        (tmp_path / label / "run_manifest.json").read_text())["scenario"]["users"]]
+        for label in runs}
+    assert thetas == {"with": [30.0, 30.0], "without": [preset_theta, preset_theta]}
+
+
+@pytest.mark.parametrize("flag", ["--help", "--version"])
+def test_a_call_that_exits_early_does_not_change_the_next(tmp_path, capsys, flag):
+    argv = ["simulate", "--preset", "case3", "--segments", "5"]
+    before = run_cli(capsys, *argv, "--out", str(tmp_path / "before"))
+    with pytest.raises(SystemExit) as exc:
+        main([flag] if flag == "--version" else ["simulate", flag])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out
+    after = run_cli(capsys, *argv, "--out", str(tmp_path / "after"))
+    assert after == before
+    for name in ("user0.csv", "user1.csv", "summary.json"):
+        assert (tmp_path / "after" / name).read_bytes() == (tmp_path / "before" / name).read_bytes()
+    # the rewrite of a negative --rates word still reaches the range check
+    code, _, stderr = run_cli(capsys, "stability", "--preset", "case1-fixed", "--rates", "-1,1")
+    assert code == 2
+    assert "--rates" in stderr

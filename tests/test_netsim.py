@@ -212,8 +212,8 @@ def test_cap_spec_breakpoints_schedule_values():
 def test_nan_gradient_is_a_policy_failure(monkeypatch):
     import dashgame.adapt
 
-    # every payoff query runs this core
-    monkeypatch.setattr(dashgame.adapt, "_central_difference", lambda *a, **k: math.nan)
+    # every payoff gradient of the event loop comes from this method
+    monkeypatch.setattr(dashgame.adapt.PayoffServer, "gradient", lambda *a: math.nan)
     message = r"user 0 at segment 1: update_rate gradient must be finite"
     with pytest.raises(SimulationError, match=message):
         run_scenario(_mini_scenario())
