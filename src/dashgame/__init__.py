@@ -27,8 +27,6 @@ from .game import (
 )
 from .adapt import (
     AdaptConfig,
-    PayoffQuery,
-    PayoffReply,
     PayoffServer,
     UserSession,
     run_round,

@@ -1,37 +1,33 @@
 """Distributed iterative rate adaptation with server-assisted gradients.
 
 Users never see each other's rates.  Instead, each round a user reports its
-buffer occupancy and last requested rate; the server, which knows every
-user's last rate and the export bandwidth, returns a central-difference
-estimate of the user's payoff gradient; the user then applies a
-multiplicative sub-gradient step.  Fixed points of this iteration are
-exactly the stationary points of the static game.
+buffer occupancy; the server, which knows every user's last requested rate
+and the export bandwidth, returns a central-difference estimate of the
+user's payoff gradient; the user then applies a multiplicative sub-gradient
+step.  Fixed points of this iteration are exactly the stationary points of
+the static game.
 
-Every gradient is computed by one method, `PayoffServer.gradient`, which the
-event loop and `run_round` call directly.  The message types
-(`PayoffQuery`/`PayoffReply`) are immutable named tuples, and
-`PayoffServer.handle_query` answers a query message through that method.
-
-Users register with `PayoffServer` once each, in id order 0, 1, ..., so a
-user's id is its index into the server's list of last requested rates.  The
-server checks every value when it arrives: the constants and first rate at
-`register`, each requested rate at `note_request`, and a query's own
-buffer, rate and the export bandwidth.  So a query makes O(1) checks and
-copies nothing; only its two loads are O(N) sums.
+`PayoffServer` is built with every user, in id order 0, 1, ..., so a user's
+id is its index into the server's list of last requested rates.  There is
+one way to ask it for a gradient, `PayoffServer.gradient(user_id, b_curr)`,
+which the event loop and `run_round` call directly; it reads the user's own
+rate from that list and writes nothing there.  `note_request` is the only
+way to change a rate.  The server checks every value when it arrives: each
+user's constants and first rate at construction, each requested rate at
+`note_request`, and a query's buffer and the export bandwidth.  So a query
+makes O(1) checks and copies nothing; only its two loads are O(N) sums.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple, Sequence
+from typing import Sequence
 
 from .model import GameParams, VideoQualityModel, adjustment_factor
 
 __all__ = [
     "AdaptConfig",
-    "PayoffQuery",
-    "PayoffReply",
     "UserSession",
     "PayoffServer",
     "update_rate",
@@ -77,21 +73,6 @@ class AdaptConfig:
             raise ValueError("AdaptConfig.max_step_fraction must be > 0 (use inf to disable)")
 
 
-class PayoffQuery(NamedTuple):
-    """Client -> server: buffer occupancy and last requested rate."""
-
-    user_id: int
-    b_curr: float
-    last_rate: float
-
-
-class PayoffReply(NamedTuple):
-    """Server -> client: estimated payoff gradient at the current rates."""
-
-    user_id: int
-    gradient_estimate: float
-
-
 def update_rate(cfg: AdaptConfig, r: float, gradient: float) -> float:
     """One multiplicative sub-gradient step: r + theta * r * gradient.
 
@@ -127,12 +108,12 @@ def _is_rate(value: float) -> bool:
 class PayoffServer:
     """Server side of the payoff exchange.
 
-    Holds the game's constants, read once at construction, the current export
-    bandwidth and, per user, its video's ``alpha`` and ``beta``, adaptation
-    epsilon and reference buffer, read once at ``register``, and its last
-    requested rate.  Users register once each, in id order 0, 1, ..., so a
-    user's id is its index into the server's lists and a query looks nothing
-    up.
+    Built with the game's constants, the current export bandwidth and one
+    ``(video, b_ref, initial_rate, epsilon)`` entry per user, in id order, so
+    a user's id is its index into the server's lists and a query looks
+    nothing up.  Of each video it keeps ``alpha`` and ``beta``; it also
+    keeps every user's last requested rate, which only ``note_request``
+    changes.
 
     Every value is checked when it arrives, and an error names the user and
     the field, so the server only ever holds valid rates and constants and
@@ -140,35 +121,28 @@ class PayoffServer:
     the caller may update between queries; each query checks it.
     """
 
-    def __init__(self, params: GameParams, export_bw: float) -> None:
+    def __init__(
+        self,
+        params: GameParams,
+        export_bw: float,
+        users: Sequence[tuple[VideoQualityModel, float, float, float]],
+    ) -> None:
         self.export_bw = export_bw
         self._p, self._T, self._mu, self._omega = (
             params.p, params.segment_duration, params.mu, params.omega)
         self._users: list[tuple[float, float, float, float]] = []  # alpha, beta, epsilon, b_ref
         self._rates: list[float] = []
-
-    def register(
-        self,
-        user_id: int,
-        model: VideoQualityModel,
-        b_ref: float,
-        initial_rate: float,
-        epsilon: float = AdaptConfig.epsilon,
-    ) -> None:
-        """Add the next user; ``user_id`` must equal the number registered so far."""
-        where = f"PayoffServer.register user {user_id}"
-        if user_id != len(self._rates):
-            raise ValueError(
-                f"{where}: users register in id order, expected user {len(self._rates)}"
-            )
-        if not _is_rate(initial_rate):
-            raise ValueError(f"{where}: initial_rate must be finite and >= 0, got {initial_rate!r}")
-        if not (math.isfinite(epsilon) and epsilon > 0):
-            raise ValueError(f"{where}: epsilon must be finite and > 0, got {epsilon!r}")
-        if not (math.isfinite(b_ref) and b_ref > 0):
-            raise ValueError(f"{where}: b_ref must be finite and > 0, got {b_ref!r}")
-        self._users.append((model.alpha, model.beta, epsilon, b_ref))
-        self._rates.append(initial_rate)
+        for user_id, (video, b_ref, initial_rate, epsilon) in enumerate(users):
+            where = f"PayoffServer user {user_id}"
+            if not _is_rate(initial_rate):
+                raise ValueError(
+                    f"{where}: initial_rate must be finite and >= 0, got {initial_rate!r}")
+            if not (math.isfinite(epsilon) and epsilon > 0):
+                raise ValueError(f"{where}: epsilon must be finite and > 0, got {epsilon!r}")
+            if not (math.isfinite(b_ref) and b_ref > 0):
+                raise ValueError(f"{where}: b_ref must be finite and > 0, got {b_ref!r}")
+            self._users.append((video.alpha, video.beta, epsilon, b_ref))
+            self._rates.append(initial_rate)
 
     def note_request(self, user_id: int, rate: float) -> None:
         """Record the rate a user actually requested its next segment at."""
@@ -181,14 +155,14 @@ class PayoffServer:
             )
         self._rates[user_id] = rate
 
-    def gradient(self, user_id: int, b_curr: float, last_rate: float) -> float:
+    def gradient(self, user_id: int, b_curr: float) -> float:
         """Central-difference payoff gradient of a user at its buffer and last rate.
 
-        The user's last rate is recorded first.  Only its own rate is moved,
-        by +/- epsilon (the minus leg clipped at zero), so the estimate has
-        O(eps^2) error against the analytic gradient.  Each leg is
-        ``utility`` evaluated with the same operations in the same order, so
-        the result is bit-identical to differencing two ``utility`` calls
+        The user's last rate is the one the server holds.  Only that rate is
+        moved, by +/- epsilon (the minus leg clipped at zero), so the
+        estimate has O(eps^2) error against the analytic gradient.  Each leg
+        is ``utility`` evaluated with the same operations in the same order,
+        so the result is bit-identical to differencing two ``utility`` calls
         (at ``b_0 = 0``, an additive constant of the estimated buffer that
         cancels).  Both legs' loads are summed left to right in one pass.
         """
@@ -200,15 +174,10 @@ class PayoffServer:
             raise ValueError(
                 f"payoff query of user {user_id}: b_curr must be finite, got {b_curr!r}"
             )
-        if not _is_rate(last_rate):
-            raise ValueError(
-                f"payoff query of user {user_id}: last_rate must be finite and >= 0,"
-                f" got {last_rate!r}"
-            )
         if not 0 < export_bw < math.inf:
             raise ValueError(f"PayoffServer.export_bw must be finite and > 0, got {export_bw!r}")
         rates = self._rates
-        rates[user_id] = last_rate
+        last_rate = rates[user_id]
         a_f = adjustment_factor(self._p, b_curr, b_ref)
         r_plus = last_rate + epsilon
         r_minus = max(last_rate - epsilon, 0.0)
@@ -229,10 +198,6 @@ class PayoffServer:
         # keep the difference symmetric even if the minus leg clipped at zero
         return (u_plus - u_minus) / (r_plus - r_minus)
 
-    def handle_query(self, query: PayoffQuery) -> PayoffReply:
-        """The reply to one query message: :meth:`gradient` of its fields."""
-        return PayoffReply(query[0], self.gradient(*query))
-
 
 def run_round(
     sessions: Sequence[UserSession],
@@ -247,15 +212,10 @@ def run_round(
     """
     if not sessions:
         raise ValueError("run_round requires at least one session")
-    server = PayoffServer(params, export_bw)
-    for i, s in enumerate(sessions):
-        server.register(i, s.model, s.b_ref, s.rate, s.cfg.epsilon)
-    # a query sets the user's rate to the one it already holds, so every
-    # gradient is taken at the snapshot
-    snapshot = [s.rate for s in sessions]
-    grads = [server.gradient(i, s.b_curr, s.rate) for i, s in enumerate(sessions)]
-    rates = [update_rate(s.cfg, r, g) for s, r, g in zip(sessions, snapshot, grads)]
+    server = PayoffServer(
+        params, export_bw, [(s.model, s.b_ref, s.rate, s.cfg.epsilon) for s in sessions])
+    rates = [update_rate(s.cfg, s.rate, server.gradient(i, s.b_curr))
+             for i, s in enumerate(sessions)]
     for s, r in zip(sessions, rates):
         s.rate = r
     return rates
-

@@ -29,7 +29,6 @@ class ThroughputEstimator:
     """
 
     weight: float = 0.2
-    last_measured: Optional[float] = None
     ewma: Optional[float] = None
 
     def __post_init__(self) -> None:
@@ -39,7 +38,6 @@ class ThroughputEstimator:
     def observe(self, sample: float) -> None:
         if not (math.isfinite(sample) and sample > 0):
             raise ValueError(f"throughput sample must be > 0, got {sample!r}")
-        self.last_measured = sample
         if self.ewma is None:
             self.ewma = sample
         else:

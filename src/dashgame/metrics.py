@@ -42,8 +42,11 @@ class QoeMetricParams:
 
     def __post_init__(self) -> None:
         for name in ("xi", "psi", "phi", "sigma", "eta"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"QoeMetricParams.{name} must be >= 0")
+            value = getattr(self, name)
+            if not 0 <= value < math.inf:
+                raise ValueError(f"QoeMetricParams.{name} must be finite and >= 0, got {value!r}")
+        if not 0 < self.b_ref < math.inf:
+            raise ValueError(f"QoeMetricParams.b_ref must be finite and > 0, got {self.b_ref!r}")
 
 
 @dataclass

@@ -217,8 +217,8 @@ def allocate_shares(export_bw: float, caps: Sequence[Optional[float]]) -> list[f
     cap while that is at most an equal split of what is left; from the first
     whose cap exceeds the split on, every user takes the split.
     """
-    if export_bw <= 0:
-        raise ValueError(f"export_bw must be > 0, got {export_bw!r}")
+    if not 0 < export_bw < math.inf:
+        raise ValueError(f"export_bw must be finite and > 0, got {export_bw!r}")
     shares = [0.0] * len(caps)
     order = sorted(range(len(caps)), key=lambda i: math.inf if caps[i] is None else caps[i])
     remaining = export_bw
@@ -391,15 +391,14 @@ def run_scenario(scenario: "Scenario") -> list[SessionTrace]:
     link = Link(scenario)
     t = 0.0
     t_step, export_bw, caps_now = link.at(t)
-    server = PayoffServer(params, export_bw)
-    gradient = server.gradient
     runs: list[_UserRuntime] = []
     for idx, u in enumerate(users):
-        cfg = u.adapt_config()
-        rt = _UserRuntime(idx, u, cfg, sim.initial_buffer, quantized)
+        rt = _UserRuntime(idx, u, u.adapt_config(), sim.initial_buffer, quantized)
         rt.start_segment(0.0, T, quantized)
         runs.append(rt)
-        server.register(idx, u.video, u.b_ref, initial_rate=rt.request_rate, epsilon=cfg.epsilon)
+    server = PayoffServer(params, export_bw, [
+        (rt.video, rt.spec.b_ref, rt.request_rate, rt.cfg.epsilon) for rt in runs])
+    gradient = server.gradient
 
     # caps and bandwidth change only at the link's steps, each of which is an
     # event: they are looked up again only when t reaches ``t_step``.  The
@@ -473,7 +472,7 @@ def run_scenario(scenario: "Scenario") -> list[SessionTrace]:
             try:
                 if rt.policy == "game":
                     rt.request_rate = update_rate(
-                        rt.cfg, rt.request_rate, gradient(rt.idx, rt.buffer, rt.request_rate))
+                        rt.cfg, rt.request_rate, gradient(rt.idx, rt.buffer))
                 else:
                     rt.request_rate = _next_rate(rt, T)
             except (ValueError, KeyError, IndexError) as exc:

@@ -8,8 +8,6 @@ from hypothesis import given, settings, strategies as st
 
 from dashgame.adapt import (
     AdaptConfig,
-    PayoffQuery,
-    PayoffReply,
     PayoffServer,
     UserSession,
     run_round,
@@ -64,15 +62,19 @@ def test_server_rejects_bad_user_index(ref_params, ref_video):
         payoff_gradient_server(ref_params, ref_video, BW, [3.0], 1, 15.0, 1e-4, b_ref=15.0)
 
 
+def _user(video, b_ref=15.0, initial_rate=1.0, epsilon=1e-4):
+    """One constructor entry of a ``PayoffServer``."""
+    return (video, b_ref, initial_rate, epsilon)
+
+
 def test_payoff_server_unknown_user(ref_params, ref_video):
-    server = PayoffServer(ref_params, BW)
     with pytest.raises(KeyError):
-        server.handle_query(PayoffQuery(user_id=7, b_curr=10.0, last_rate=1.0))
-    server.register(0, ref_video, b_ref=15.0, initial_rate=1.0)
+        PayoffServer(ref_params, BW, []).gradient(7, 10.0)
+    server = PayoffServer(ref_params, BW, [_user(ref_video)])
     # an id is an index, but a negative one must not wrap around
     for uid in (-1, 1):
         with pytest.raises(KeyError, match=f"unknown user id {uid}"):
-            server.handle_query(PayoffQuery(user_id=uid, b_curr=10.0, last_rate=1.0))
+            server.gradient(uid, 10.0)
         with pytest.raises(KeyError, match=f"unknown user id {uid}"):
             server.note_request(uid, 1.0)
 
@@ -222,15 +224,11 @@ def test_round_matches_stateless_oracle(seed, n):
 
 
 def test_payoff_server_query_round_trip(ref_params, ref_video):
-    server = PayoffServer(ref_params, BW)
-    server.register(0, ref_video, b_ref=15.0, initial_rate=3.0)
-    server.register(1, ref_video, b_ref=15.0, initial_rate=3.0)
-    reply = server.handle_query(PayoffQuery(user_id=0, b_curr=15.0, last_rate=3.0))
+    server = PayoffServer(ref_params, BW, [_user(ref_video, initial_rate=3.0)] * 2)
     ana = utility_gradient(
         ref_params, ref_video, 0, [3.0, 3.0], BufferView(b_curr=15, b_ref=15), BW
     )
-    assert reply.user_id == 0
-    assert reply.gradient_estimate == pytest.approx(ana, abs=1e-6)
+    assert server.gradient(0, 15.0) == pytest.approx(ana, abs=1e-6)
 
 
 def _two_utility_difference(params, video, export_bw, rates, i, b_curr, epsilon, b_ref, b_0):
@@ -267,35 +265,21 @@ def test_payoff_server_replies_in_user_id_order(ref_params, ref_video):
     # a user's id is its position in the rate list the gradient is taken over
     rates = [1.25, 2.5, 0.75, 3.0]
     b_refs = [15.0, 10.0, 15.0, 20.0]
-    server = PayoffServer(ref_params, BW)
-    for uid, (rate, b_ref) in enumerate(zip(rates, b_refs)):
-        server.register(uid, ref_video, b_ref=b_ref, initial_rate=rate, epsilon=1e-4 * (uid + 1))
+    server = PayoffServer(ref_params, BW, [
+        _user(ref_video, b_ref, rate, 1e-4 * (uid + 1))
+        for uid, (rate, b_ref) in enumerate(zip(rates, b_refs))
+    ])
     server.note_request(3, 1.75)
     rates[3] = 1.75
     for uid in (1, 2):
-        reply = server.handle_query(PayoffQuery(user_id=uid, b_curr=12.0, last_rate=1.5))
+        server.note_request(uid, 1.5)
         rates[uid] = 1.5
         expected = payoff_gradient_server(
             ref_params, ref_video, BW, rates, uid, 12.0, 1e-4 * (uid + 1), b_refs[uid]
         )
-        assert reply == PayoffReply(user_id=uid, gradient_estimate=expected)
+        assert server.gradient(uid, 12.0) == expected
     with pytest.raises(KeyError):
         server.note_request(4, 1.0)
-
-
-@pytest.mark.parametrize("registered, user_id", [(0, 1), (0, -1), (2, 0), (2, 1), (2, 5)])
-def test_register_rejects_out_of_order_id(ref_params, ref_video, registered, user_id):
-    server = PayoffServer(ref_params, BW)
-    for uid in range(registered):
-        server.register(uid, ref_video, b_ref=15.0, initial_rate=1.0)
-    message = (f"register user {user_id}: users register in id order, "
-               f"expected user {registered}")
-    with pytest.raises(ValueError, match=message):
-        server.register(user_id, ref_video, b_ref=15.0, initial_rate=1.0)
-    # the rejected id changed nothing: the next id still registers
-    server.register(registered, ref_video, b_ref=15.0, initial_rate=1.0)
-    with pytest.raises(KeyError):
-        server.note_request(registered + 1, 1.0)
 
 
 @pytest.mark.parametrize("bad, message", [
@@ -323,87 +307,87 @@ def test_server_gradient_validates_inputs(ref_params, ref_video, bad, message):
     ({"b_ref": math.inf}, "user 3: b_ref"),
 ])
 def test_register_rejects_bad_values(ref_params, ref_video, kwargs, message):
-    # before, a bad initial rate was accepted and blamed on the next user's query
-    server = PayoffServer(ref_params, BW)
-    good = {"b_ref": 15.0, "initial_rate": 1.0}
-    for uid in range(3):
-        server.register(uid, ref_video, **good)
+    # users register when the server is built; a bad entry is rejected there,
+    # naming the user and the field, not blamed on a later query
+    users = [_user(ref_video)] * 3 + [_user(ref_video, **kwargs)] + [_user(ref_video)]
     with pytest.raises(ValueError, match=message):
-        server.register(3, ref_video, **{**good, **kwargs})
-    # nothing half-registered: user 3 is still unknown, and still the next id
-    with pytest.raises(KeyError):
-        server.note_request(3, 1.0)
-    server.register(3, ref_video, **good)
+        PayoffServer(ref_params, BW, users)
 
 
 @pytest.mark.parametrize("rate", [math.nan, -0.5, math.inf])
 def test_note_request_rejects_bad_rate(ref_params, ref_video, rate):
-    server = PayoffServer(ref_params, BW)
-    for uid in (0, 1):
-        server.register(uid, ref_video, b_ref=15.0, initial_rate=1.0)
+    server = PayoffServer(ref_params, BW, [_user(ref_video)] * 2)
     with pytest.raises(ValueError, match="note_request user 0: rate"):
         server.note_request(0, rate)
-    # the registry is unchanged, so the other user's query still works
-    reply = server.handle_query(PayoffQuery(user_id=1, b_curr=15.0, last_rate=1.0))
-    assert reply.gradient_estimate == payoff_gradient_server(
-        ref_params, ref_video, BW, [1.0, 1.0], 1, 15.0, 1e-4, 15.0
-    )
+    # the rates are unchanged, so both users' queries still work
+    for uid in (0, 1):
+        assert server.gradient(uid, 15.0) == payoff_gradient_server(
+            ref_params, ref_video, BW, [1.0, 1.0], uid, 15.0, 1e-4, 15.0
+        )
 
 
-@pytest.mark.parametrize("query, export_bw, message", [
-    (PayoffQuery(user_id=2, b_curr=math.nan, last_rate=1.0), BW, "user 2: b_curr"),
-    (PayoffQuery(user_id=2, b_curr=15.0, last_rate=-1.0), BW, "user 2: last_rate"),
-    (PayoffQuery(user_id=2, b_curr=15.0, last_rate=math.nan), BW, "user 2: last_rate"),
-    (PayoffQuery(user_id=2, b_curr=15.0, last_rate=1.0), 0.0, "export_bw"),
-    (PayoffQuery(user_id=2, b_curr=15.0, last_rate=1.0), math.nan, "export_bw"),
+@pytest.mark.parametrize("b_curr, export_bw, message", [
+    (math.nan, BW, "user 2: b_curr"),
+    (math.inf, BW, "user 2: b_curr"),
+    (15.0, 0.0, "export_bw"),
+    (15.0, math.nan, "export_bw"),
+    (15.0, math.inf, "export_bw"),
 ])
-def test_handle_query_rejects_bad_values(ref_params, ref_video, query, export_bw, message):
-    server = PayoffServer(ref_params, BW)
-    for uid in range(3):
-        server.register(uid, ref_video, b_ref=15.0, initial_rate=1.0)
+def test_gradient_rejects_bad_values(ref_params, ref_video, b_curr, export_bw, message):
+    server = PayoffServer(ref_params, BW, [_user(ref_video)] * 3)
     server.export_bw = export_bw
     with pytest.raises(ValueError, match=message):
-        server.handle_query(query)
+        server.gradient(2, b_curr)
+
+
+def test_gradient_changes_no_rate(ref_params, ref_video):
+    # a query only reads the rates: asking for user i's gradient between two
+    # of user j's leaves j's answer bit for bit the same
+    rates = [0.75, 2.5, 1.25]
+    server = PayoffServer(ref_params, BW, [
+        _user(ref_video, initial_rate=rate, epsilon=1e-3) for rate in rates])
+    for j in range(3):
+        for i in range(3):
+            if i == j:
+                continue
+            before = server.gradient(j, 12.0)
+            server.gradient(i, 20.0)
+            assert server.gradient(j, 12.0).hex() == before.hex()
+            assert before.hex() == payoff_gradient_server(
+                ref_params, ref_video, BW, rates, j, 12.0, 1e-3, 15.0).hex()
 
 
 @settings(max_examples=120, deadline=None, derandomize=True)
 @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 64))
 def test_server_replies_match_stateless_gradient(seed, n):
-    """Random register/note_request/gradient sequences against the stateless oracle,
-    which holds the arithmetic the server had before it read its constants once
-    and summed both loads in one pass: every reply is bit-identical to it."""
+    """Random note_request/export_bw/gradient sequences against the stateless
+    oracle, which holds the arithmetic the server had before it read its
+    constants once and summed both loads in one pass: every reply is
+    bit-identical to it."""
     rng = np.random.default_rng(seed)
     params, videos, _, export_bw = random_instance(rng, n_users=n)
-    state = []  # per registered user: [video, b_ref, epsilon, rate]
-
-    def register():
-        uid = len(state)
-        entry = [videos[uid], float(rng.uniform(5.0, 25.0)),
-                 float(rng.choice([1e-4, 1e-3, 0.5])), float(rng.uniform(0.0, 20.0))]
-        server.register(uid, entry[0], entry[1], initial_rate=entry[3], epsilon=entry[2])
-        state.append(entry)
-
-    server = PayoffServer(params, export_bw)
-    register()
+    state = [  # per user, as the constructor takes it: [video, b_ref, rate, epsilon]
+        [videos[uid], float(rng.uniform(5.0, 25.0)),
+         float(rng.uniform(0.0, 20.0)), float(rng.choice([1e-4, 1e-3, 0.5]))]
+        for uid in range(n)
+    ]
+    server = PayoffServer(params, export_bw, [tuple(entry) for entry in state])
     for _ in range(4 * n + 8):
-        uid = int(rng.integers(len(state)))
-        action = rng.integers(5)
-        if action == 0:
-            if len(state) < n:
-                register()  # users join over time, in id order
-        elif action == 1:
-            state[uid][3] = float(rng.uniform(0.0, 20.0))
-            server.note_request(uid, state[uid][3])
-        else:
-            if action == 2:
-                server.export_bw = export_bw = float(rng.uniform(2.0, 20.0))
-            b_curr = float(rng.uniform(0.0, 30.0))
-            rate = float(rng.uniform(0.0, 1e-3)) if action == 3 else float(rng.uniform(0.0, 20.0))
-            state[uid][3] = rate
-            got = server.gradient(uid, b_curr, rate)
-            video, b_ref, epsilon, _ = state[uid]
-            expected = payoff_gradient_server(
-                params, video, export_bw, [entry[3] for entry in state], uid,
-                b_curr, epsilon, b_ref,
-            )
-            assert got.hex() == expected.hex()
+        uid = int(rng.integers(n))
+        action = rng.integers(4)
+        if action in (0, 1):
+            # action 0 requests a rate near zero, where the minus leg may clip
+            high = 1e-3 if action == 0 else 20.0
+            state[uid][2] = float(rng.uniform(0.0, high))
+            server.note_request(uid, state[uid][2])
+            continue
+        if action == 2:
+            server.export_bw = export_bw = float(rng.uniform(2.0, 20.0))
+        b_curr = float(rng.uniform(0.0, 30.0))
+        got = server.gradient(uid, b_curr)
+        video, b_ref, _, epsilon = state[uid]
+        expected = payoff_gradient_server(
+            params, video, export_bw, [entry[2] for entry in state], uid,
+            b_curr, epsilon, b_ref,
+        )
+        assert got.hex() == expected.hex()

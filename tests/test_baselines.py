@@ -12,8 +12,7 @@ def test_estimator_first_sample_initialises():
     est = ThroughputEstimator(weight=0.3)
     assert est.ewma is None
     est.observe(4.0)
-    assert est.ewma == 4.0
-    assert est.last_measured == 4.0
+    assert est == ThroughputEstimator(weight=0.3, ewma=4.0)
 
 
 def test_estimator_ewma_update_exact():

@@ -15,7 +15,7 @@ from bisect import bisect_right
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
-from dashgame.adapt import PayoffQuery, PayoffServer, update_rate
+from dashgame.adapt import PayoffServer, update_rate
 from dashgame.baselines import ThroughputEstimator, bf_decide, qf_decide
 from dashgame.model import GameParams, VideoQualityModel, quality
 from dashgame.netsim import (
@@ -78,14 +78,13 @@ def oracle_run_scenario(scenario):
     horizon = sim.total_segments * T * 20.0 + 1000.0
     rng = np.random.default_rng(sim.rng_seed)
     cap_schedules = [u.cap.materialize(rng, horizon) for u in users]
-    server = PayoffServer(params, bandwidth_at(profile, 0.0))
     runs = []
     for idx, u in enumerate(users):
         rt = _Runtime(idx, u, sim)
         rt.start_segment(0.0, T, sim.quantize)
         runs.append(rt)
-        server.register(idx, u.video, u.b_ref, initial_rate=rt.request_rate,
-                        epsilon=rt.cfg.epsilon)
+    server = PayoffServer(params, bandwidth_at(profile, 0.0), [
+        (u.video, u.b_ref, rt.request_rate, rt.cfg.epsilon) for u, rt in zip(users, runs)])
     boundary_times = sorted(
         {t for t, _ in profile.breakpoints} | {t for s in cap_schedules if s for t, _ in s}
     )
@@ -143,15 +142,10 @@ def oracle_run_scenario(scenario):
             rt.done = rt.k >= sim.total_segments
 
         game_batch = [i for i in completed if not runs[i].done and runs[i].spec.policy == "game"]
-        replies = [
-            server.handle_query(PayoffQuery(
-                user_id=i, b_curr=runs[i].buffer, last_rate=runs[i].request_rate,
-            ))
-            for i in game_batch
-        ]
-        for i, reply in zip(game_batch, replies):
+        grads = [server.gradient(i, runs[i].buffer) for i in game_batch]
+        for i, grad in zip(game_batch, grads):
             rt = runs[i]
-            rt.request_rate = update_rate(rt.cfg, rt.request_rate, reply.gradient_estimate)
+            rt.request_rate = update_rate(rt.cfg, rt.request_rate, grad)
 
         for i in completed:
             rt = runs[i]

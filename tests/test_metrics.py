@@ -1,5 +1,7 @@
 """QoE objectives against hand-worked sums, and summary statistics."""
 
+import math
+
 import pytest
 
 from dashgame.metrics import QoeMetricParams, qoe1, qoe2, summarize
@@ -35,6 +37,16 @@ DEFAULTS = QoeMetricParams()
 def test_default_weights_are_the_standard_ones():
     assert (DEFAULTS.xi, DEFAULTS.psi, DEFAULTS.phi, DEFAULTS.sigma, DEFAULTS.eta) == \
         (1.0, 6.0, 2.0, 0.001, 2.0)
+
+
+@pytest.mark.parametrize("field, value", [
+    *[(name, bad) for name in ("xi", "psi", "phi", "sigma", "eta")
+      for bad in (-1.0, math.nan, math.inf)],
+    ("b_ref", 0.0), ("b_ref", -3.0), ("b_ref", math.nan), ("b_ref", math.inf),
+])
+def test_params_reject_bad_values_naming_the_field(field, value):
+    with pytest.raises(ValueError, match=rf"QoeMetricParams\.{field} must be finite"):
+        QoeMetricParams(**{field: value})
 
 
 def test_qoe1_single_segment():

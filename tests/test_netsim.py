@@ -37,6 +37,13 @@ def test_allocate_shares_underloaded_caps():
     assert allocate_shares(6.0, [1.0, 1.0, 1.0]) == [1.0, 1.0, 1.0]
 
 
+@pytest.mark.parametrize("export_bw", [0.0, -1.0, math.nan, math.inf])
+def test_allocate_shares_rejects_bad_export_bw(export_bw):
+    # a NaN or infinite link would otherwise become every uncapped user's share
+    with pytest.raises(ValueError, match="export_bw must be finite and > 0"):
+        allocate_shares(export_bw, [None, 1.0])
+
+
 def test_allocate_shares_conservation_property():
     rng = np.random.default_rng(31)
     for _ in range(300):
