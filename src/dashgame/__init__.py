@@ -54,7 +54,7 @@ from .netsim import (
     quantize_rate,
     run_scenario,
 )
-from .metrics import QoeMetricParams, SummaryStats, qoe1, qoe2, summarize
+from .metrics import QoeMetricParams, SummaryStats, qoe1, qoe2, score, summarize
 from .scenarios import Scenario, UserSpec, list_presets, load_preset, load_scenario
 
 __version__ = "0.1.0"

@@ -24,7 +24,7 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-from .model import GameParams, VideoQualityModel, adjustment_factor
+from .model import GameParams, VideoQualityModel, _adjustment_factor
 
 __all__ = [
     "AdaptConfig",
@@ -76,16 +76,29 @@ class AdaptConfig:
 def update_rate(cfg: AdaptConfig, r: float, gradient: float) -> float:
     """One multiplicative sub-gradient step: r + theta * r * gradient.
 
-    The raw step is clamped to ``max_step_fraction * r`` in magnitude, then
-    the result to [r_min, r_max].  A NaN or infinite gradient is rejected.
+    The raw step is clamped to ``max_step_fraction * r`` in magnitude (no
+    clamp when that is infinite), then the result to [r_min, r_max].  A rate
+    that is not finite and >= 0 and a NaN or infinite gradient are rejected.
     """
-    if not math.isfinite(gradient):
+    if not 0.0 <= r < math.inf:
+        raise ValueError(f"update_rate r must be finite and >= 0, got {r!r}")
+    if not -math.inf < gradient < math.inf:
         raise ValueError(f"update_rate gradient must be finite, got {gradient!r}")
+    # each clamp is written as min and max compare, so it picks the same
+    # value they would, a NaN step or result included
     step = cfg.theta * r * gradient
     cap = cfg.max_step_fraction * r
-    if math.isfinite(cap):
-        step = max(-cap, min(cap, step))
-    return max(cfg.r_min, min(cfg.r_max, r + step))
+    if cap < math.inf:
+        if not step < cap:
+            step = cap
+        if not step > -cap:
+            step = -cap
+    r = r + step
+    if not r < cfg.r_max:
+        r = cfg.r_max
+    if not r > cfg.r_min:
+        r = cfg.r_min
+    return r
 
 
 @dataclass
@@ -148,7 +161,7 @@ class PayoffServer:
         """Record the rate a user actually requested its next segment at."""
         if not 0 <= user_id < len(self._rates):
             raise KeyError(f"unknown user id {user_id}")
-        if not _is_rate(rate):
+        if not 0.0 <= rate < math.inf:
             raise ValueError(
                 f"PayoffServer.note_request user {user_id}: rate must be finite and >= 0,"
                 f" got {rate!r}"
@@ -178,9 +191,11 @@ class PayoffServer:
             raise ValueError(f"PayoffServer.export_bw must be finite and > 0, got {export_bw!r}")
         rates = self._rates
         last_rate = rates[user_id]
-        a_f = adjustment_factor(self._p, b_curr, b_ref)
+        a_f = _adjustment_factor(self._p, b_curr, b_ref)
         r_plus = last_rate + epsilon
-        r_minus = max(last_rate - epsilon, 0.0)
+        r_minus = last_rate - epsilon
+        if r_minus < 0.0:
+            r_minus = 0.0
         # the loads of both legs share the sum of the rates before the user's
         load_plus = 0.0
         for k in range(user_id):
@@ -209,13 +224,23 @@ def run_round(
     Updates are simultaneous: every gradient is computed against the rate
     vector frozen at the round start, so the result is independent of user
     processing order (and matches the Jacobian analysis of the update map).
+    The sessions' ``user_id``s must be 0..n-1, in any order; the server
+    holds the users in id order, and the rates come back in session order.
     """
     if not sessions:
         raise ValueError("run_round requires at least one session")
+    by_id: list = [None] * len(sessions)
+    for pos, s in enumerate(sessions):
+        uid = s.user_id
+        if not (isinstance(uid, int) and 0 <= uid < len(sessions) and by_id[uid] is None):
+            raise ValueError(
+                f"run_round sessions[{pos}]: user_id must be a distinct id in"
+                f" 0..{len(sessions) - 1}, got {uid!r}")
+        by_id[uid] = s
     server = PayoffServer(
-        params, export_bw, [(s.model, s.b_ref, s.rate, s.cfg.epsilon) for s in sessions])
-    rates = [update_rate(s.cfg, s.rate, server.gradient(i, s.b_curr))
-             for i, s in enumerate(sessions)]
+        params, export_bw, [(s.model, s.b_ref, s.rate, s.cfg.epsilon) for s in by_id])
+    rates = [update_rate(s.cfg, s.rate, server.gradient(s.user_id, s.b_curr))
+             for s in sessions]
     for s, r in zip(sessions, rates):
         s.rate = r
     return rates

@@ -18,7 +18,7 @@ from pathlib import Path
 
 from . import __version__
 from .game import closed_form_identical_2user, foc_coefficients, solve_equilibrium
-from .metrics import QoeMetricParams, _stall_penalty, qoe1, qoe2, summarize
+from .metrics import QoeMetricParams, score
 from .model import BufferView
 from .netsim import Link, SessionTrace, SimulationError, allocate_shares, run_scenario
 from .scenarios import (
@@ -101,14 +101,8 @@ def _run_one(sc: Scenario, out_dir: Path, source: str) -> tuple[dict, str]:
         path = out_dir / f"user{trace.user_id}.csv"
         write_trace_csv(path, trace)
         trace_paths.append(str(path))
-        stats = summarize(trace)
-        stall = _stall_penalty(trace)
-        per_user.append({
-            "user": trace.user_id,
-            **stats.to_dict(),
-            "qoe1": qoe1(trace, qoe_params, _stall=stall),
-            "qoe2": qoe2(trace, qoe_params, _stall=stall),
-        })
+        stats, qoe1, qoe2 = score(trace, qoe_params)
+        per_user.append({"user": trace.user_id, **stats.to_dict(), "qoe1": qoe1, "qoe2": qoe2})
     summary = {"scenario": sc.name, "users": per_user}
     summary_json = json.dumps(summary, indent=2)
     (out_dir / "summary.json").write_text(summary_json + "\n", encoding="utf-8")

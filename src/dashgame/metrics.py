@@ -19,12 +19,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass
-from typing import Optional, Sequence
 
-from .model import serial_sum
 from .netsim import SessionTrace
 
-__all__ = ["QoeMetricParams", "SummaryStats", "qoe1", "qoe2", "summarize"]
+__all__ = ["QoeMetricParams", "SummaryStats", "score", "qoe1", "qoe2", "summarize"]
 
 SWITCH_THRESHOLD = 0.05  # Mbps: the smallest continuous rate jump counted as a switch
 
@@ -67,89 +65,85 @@ class SummaryStats:
         return asdict(self)
 
 
-def _records(trace: SessionTrace) -> list:
-    if not trace.records:
-        raise ValueError("trace has no records")
-    return trace.records
+def score(trace: SessionTrace, params: QoeMetricParams) -> tuple[SummaryStats, float, float]:
+    """The summary statistics, qoe1 and qoe2 of one trace.
 
-
-def _stall_penalty(trace: SessionTrace) -> float:
-    """Sum over segments of how far the download time passed the buffer at its start."""
-    records = _records(trace)
-    starts = [trace.initial_buffer, *[rec.buffer for rec in records]]
-    return serial_sum([max(0.0, rec.download_time - b) for rec, b in zip(records, starts)])
-
-
-def qoe1(
-    trace: SessionTrace, params: QoeMetricParams, *, _stall: Optional[float] = None
-) -> float:
-    """Rate-based QoE: total bitrate minus switching and rebuffering penalties.
-
-    ``_stall`` is ``_stall_penalty(trace)`` when the caller already has it, so
-    scoring one trace both ways walks its buffers once.
-    """
-    rates = [rec.quantized_rate for rec in _records(trace)]
-    if _stall is None:
-        _stall = _stall_penalty(trace)
-    switches = serial_sum([abs(b - a) for a, b in zip(rates, rates[1:])])
-    return serial_sum(rates) - params.xi * switches - params.psi * _stall
-
-
-def qoe2(
-    trace: SessionTrace, params: QoeMetricParams, *, _stall: Optional[float] = None
-) -> float:
-    """Quality-based QoE with a quadratic reference-buffer shortfall term.
-
-    ``_stall`` is as in :func:`qoe1`.
-    """
-    records = _records(trace)
-    if _stall is None:
-        _stall = _stall_penalty(trace)
-    qs = [rec.quality for rec in records]
-    switches = serial_sum([abs(b - a) for a, b in zip(qs, qs[1:])])
-    b_ref = params.b_ref
-    shortfall = serial_sum([max(0.0, b_ref - rec.buffer) ** 2 for rec in records[1:]])
-    return (
-        serial_sum(qs)
-        - params.phi * switches
-        - params.sigma * shortfall
-        - params.eta * _stall
-    )
-
-
-def _mean_std(values: Sequence[float]) -> tuple[float, float]:
-    n = len(values)
-    mean = serial_sum(values) / n
-    var = serial_sum([(v - mean) ** 2 for v in values]) / n
-    return mean, math.sqrt(var)
-
-
-def summarize(trace: SessionTrace) -> SummaryStats:
-    """Summary statistics over one trace.
+    One pass over the records gathers every sum, and one more the two
+    variances.  Each sum adds its terms left to right from 0.0, as
+    ``serial_sum`` does, and skips only terms of 0.0, which cannot change a
+    nonnegative sum.
 
     Switches are counted as rung changes when the trace is quantized, and as
     consecutive rate jumps above ``SWITCH_THRESHOLD`` Mbps otherwise (a
     continuous trace never repeats exactly).
     """
-    records = _records(trace)
-    rates = [rec.quantized_rate for rec in records]
-    avg_rate, rate_std = _mean_std(rates)
-    pairs = zip(rates, rates[1:])
-    if trace.quantized:
-        amplitudes = [abs(b - a) for a, b in pairs if b != a]
-    else:
-        amplitudes = [d for d in [abs(b - a) for a, b in pairs] if d > SWITCH_THRESHOLD]
-    avg_q, q_std = _mean_std([rec.quality for rec in records])
-    stalls = [rec.stall_seconds for rec in records if rec.stall_seconds > 0]
-    buffers = [rec.buffer for rec in records]
-    return SummaryStats(
+    records = trace.records
+    if not records:
+        raise ValueError("trace has no records")
+    quantized = trace.quantized
+    b_ref = params.b_ref
+    rate_sum = q_sum = buffer_sum = 0.0
+    rate_jumps = q_jumps = amplitude_sum = 0.0
+    stall_total = stall_penalty = shortfall = 0.0
+    switch_count = stall_count = 0
+    prev_rate = prev_q = None
+    b_start = trace.initial_buffer
+    for _, _, _, _, rate, download_time, buffer, stall, q in records:
+        rate_sum += rate
+        q_sum += q
+        buffer_sum += buffer
+        if prev_rate is not None:
+            jump = abs(rate - prev_rate)
+            rate_jumps += jump
+            if (rate != prev_rate) if quantized else (jump > SWITCH_THRESHOLD):
+                switch_count += 1
+                amplitude_sum += jump
+            q_jumps += abs(q - prev_q)
+            gap = b_ref - buffer
+            if gap > 0.0:
+                shortfall += gap ** 2
+        if stall > 0:
+            stall_count += 1
+            stall_total += stall
+        late = download_time - b_start
+        if late > 0.0:
+            stall_penalty += late
+        prev_rate, prev_q, b_start = rate, q, buffer
+    n = len(records)
+    avg_rate = rate_sum / n
+    avg_q = q_sum / n
+    rate_var = q_var = 0.0
+    for _, _, _, _, rate, _, _, _, q in records:
+        rate_var += (rate - avg_rate) ** 2
+        q_var += (q - avg_q) ** 2
+    stats = SummaryStats(
         avg_rate=avg_rate,
-        rate_stddev=rate_std,
-        switch_count=len(amplitudes),
-        avg_switch_amplitude=(serial_sum(amplitudes) / len(amplitudes)) if amplitudes else 0.0,
+        rate_stddev=math.sqrt(rate_var / n),
+        switch_count=switch_count,
+        avg_switch_amplitude=(amplitude_sum / switch_count) if switch_count else 0.0,
         avg_quality=avg_q,
-        quality_stddev=q_std,
-        stall_count=len(stalls),
-        stall_total=serial_sum(stalls),
-        avg_buffer=serial_sum(buffers) / len(buffers),
+        quality_stddev=math.sqrt(q_var / n),
+        stall_count=stall_count,
+        stall_total=stall_total,
+        avg_buffer=buffer_sum / n,
     )
+    qoe_rate = rate_sum - params.xi * rate_jumps - params.psi * stall_penalty
+    qoe_quality = (
+        q_sum - params.phi * q_jumps - params.sigma * shortfall - params.eta * stall_penalty
+    )
+    return stats, qoe_rate, qoe_quality
+
+
+def qoe1(trace: SessionTrace, params: QoeMetricParams) -> float:
+    """Rate-based QoE: total bitrate minus switching and rebuffering penalties."""
+    return score(trace, params)[1]
+
+
+def qoe2(trace: SessionTrace, params: QoeMetricParams) -> float:
+    """Quality-based QoE with a quadratic reference-buffer shortfall term."""
+    return score(trace, params)[2]
+
+
+def summarize(trace: SessionTrace) -> SummaryStats:
+    """Summary statistics over one trace; see :func:`score`."""
+    return score(trace, QoeMetricParams())[0]

@@ -155,10 +155,10 @@ def serial_sum(values: Iterable[float]) -> float:
 
     This is what the builtin ``sum`` of floats does on CPython 3.10 and
     3.11; from 3.12 on, ``sum`` compensates rounding errors and can differ
-    in the last bits.  Every load summed in Python (the payoff server, the
-    scalar gradient and buffer, the best response) and every sum in
-    ``metrics`` goes through here, so its rounding does not change with the
-    interpreter version.
+    in the last bits.  Every load summed in Python (the scalar gradient and
+    buffer, the best response) goes through here, and the payoff server and
+    ``metrics.score`` add their sums the same way in their own loops, so
+    their rounding does not change with the interpreter version.
     """
     total = 0.0
     for v in values:
@@ -180,6 +180,12 @@ def adjustment_factor(p: float, b_curr: float, b_ref: float) -> float:
     """
     if not (math.isfinite(p) and p > 0):
         raise ValueError(f"p must be finite and > 0, got {p!r}")
+    return _adjustment_factor(p, b_curr, b_ref)
+
+
+def _adjustment_factor(p: float, b_curr: float, b_ref: float) -> float:
+    """:func:`adjustment_factor` without the check of ``p``, for callers
+    that hold an already validated ``GameParams.p``."""
     x = p * (b_curr - b_ref)
     if x >= 0:
         value = 2.0 / (1.0 + math.exp(-x))

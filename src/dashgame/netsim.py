@@ -31,7 +31,7 @@ import numpy as np
 
 from .adapt import PayoffServer, update_rate
 from .baselines import ThroughputEstimator, bf_decide, qf_decide
-from .model import quality, quantize_rate, serial_sum
+from .model import log_quality, quantize_rate, serial_sum
 
 if TYPE_CHECKING:  # pragma: no cover
     from .scenarios import Scenario
@@ -331,9 +331,9 @@ class _UserRuntime:
     """One user's state in the event loop, with its constants read once."""
 
     __slots__ = (
-        "idx", "spec", "cfg", "policy", "video", "ladder", "estimator", "buffer",
-        "stall_this", "k", "done", "request_rate", "download_rate", "remaining", "share",
-        "started_at", "trace",
+        "idx", "spec", "cfg", "policy", "video", "alpha", "beta", "ladder", "estimator",
+        "buffer", "stall_this", "k", "done", "request_rate", "download_rate", "remaining",
+        "share", "started_at", "trace",
     )
 
     def __init__(self, idx, spec, cfg, initial_buffer, quantized):
@@ -342,6 +342,8 @@ class _UserRuntime:
         self.cfg = cfg
         self.policy = spec.policy
         self.video = spec.video
+        self.alpha = spec.video.alpha
+        self.beta = spec.video.beta
         self.ladder = spec.video.ladder
         self.estimator = ThroughputEstimator(weight=spec.estimator_weight)
         self.buffer = initial_buffer
@@ -404,6 +406,11 @@ def run_scenario(scenario: "Scenario") -> list[SessionTrace]:
     # event: they are looked up again only when t reaches ``t_step``.  The
     # shares of ``active`` (the unfinished users, in user order, all
     # downloading) are recomputed only then or when a user finishes.
+    # ``t_next``, the next event, is the earliest of ``t_step`` and every
+    # active user's finish ``t + remaining/share``.  The drain pass computes
+    # that finish for the event after it, with the same operands, so with
+    # fresh shares every finish is computed anew, and otherwise only those
+    # of the users who start a new segment are.
     active = list(runs)
     stale = True  # the shares do not match the link state or the active users
     guard_limit = 20 * (n * total_segments + len(link.times)) + 1000
@@ -417,17 +424,15 @@ def run_scenario(scenario: "Scenario") -> list[SessionTrace]:
 
         if stale:
             shares = allocate_shares(export_bw, [caps_now[rt.idx] for rt in active])
+            t_next = t_step
             for rt, share in zip(active, shares):
                 rt.share = share
                 if share <= 0:
                     raise SimulationError(f"user {rt.idx} starved of bandwidth at t={t:.3f}s")
+                finish = t + rt.remaining / share
+                if finish < t_next:
+                    t_next = finish
             stale = False
-
-        t_next = t_step
-        for rt in active:
-            finish = t + rt.remaining / rt.share
-            if finish < t_next:
-                t_next = finish
         if not math.isfinite(t_next):
             raise SimulationError("no next event; simulation wedged")
 
@@ -436,16 +441,23 @@ def run_scenario(scenario: "Scenario") -> list[SessionTrace]:
         # too, or a huge segment would spin at a fixed t
         dt = t_next - t
         completed = []
+        t_after = t_step  # the event after this one, over the users who carry on
         for rt in active:
-            rt.remaining -= rt.share * dt
-            if dt < rt.buffer:
-                rt.buffer -= dt
+            share = rt.share
+            rt.remaining = remaining = rt.remaining - share * dt
+            buffer = rt.buffer
+            if dt < buffer:
+                rt.buffer = buffer - dt
             else:
-                rt.stall_this += dt - rt.buffer
+                rt.stall_this += dt - buffer
                 rt.buffer = 0.0
-            if rt.remaining <= _COMPLETION_EPS or t_next + rt.remaining / rt.share <= t_next:
+            finish = t_next + remaining / share
+            if remaining <= _COMPLETION_EPS or finish <= t_next:
                 completed.append(rt)
+            elif finish < t_after:
+                t_after = finish
         t = t_next
+        t_next = t_after
         if t_step <= t:
             t_step, export_bw, caps_now = link.at(t)
             stale = True
@@ -462,7 +474,7 @@ def run_scenario(scenario: "Scenario") -> list[SessionTrace]:
             rt.trace.records.append(tuple.__new__(TraceRecord, (
                 rt.k, rt.started_at, t, rt.request_rate, rt.download_rate,
                 t - rt.started_at, rt.buffer, rt.stall_this,
-                quality(rt.video, rt.download_rate),
+                log_quality(rt.alpha, rt.beta, rt.download_rate),
             )))
             rt.stall_this = 0.0
             rt.k += 1
@@ -486,6 +498,9 @@ def run_scenario(scenario: "Scenario") -> list[SessionTrace]:
             else:
                 rt.start_segment(t, T, quantized)
                 server.note_request(rt.idx, rt.request_rate)
+                finish = t + rt.remaining / rt.share
+                if finish < t_next:
+                    t_next = finish
         if stale:
             active = [rt for rt in active if not rt.done]
 

@@ -1,4 +1,5 @@
-"""Stateless server gradient, the oracle for ``PayoffServer.gradient``.
+"""Stateless server gradient, the oracle for ``PayoffServer.gradient``, and
+the ``max``/``min`` form of ``update_rate``, the oracle for its clamps.
 
 The library computes every payoff gradient through ``PayoffServer.gradient``;
 this form takes the whole rate vector per call and checks all of its inputs,
@@ -10,6 +11,7 @@ two ``_estimated_buffer_at`` calls over two separate load sums.
 import math
 from typing import Sequence
 
+from dashgame.adapt import AdaptConfig
 from dashgame.model import (
     GameParams,
     VideoQualityModel,
@@ -80,3 +82,13 @@ def payoff_gradient_server(
     _check_rates_bw(rates, export_bw)
     a_f = adjustment_factor(params.p, b_curr_i, b_ref)
     return _central_difference(params, model, export_bw, rates, i, epsilon, a_f)
+
+
+def oracle_update_rate(cfg: AdaptConfig, r: float, gradient: float) -> float:
+    """``update_rate`` as it was written with ``max``, ``min`` and ``isfinite``,
+    on a rate and gradient already checked."""
+    step = cfg.theta * r * gradient
+    cap = cfg.max_step_fraction * r
+    if math.isfinite(cap):
+        step = max(-cap, min(cap, step))
+    return max(cfg.r_min, min(cfg.r_max, r + step))

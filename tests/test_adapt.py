@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from dashgame.adapt import (
     AdaptConfig,
@@ -16,7 +16,7 @@ from dashgame.adapt import (
 from dashgame.game import solve_equilibrium
 from dashgame.model import BufferView, GameParams, VideoQualityModel, utility, utility_gradient
 from conftest import random_instance
-from payoff_oracle import payoff_gradient_server
+from payoff_oracle import oracle_update_rate, payoff_gradient_server
 
 BW = 6.0
 
@@ -101,6 +101,48 @@ def test_update_rate_respects_bounds():
     assert update_rate(cfg, 0.6, -10.0) == 0.5
 
 
+@pytest.mark.parametrize("r", [math.nan, math.inf, -math.inf, -1.0])
+def test_update_rate_rejects_bad_rate(r):
+    # the clamps used to turn NaN and inf into r_max and a negative rate into r_min
+    cfg = AdaptConfig(theta=50.0, r_max=60.0)
+    with pytest.raises(ValueError, match="update_rate r must be finite and >= 0"):
+        update_rate(cfg, r, 0.01)
+
+
+@st.composite
+def _update_inputs(draw):
+    """An AdaptConfig, a rate and a gradient, some built to land a step exactly
+    on the cap or a result exactly on r_min or r_max, some huge enough that the
+    step overflows."""
+    r_min = draw(st.floats(1e-3, 1.0))
+    r_max = r_min if draw(st.integers(0, 9)) == 0 else draw(st.floats(r_min, 100.0))
+    msf = draw(st.sampled_from([math.inf, 0.25, draw(st.floats(1e-3, 4.0))]))
+    huge = draw(st.integers(0, 3)) == 0
+    theta = draw(st.floats(1e100, 1e300) if huge else st.floats(1e-3, 500.0))
+    r = draw(st.sampled_from([0.0, r_min, r_max, *[draw(st.floats(0.0, 2.0 * r_max))] * 3]))
+    if huge:
+        r = draw(st.sampled_from([r, draw(st.floats(1e100, 1e308))]))
+    gradient = draw(st.sampled_from([0.0, draw(st.floats(-1.0, 1.0)),
+                                     draw(st.floats(-1e300, 1e300) if huge else st.floats(-10.0, 10.0))]))
+    if math.isfinite(msf) and draw(st.integers(0, 4)) == 0:
+        theta, gradient = 1.0, draw(st.sampled_from([msf, -msf]))  # step == cap exactly
+    cfg = AdaptConfig(theta=theta, r_max=r_max, r_min=r_min, r_init=r_min,
+                      max_step_fraction=msf)
+    return cfg, r, gradient
+
+
+_NAN_STEP_CFG = dict(theta=1e300, r_max=2e9, r_min=0.05, r_init=0.1)  # theta*1e9 overflows
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(inputs=_update_inputs())
+@example(inputs=(AdaptConfig(**_NAN_STEP_CFG), 1e9, 0.0))
+@example(inputs=(AdaptConfig(**_NAN_STEP_CFG, max_step_fraction=math.inf), 1e9, 0.0))
+def test_update_rate_matches_minmax_oracle(inputs):
+    cfg, r, gradient = inputs
+    assert update_rate(cfg, r, gradient).hex() == oracle_update_rate(cfg, r, gradient).hex()
+
+
 def test_adapt_config_validation():
     with pytest.raises(ValueError):
         AdaptConfig(theta=-1.0, r_max=6.0)
@@ -177,6 +219,19 @@ def test_round_is_order_invariant():
     got = run_round(sessions, params, bw)
     rev = run_round(mirrored, params, bw)
     np.testing.assert_allclose(got, list(reversed(rev)), rtol=0, atol=0)
+
+
+@pytest.mark.parametrize("ids, pos", [
+    ([0, 0], 1), ([1, 2, 1], 2), ([0, 2], 1), ([-1, 0], 0), ([0, 1.0], 1), ([3, 1, 2], 0),
+])
+def test_round_rejects_bad_user_ids(ids, pos):
+    sessions = _sessions(CAL_PARAMS, CAL_VIDEO, 100.0, [1.0] * len(ids))
+    for s, uid in zip(sessions, ids):
+        s.user_id = uid
+    message = rf"sessions\[{pos}\]: user_id must be a distinct id in 0\.\.{len(ids) - 1}, got {ids[pos]!r}"
+    with pytest.raises(ValueError, match=message):
+        run_round(sessions, CAL_PARAMS, BW)
+    assert [s.rate for s in sessions] == [1.0] * len(ids)
 
 
 def test_round_fixed_points_match_equilibrium():

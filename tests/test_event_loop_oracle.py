@@ -3,7 +3,8 @@
 ``oracle_run_scenario`` is the simulator's earlier event loop, slimmed down:
 it recomputes every cap, the export bandwidth and the max-min fair shares at
 every event.  ``run_scenario`` reuses them until t reaches its link's next
-step or a user finishes, which must not change a single output bit.  A
+step or a user finishes, and carries each user's finish time from one event
+to the next, which must not change a single output bit.  A
 derandomised property compares the two on small random scenarios that cover
 every profile kind, every cap kind, quantized mode and mixed game/QF/BF
 populations.
@@ -234,6 +235,58 @@ def _outcome(run, scenario):
         return run(scenario)
     except SimulationError as exc:
         return ("SimulationError", str(exc))
+
+
+def _fixed_rate_scenario(profile, users, total_segments):
+    """Quantized users on one-rung ladders, so every segment of a user has the
+    same size and the event times below are exact in floats."""
+    return Scenario(
+        name="fixed-rate",
+        params=GameParams(mu=0.002, nu=0.007, p=0.5, segment_duration=2.0),
+        users=tuple(
+            UserSpec(video=VideoQualityModel(alpha=0.15, beta=0.08, ladder=(rate,)), theta=50.0,
+                     b_ref=10.0, policy=policy, cap=cap, r_init=rate)
+            for rate, policy, cap in users
+        ),
+        server=profile,
+        sim=SimConfig(total_segments=total_segments, segment_duration=2.0, quantize=True),
+    )
+
+
+def _t_ends(traces):
+    return [[rec.t_end for rec in trace.records] for trace in traces]
+
+
+# every finish below is carried from the drain pass or recomputed after the
+# shares change; a loop that kept the finish it carried through a breakpoint
+# or a user leaving would end the later segments at the wrong times
+def test_segment_ends_exactly_on_a_breakpoint():
+    # 4 Mbit segments at 2, then 4, then 1 Mbps: the first and fourth end on a step
+    profile = make_profile("custom", breakpoints=[(0.0, 2.0), (2.0, 4.0), (5.0, 1.0)])
+    scenario = _fixed_rate_scenario(profile, [(2.0, "game", CapSpec())], 6)
+    traces = run_scenario(scenario)
+    assert _t_ends(traces) == [[2.0, 3.0, 4.0, 5.0, 9.0, 13.0]]
+    assert traces == oracle_run_scenario(scenario)
+
+
+def test_last_segment_ends_with_another_users_completion():
+    # user 0 (capped at 2 Mbps) ends its last segment at t=4 with user 1's
+    # second; user 1 then takes the whole 4 Mbps
+    profile = make_profile("fixed", base=4.0)
+    scenario = _fixed_rate_scenario(
+        profile, [(1.0, "qf", CapSpec(kind="fixed", cap=2.0)), (2.0, "game", CapSpec())], 4)
+    traces = run_scenario(scenario)
+    assert _t_ends(traces) == [[1.0, 2.0, 3.0, 4.0], [2.0, 4.0, 5.0, 6.0]]
+    assert traces == oracle_run_scenario(scenario)
+
+
+def test_breakpoints_without_a_completion():
+    # the steps at t=1 and t=2 fall inside the first two segments
+    profile = make_profile("custom", breakpoints=[(0.0, 2.0), (1.0, 4.0), (2.0, 1.0)])
+    scenario = _fixed_rate_scenario(profile, [(2.0, "bf", CapSpec())], 3)
+    traces = run_scenario(scenario)
+    assert _t_ends(traces) == [[1.5, 4.0, 8.0]]
+    assert traces == oracle_run_scenario(scenario)
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)

@@ -1,10 +1,15 @@
-"""QoE objectives against hand-worked sums, and summary statistics."""
+"""QoE objectives against hand-worked sums, summary statistics, and
+``score`` against the list-building oracle."""
 
 import math
+from dataclasses import astuple
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from dashgame.metrics import QoeMetricParams, qoe1, qoe2, summarize
+import metrics_oracle
+from dashgame.metrics import QoeMetricParams, qoe1, qoe2, score, summarize
 from dashgame.netsim import SessionTrace, TraceRecord
 
 
@@ -142,3 +147,50 @@ def test_summarize_quality_stats():
     assert stats.avg_quality == pytest.approx(0.6)
     assert stats.quality_stddev == pytest.approx(0.2)
     assert stats.avg_buffer == pytest.approx(20.0)
+
+
+def _random_trace(rng, n, quantized, b_ref):
+    """``n`` records whose rates repeat (a ladder, or a continuous walk that
+    often holds still), whose buffers fall on both sides of ``b_ref`` (some
+    exactly on it, some at 0.0) and whose downloads outlast their start
+    buffer about a third of the time."""
+    ladder = np.round(np.sort(rng.choice(np.arange(2, 60), size=int(rng.integers(1, 7)),
+                                         replace=False)) * 0.1, 1)
+    if quantized or rng.random() < 0.3:
+        rates = rng.choice(ladder, size=n)
+    else:
+        steps = np.where(rng.random(n) < 0.4, 0.0, rng.normal(0.0, 0.2, n))
+        rates = np.abs(1.5 + np.cumsum(steps))
+    qualities = 0.7 * np.log1p(0.5 * rates)
+    buffers = rng.uniform(0.0, 2.0 * b_ref, n)
+    buffers[rng.random(n) < 0.1] = b_ref
+    buffers[rng.random(n) < 0.1] = 0.0
+    stalls = np.where(rng.random(n) < 0.3, rng.uniform(0.0, 5.0, n), 0.0)
+    downloads = rng.uniform(0.01, 1.5 * b_ref, n)
+    records = [
+        TraceRecord(k, 0.0, 0.0, float(rates[k]), float(rates[k]), float(downloads[k]),
+                    float(buffers[k]), float(stalls[k]), float(qualities[k]))
+        for k in range(n)
+    ]
+    return SessionTrace(user_id=0, initial_buffer=float(rng.uniform(0.0, 2.0 * b_ref)),
+                        quantized=quantized, records=records)
+
+
+def _hex(x):
+    return x.hex() if isinstance(x, float) else x
+
+
+_weight = st.one_of(st.just(0.0), st.floats(0.0, 10.0), st.floats(0.0, 1e6))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 300), quantized=st.booleans(),
+       weights=st.tuples(*[_weight] * 5), b_ref=st.floats(0.5, 40.0))
+def test_score_matches_list_oracle(seed, n, quantized, weights, b_ref):
+    params = QoeMetricParams(*weights, b_ref=b_ref)
+    trace = _random_trace(np.random.default_rng(seed), n, quantized, b_ref)
+    stats, got1, got2 = score(trace, params)
+    assert [_hex(v) for v in astuple(stats)] == \
+        [_hex(v) for v in astuple(metrics_oracle.summarize(trace))]
+    assert got1.hex() == metrics_oracle.qoe1(trace, params).hex()
+    assert got2.hex() == metrics_oracle.qoe2(trace, params).hex()
