@@ -35,7 +35,6 @@ from .adapt import (
 from .stability import (
     StabilityReport,
     build_report,
-    eigenvalues_small,
     jacobian_2user,
     jacobian_numeric,
     spectral_radius,

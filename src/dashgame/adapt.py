@@ -69,6 +69,12 @@ class AdaptConfig:
                 "AdaptConfig.r_init must lie in [r_min, r_max], got "
                 f"r_min={self.r_min!r} r_init={self.r_init!r} r_max={self.r_max!r}"
             )
+        # the payoff gradient's central difference moves the rate by epsilon,
+        # so a larger move than the whole box [0, r_max] measures nothing
+        if not self.epsilon <= self.r_max:
+            raise ValueError(
+                f"AdaptConfig.epsilon must be <= r_max, got epsilon={self.epsilon!r}"
+                f" r_max={self.r_max!r}")
         if not self.max_step_fraction > 0:
             raise ValueError("AdaptConfig.max_step_fraction must be > 0 (use inf to disable)")
 
@@ -77,16 +83,17 @@ def update_rate(cfg: AdaptConfig, r: float, gradient: float) -> float:
     """One multiplicative sub-gradient step: r + theta * r * gradient.
 
     The raw step is clamped to ``max_step_fraction * r`` in magnitude (no
-    clamp when that is infinite), then the result to [r_min, r_max].  A rate
-    that is not finite and >= 0 and a NaN or infinite gradient are rejected.
+    clamp when that is infinite), then the result to [r_min, r_max].  A zero
+    gradient takes no step, even where ``theta * r`` overflows.  A rate that
+    is not finite and >= 0 and a NaN or infinite gradient are rejected.
     """
     if not 0.0 <= r < math.inf:
         raise ValueError(f"update_rate r must be finite and >= 0, got {r!r}")
     if not -math.inf < gradient < math.inf:
         raise ValueError(f"update_rate gradient must be finite, got {gradient!r}")
-    # each clamp is written as min and max compare, so it picks the same
-    # value they would, a NaN step or result included
-    step = cfg.theta * r * gradient
+    # theta*r*0.0 is NaN once theta*r overflows; each clamp is written as
+    # min and max compare, so it picks the same value they would
+    step = cfg.theta * r * gradient if gradient else 0.0
     cap = cfg.max_step_fraction * r
     if cap < math.inf:
         if not step < cap:

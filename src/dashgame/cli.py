@@ -20,7 +20,7 @@ from . import __version__
 from .game import closed_form_identical_2user, foc_coefficients, solve_equilibrium
 from .metrics import QoeMetricParams, score
 from .model import BufferView
-from .netsim import Link, SessionTrace, SimulationError, allocate_shares, run_scenario
+from .netsim import Link, SessionTrace, SimulationError, TraceRecord, allocate_shares, run_scenario
 from .scenarios import (
     POLICIES,
     Scenario,
@@ -54,9 +54,7 @@ def _fail(message: str, code: int) -> int:
 # fields: csv's default terminator is \r\n and no field needs quoting.  The
 # columns are the fields of a TraceRecord, in order, so the records, laid end
 # to end, format as the rows in one step.
-_TRACE_HEADER = (
-    "k,t_start,t_end,requested_rate,quantized_rate,download_time,buffer,stall_seconds,quality\r\n"
-)
+_TRACE_HEADER = ",".join(TraceRecord._fields) + "\r\n"
 _TRACE_ROW = "%d" + ",%.10g" * 8 + "\r\n"
 
 
@@ -231,12 +229,13 @@ def cmd_stability(args) -> int:
             raise CliError("equilibrium solve failed; pass --rates explicitly", EXIT_RUNTIME)
         rates = eq.rates
     thetas = [u.theta for u in sc.users]
-    report = build_report(jacobian_analytic(params, models, bufs, bw, rates, thetas))
+    jacobian = jacobian_analytic(params, models, bufs, bw, rates, thetas)
+    report = build_report(jacobian)
     out = {
         "rates": rates,
         "theta": thetas,
         "n_users": n,
-        "jacobian": [list(map(float, row)) for row in report.jacobian],
+        "jacobian": jacobian.tolist(),
         "eigenvalues": [[z.real, z.imag] for z in report.eigenvalues],
         "spectral_radius": report.spectral_radius,
         "verdict": report.verdict,

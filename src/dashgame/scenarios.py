@@ -35,7 +35,7 @@ from typing import Callable, Optional
 
 from .adapt import AdaptConfig
 from .baselines import ThroughputEstimator
-from .model import GameParams, VideoQualityModel
+from .model import GameParams, VideoQualityModel, log_quality
 from .netsim import PROFILE_KINDS, BandwidthProfile, CapSpec, SimConfig, calibrate_nu, make_profile
 
 __all__ = [
@@ -123,8 +123,16 @@ class Scenario:
         if not math.isfinite(sim.horizon + sim.segment_duration * r_max * len(self.users)):
             raise ScenarioError("sim.segment_duration", f"{sim.segment_duration!r} s makes the"
                                 " run's horizon or T*r_max*N infinite")
-        # CapSpec.materialize draws ceil(horizon/dwell) + 1 slots for a random cap
         for i, u in enumerate(self.users):
+            # a segment's quality is at most that of the user's top rate; the
+            # summary's quality spread adds total_segments squares of it
+            video = u.video
+            r_top = max(u.adapt_config().r_max, video.ladder[-1])
+            q_top = log_quality(video.alpha, video.beta, r_top)
+            if not math.isfinite(sim.total_segments * q_top * q_top):
+                raise ScenarioError(f"users[{i}].video.alpha", f"{video.alpha!r} makes the quality"
+                                    f" scores of {sim.total_segments} segments infinite")
+            # CapSpec.materialize draws ceil(horizon/dwell) + 1 slots for a random cap
             if u.cap.kind == "random" and sim.horizon > u.cap.dwell * (MAX_CAP_SLOTS - 1):
                 raise ScenarioError(f"users[{i}].cap_profile.dwell", f"{u.cap.dwell!r} s makes more"
                                     f" than {MAX_CAP_SLOTS} random cap slots in {sim.horizon:g} s")
@@ -357,18 +365,18 @@ def load_preset(name: str) -> Scenario:
     return scenario_from_dict(doc, name=name)
 
 
-def recalibrate_nu(sc: Scenario, r_target: Optional[float] = None) -> Scenario:
+def recalibrate_nu(sc: Scenario) -> Scenario:
     """Return the scenario with nu recomputed from the calibration helper.
 
-    Uses the first user's video curve and the profile's initial bandwidth;
-    the target rate defaults to an equal split of that bandwidth.
+    Uses the first user's video curve and the profile's initial bandwidth,
+    and targets an equal split of that bandwidth.
     """
     video = sc.users[0].video
     bw0 = sc.server.breakpoints[0][1]
     nu = calibrate_nu(
         alpha=video.alpha, beta=video.beta, mu=sc.params.mu,
         segment_duration=sc.params.segment_duration, export_bw=bw0,
-        n_users=len(sc.users), r_target=r_target,
+        n_users=len(sc.users),
     )
     return replace(sc, params=replace(sc.params, nu=nu))
 

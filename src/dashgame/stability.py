@@ -8,15 +8,16 @@ load ``z3 * sum(rates)``, so at any N the Jacobian is a diagonal plus a
 rank-one matrix, ``J = diag(d) + u 1^T``, built analytically in O(N) work
 before the O(N^2) fill (:func:`jacobian_analytic`).  ``jacobian_numeric``,
 the same Jacobian by finite differences, is kept as its cross-oracle.
-Spectra come from LAPACK (``numpy.linalg.eigvals``), and the closed-form
-unit-circle conditions for two identical users are evaluated directly.
+Every spectrum comes from LAPACK (``numpy.linalg.eigvals``) in one routine,
+:func:`build_report`, and the closed-form unit-circle conditions for two
+identical users are evaluated directly.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -35,7 +36,6 @@ __all__ = [
     "jacobian_analytic",
     "jacobian_2user",
     "jacobian_numeric",
-    "eigenvalues_small",
     "spectral_radius",
     "build_report",
     "stability_conditions_identical_2user",
@@ -52,14 +52,12 @@ class EigenvalueError(RuntimeError):
 
 @dataclass
 class StabilityReport:
-    """Jacobian, spectrum, and verdict for one operating point."""
+    """Spectrum and verdict of one Jacobian."""
 
-    jacobian: np.ndarray
     eigenvalues: list[complex]
     spectral_radius: float
     stable: bool
     verdict: str
-    closed_form: Optional[tuple[bool, bool]] = None
 
 
 def jacobian_analytic(
@@ -165,18 +163,33 @@ def _diagonal(block: np.ndarray) -> np.ndarray:
     return block.reshape(-1)[:: block.shape[1] + 1]
 
 
-def _square_matrix(matrix) -> np.ndarray:
-    """``matrix`` as a float array (complex if it is complex), checked square and nonempty."""
-    a = np.asarray(matrix)
+def spectral_radius(matrix) -> float:
+    """The largest eigenvalue magnitude of ``matrix``; see :func:`build_report`."""
+    return build_report(matrix).spectral_radius
+
+
+def _verdict(radius: float) -> tuple[bool, str]:
+    if abs(radius - 1.0) <= MARGINAL_BAND:
+        return False, "marginal"
+    return (radius < 1.0), ("stable" if radius < 1.0 else "unstable")
+
+
+def build_report(jacobian) -> StabilityReport:
+    """Spectrum and verdict of a dense square matrix, real or complex.
+
+    The one routine here that computes a spectrum.  The eigenvalues come
+    from LAPACK (``numpy.linalg.eigvals``) at any order, descending in
+    magnitude; ties in magnitude are ordered by descending real, then
+    imaginary part, by one stable ``numpy.lexsort``.  A matrix that is not
+    square, is empty or is not finite raises ``ValueError``; a LAPACK
+    failure raises :class:`EigenvalueError`.
+    """
+    a = np.asarray(jacobian)
     a = a.astype(complex if np.iscomplexobj(a) else float, copy=False)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"matrix must be square, got shape {a.shape}")
     if a.shape[0] < 1:
         raise ValueError("matrix must be at least 1x1")
-    return a
-
-
-def _sorted_eigenvalues(a: np.ndarray) -> list[complex]:
     try:
         w = np.linalg.eigvals(a)
     except np.linalg.LinAlgError as exc:
@@ -187,44 +200,10 @@ def _sorted_eigenvalues(a: np.ndarray) -> list[complex]:
         raise EigenvalueError(f"eigenvalues did not converge (order {a.shape[0]}): {exc}") from exc
     w = w.astype(complex, copy=False)
     # lexsort's last key is the primary one: -|z|, then -Re z, then -Im z
-    return w[np.lexsort((-w.imag, -w.real, -np.abs(w)))].tolist()
-
-
-def eigenvalues_small(matrix) -> list[complex]:
-    """Eigenvalues of a dense square matrix, descending in magnitude.
-
-    Computed by LAPACK (``numpy.linalg.eigvals``) for any order; ties in
-    magnitude are ordered by descending real, then imaginary part, by one
-    stable ``numpy.lexsort``.  Raises :class:`EigenvalueError` if LAPACK
-    does not converge.
-    """
-    return _sorted_eigenvalues(_square_matrix(matrix))
-
-
-def spectral_radius(matrix) -> float:
-    return abs(eigenvalues_small(matrix)[0])
-
-
-def _verdict(radius: float) -> tuple[bool, str]:
-    if abs(radius - 1.0) <= MARGINAL_BAND:
-        return False, "marginal"
-    return (radius < 1.0), ("stable" if radius < 1.0 else "unstable")
-
-
-def build_report(jacobian: np.ndarray, closed_form: Optional[tuple[bool, bool]] = None) -> StabilityReport:
-    """Spectrum and verdict of ``jacobian``, kept in the dtype it was analysed in."""
-    a = _square_matrix(jacobian)
-    eigs = _sorted_eigenvalues(a)
+    eigs = w[np.lexsort((-w.imag, -w.real, -np.abs(w)))].tolist()
     radius = abs(eigs[0])
     stable, verdict = _verdict(radius)
-    return StabilityReport(
-        jacobian=a,
-        eigenvalues=eigs,
-        spectral_radius=radius,
-        stable=stable,
-        verdict=verdict,
-        closed_form=closed_form,
-    )
+    return StabilityReport(eigenvalues=eigs, spectral_radius=radius, stable=stable, verdict=verdict)
 
 
 # ---------------------------------------------------------------------------
@@ -279,4 +258,4 @@ def stability_conditions_identical_2user(
     jac = jacobian_2user(
         params, [model, model], [buf, buf], export_bw, [r_star, r_star], [theta, theta]
     )
-    return flags, build_report(jac, closed_form=flags)
+    return flags, build_report(jac)

@@ -140,7 +140,14 @@ _NAN_STEP_CFG = dict(theta=1e300, r_max=2e9, r_min=0.05, r_init=0.1)  # theta*1e
 @example(inputs=(AdaptConfig(**_NAN_STEP_CFG, max_step_fraction=math.inf), 1e9, 0.0))
 def test_update_rate_matches_minmax_oracle(inputs):
     cfg, r, gradient = inputs
-    assert update_rate(cfg, r, gradient).hex() == oracle_update_rate(cfg, r, gradient).hex()
+    if math.isnan(cfg.theta * r * gradient):
+        # theta*r overflowed and the gradient is zero: the oracle takes a full
+        # clamp step, but the rate stays (within [r_min, r_max])
+        assert gradient == 0.0
+        expected = max(cfg.r_min, min(cfg.r_max, r))
+    else:
+        expected = oracle_update_rate(cfg, r, gradient)
+    assert update_rate(cfg, r, gradient).hex() == expected.hex()
 
 
 def test_adapt_config_validation():
@@ -148,6 +155,10 @@ def test_adapt_config_validation():
         AdaptConfig(theta=-1.0, r_max=6.0)
     with pytest.raises(ValueError):
         AdaptConfig(theta=50.0, r_max=6.0, r_min=0.2, r_init=0.1)
+    # the central difference may move a rate across the whole box, but no further
+    assert AdaptConfig(theta=50.0, r_max=6.0, epsilon=6.0).epsilon == 6.0
+    with pytest.raises(ValueError, match="epsilon must be <= r_max"):
+        AdaptConfig(theta=50.0, r_max=6.0, epsilon=6.5)
 
 
 def _sessions(params, video, theta, rates, b_curr=15.0, b_ref=15.0, msf=0.25):

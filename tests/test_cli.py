@@ -9,7 +9,7 @@ import pytest
 import dashgame.cli
 from dashgame.cli import _TRACE_HEADER, main
 from dashgame.model import BufferView
-from dashgame.netsim import Link, TraceRecord, bandwidth_at, run_scenario
+from dashgame.netsim import Link, bandwidth_at, run_scenario
 from dashgame.scenarios import list_presets, load_preset, scenario_to_dict
 from dashgame.stability import jacobian_analytic, jacobian_numeric
 
@@ -205,6 +205,33 @@ def test_segments_flag_above_the_largest_float_exits_2(tmp_path, capsys):
     assert code == 2
     assert json.loads(stderr)["error"]["message"].startswith("sim.total_segments:")
     assert not (tmp_path / "x").exists()
+
+
+@pytest.mark.parametrize("param, fieldname", [
+    # the summary's quality spread squared qualities of about 1e300: an OverflowError
+    ("users.0.video.alpha=1e300", "users[0].video.alpha"),
+    # the payoff gradient's plus leg, at r + 1e300, was -inf at segment 1
+    ("users.*.epsilon=1e300", "users[0].epsilon"),
+])
+def test_huge_finite_input_exits_2_naming_the_field(tmp_path, capsys, param, fieldname):
+    code, _, stderr = run_cli(capsys, "simulate", "--preset", "case1-fixed", "--segments", "40",
+                              "--param", param, "--out", str(tmp_path / "x"))
+    assert code == 2
+    assert json.loads(stderr)["error"]["message"].startswith(fieldname + ":")
+    assert not (tmp_path / "x").exists()
+
+
+def test_alpha_just_below_the_quality_bound_runs_finite(tmp_path, capsys):
+    # 40 squares of the top quality, about 2e153, stay finite: the bound is near 5.26e153
+    out = tmp_path / "x"
+    code, stdout, _ = run_cli(capsys, "simulate", "--preset", "case1-fixed", "--segments", "40",
+                              "--param", "users.*.video.alpha=5e153", "--out", str(out))
+    assert code == 0
+    for user in json.loads(stdout)["users"]:
+        assert all(math.isfinite(v) for v in user.values())
+    for u in (0, 1):
+        rows = (out / f"user{u}.csv").read_text(encoding="utf-8").splitlines()[1:]
+        assert all(math.isfinite(float(v)) for row in rows for v in row.split(","))
 
 
 @pytest.mark.parametrize("first, second, theta", [
@@ -512,8 +539,10 @@ def test_sweep_policy_axis_is_checked_by_the_parser(tmp_path, capsys):
 
 
 def test_trace_header_lists_record_fields_in_order():
-    # write_trace_csv formats the TraceRecord tuples, end to end, under this header as is
-    assert _TRACE_HEADER == ",".join(TraceRecord._fields) + "\r\n"
+    # the header is built from the TraceRecord fields: renaming one renames a CSV column
+    assert _TRACE_HEADER == (
+        "k,t_start,t_end,requested_rate,quantized_rate,download_time,buffer,stall_seconds,quality\r\n"
+    )
 
 
 def test_parser_is_built_once_per_process():
