@@ -92,7 +92,6 @@ class BandwidthProfile:
     """Piecewise-constant export bandwidth: right-continuous steps."""
 
     breakpoints: tuple[tuple[float, float], ...]
-    kind: str = "custom"
 
     def __post_init__(self) -> None:
         bps = tuple((float(t), float(bw)) for t, bw in self.breakpoints)
@@ -125,7 +124,7 @@ def make_profile(kind: str, base: float = 6.0, breakpoints=None) -> BandwidthPro
         points = tuple((float(t), float(bw)) for t, bw in breakpoints)
     else:
         raise ValueError(f"unknown profile kind {kind!r}")
-    return BandwidthProfile(breakpoints=points, kind=kind)
+    return BandwidthProfile(breakpoints=points)
 
 
 def bandwidth_at(profile: BandwidthProfile, t: float) -> float:
@@ -377,6 +376,17 @@ def _next_rate(rt: _UserRuntime, T: float) -> float:
     raise ValueError(f"unknown policy {rt.policy!r}")
 
 
+def _past_horizon(runs: list[_UserRuntime], t: float, horizon: float) -> str:
+    """The error of an event at ``t`` past the horizon.  It names the first
+    started of the segments that ended at ``t`` or are still downloading."""
+    segments = [(rt.started_at, rt.idx, rt.k) for rt in runs if not rt.done]
+    segments += [(rec.t_start, rt.idx, rec.k) for rt in runs
+                 for rec in rt.trace.records[-1:] if rec.t_end == t]
+    start, idx, k = min(segments)
+    return (f"simulated time exceeded the horizon of {horizon:g}s at t={t:g}s:"
+            f" segment {k} of user {idx} started at t={start:g}s")
+
+
 def run_scenario(scenario: "Scenario") -> list[SessionTrace]:
     """Run one scenario to completion and return one trace per user."""
     users = scenario.users
@@ -420,7 +430,7 @@ def run_scenario(scenario: "Scenario") -> list[SessionTrace]:
         if guard > guard_limit:
             raise SimulationError(f"event budget exceeded at t={t:.3f}s")
         if t > horizon:
-            raise SimulationError(f"simulated time exceeded the horizon at t={t:.3f}s")
+            raise SimulationError(_past_horizon(runs, t, horizon))
 
         if stale:
             shares = allocate_shares(export_bw, [caps_now[rt.idx] for rt in active])

@@ -132,6 +132,10 @@ class Scenario:
             if not math.isfinite(sim.total_segments * q_top * q_top):
                 raise ScenarioError(f"users[{i}].video.alpha", f"{video.alpha!r} makes the quality"
                                     f" scores of {sim.total_segments} segments infinite")
+            # qoe2 adds total_segments squares of a buffer shortfall of at most b_ref
+            if not math.isfinite(sim.total_segments * u.b_ref * u.b_ref):
+                raise ScenarioError(f"users[{i}].b_ref", f"{u.b_ref!r} makes the qoe2 buffer"
+                                    f" shortfall of {sim.total_segments} segments infinite")
             # CapSpec.materialize draws ceil(horizon/dwell) + 1 slots for a random cap
             if u.cap.kind == "random" and sim.horizon > u.cap.dwell * (MAX_CAP_SLOTS - 1):
                 raise ScenarioError(f"users[{i}].cap_profile.dwell", f"{u.cap.dwell!r} s makes more"

@@ -4,8 +4,13 @@ Kept as a test oracle, unchanged in its arithmetic: damped Newton on the
 gradient vector over the free coordinates (each step O(N) by
 Sherman-Morrison), a backtracking line search and a stall counter, then
 round-robin best-response sweeps by bisection.  ``method="best_response"``
-runs the sweeps alone.  ``tests/test_solver_pin.py`` pins its outputs, so it
-stays the solver it was.
+runs the sweeps alone.  ``tests/test_pins.py``, the one module that holds
+every byte pin, checks its outputs against ``data/oracle_sha256.json``
+(the cases run under ``tests/test_solver_pin.py``).
+``python tests/test_pins.py`` regenerates every other pin file after a named
+drift (and each preset's horizon, the first segment that a 1e-15 nudge to
+the payoff gradient moves by more than 1e-6), but never this one, so the
+oracle stays the solver it was.
 """
 
 from __future__ import annotations

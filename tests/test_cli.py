@@ -212,6 +212,8 @@ def test_segments_flag_above_the_largest_float_exits_2(tmp_path, capsys):
     ("users.0.video.alpha=1e300", "users[0].video.alpha"),
     # the payoff gradient's plus leg, at r + 1e300, was -inf at segment 1
     ("users.*.epsilon=1e300", "users[0].epsilon"),
+    # qoe2's buffer shortfall squared a gap of about 1e300: an OverflowError
+    ("users.0.b_ref=1e300", "users[0].b_ref"),
 ])
 def test_huge_finite_input_exits_2_naming_the_field(tmp_path, capsys, param, fieldname):
     code, _, stderr = run_cli(capsys, "simulate", "--preset", "case1-fixed", "--segments", "40",
@@ -219,6 +221,21 @@ def test_huge_finite_input_exits_2_naming_the_field(tmp_path, capsys, param, fie
     assert code == 2
     assert json.loads(stderr)["error"]["message"].startswith(fieldname + ":")
     assert not (tmp_path / "x").exists()
+
+
+@pytest.mark.parametrize("param, t", [
+    # one segment downloads at the cap and ends past the horizon
+    ("users.0.cap_profile=1e-300", "2e+299"),
+    ("users.0.cap_profile=1e-6", "200000"),
+    # a bandwidth step past the horizon, with both first segments still downloading
+    ('server={"kind": "custom", "breakpoints": [[0, 1e-6], [5000, 6]]}', "5000"),
+])
+def test_segment_past_the_horizon_exits_3_naming_the_user_and_segment(tmp_path, capsys, param, t):
+    code, _, stderr = run_cli(capsys, "simulate", "--preset", "case1-fixed", "--segments", "40",
+                              "--param", param, "--out", str(tmp_path / "x"))
+    assert code == 3
+    assert json.loads(stderr)["error"]["message"] == (
+        f"simulated time exceeded the horizon of 2600s at t={t}s: segment 0 of user 0 started at t=0s")
 
 
 def test_alpha_just_below_the_quality_bound_runs_finite(tmp_path, capsys):

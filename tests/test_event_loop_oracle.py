@@ -188,7 +188,8 @@ def _random_cap(rng):
 
 
 def random_scenario(seed: int) -> Scenario:
-    """A small scenario (1-5 users, up to 90 segments) drawn from ``seed``."""
+    """A small scenario (1-5 users, up to 90 segments) drawn from ``seed``,
+    named ``random-<seed>-<server kind>``."""
     rng = np.random.default_rng(seed)
     n = int(rng.integers(1, 6))
     T = float(rng.choice([1.0, 2.0, 4.0]))
@@ -216,7 +217,7 @@ def random_scenario(seed: int) -> Scenario:
     nu = calibrate_nu(users[0].video.alpha, users[0].video.beta, mu, T, base, n)
     nu *= float(rng.uniform(0.5, 2.0))
     return Scenario(
-        name=f"random-{seed}",
+        name=f"random-{seed}-{kind}",
         params=GameParams(mu=mu, nu=nu, p=float(rng.uniform(0.05, 1.0)), segment_duration=T),
         users=tuple(users),
         server=make_profile(kind, base=base, breakpoints=breakpoints),
@@ -298,7 +299,7 @@ def test_event_loop_matches_oracle(seed):
 
 def test_random_scenarios_cover_every_case():
     scenarios = [random_scenario(seed) for seed in range(200)]
-    assert {sc.server.kind for sc in scenarios} == set(PROFILE_KINDS)
+    assert {sc.name.split("-", 2)[2] for sc in scenarios} == set(PROFILE_KINDS)
     caps = {(u.cap.kind, u.cap.choices is not None) for sc in scenarios for u in sc.users}
     assert caps == {
         ("none", False), ("fixed", False), ("breakpoints", False), ("random", False), ("random", True),

@@ -8,7 +8,7 @@ import pytest
 
 from dashgame.adapt import AdaptConfig
 from dashgame.baselines import ThroughputEstimator
-from dashgame.netsim import calibrate_nu, run_scenario
+from dashgame.netsim import calibrate_nu, make_profile, run_scenario
 from dashgame.scenarios import (
     ScenarioError,
     apply_override,
@@ -169,7 +169,7 @@ def test_keys_outside_the_kind_may_be_null():
     doc["server"] = {"kind": "staged", "base": 6.0, "breakpoints": None}
     doc["users"][0]["cap_profile"] = {"kind": "fixed", "cap": 2.0, "choices": None}
     sc = scenario_from_dict(doc)
-    assert sc.server.kind == "staged" and sc.users[0].cap.cap == 2.0
+    assert sc.server == make_profile("staged", 6.0) and sc.users[0].cap.cap == 2.0
 
 
 def test_load_scenario_file_and_manifest(tmp_path):
