@@ -40,7 +40,8 @@ class AdaptConfig:
     """Per-user adaptation constants.
 
     ``theta`` is the learning rate of the multiplicative update; ``epsilon``
-    the server's perturbation for the central difference; ``r_init`` the
+    the server's perturbation for the central difference, in ``[ulp(r_max),
+    r_max]`` so that it moves every rate in the box; ``r_init`` the
     cold-start request; ``max_step_fraction`` caps a single step at that
     fraction of the current rate (the raw step theta*r*gradient can be huge
     far from equilibrium; the cap is inactive near it, where the gradient
@@ -70,11 +71,17 @@ class AdaptConfig:
                 f"r_min={self.r_min!r} r_init={self.r_init!r} r_max={self.r_max!r}"
             )
         # the payoff gradient's central difference moves the rate by epsilon,
-        # so a larger move than the whole box [0, r_max] measures nothing
+        # so a larger move than the whole box [0, r_max] measures nothing;
+        # a move under ulp(r_max) can round away at a rate in the box, and
+        # leave both legs at the rate
         if not self.epsilon <= self.r_max:
             raise ValueError(
                 f"AdaptConfig.epsilon must be <= r_max, got epsilon={self.epsilon!r}"
                 f" r_max={self.r_max!r}")
+        if not self.epsilon >= math.ulp(self.r_max):
+            raise ValueError(
+                f"AdaptConfig.epsilon must be >= ulp(r_max) = {math.ulp(self.r_max)!r}, got"
+                f" epsilon={self.epsilon!r} r_max={self.r_max!r}")
         if not self.max_step_fraction > 0:
             raise ValueError("AdaptConfig.max_step_fraction must be > 0 (use inf to disable)")
 
@@ -182,9 +189,8 @@ class PayoffServer:
         moved, by +/- epsilon (the minus leg clipped at zero), so the
         estimate has O(eps^2) error against the analytic gradient.  Each leg
         is ``utility`` evaluated with the same operations in the same order,
-        so the result is bit-identical to differencing two ``utility`` calls
-        (at ``b_0 = 0``, an additive constant of the estimated buffer that
-        cancels).  Both legs' loads are summed left to right in one pass.
+        so the result is bit-identical to differencing two ``utility``
+        calls.  Both legs' loads are summed left to right in one pass.
         """
         if not 0 <= user_id < len(self._users):
             raise KeyError(f"unknown user id {user_id}")

@@ -89,9 +89,10 @@ def _scenarios(args, points=((),), default_preset: str | None = None) -> list[Sc
 
 
 def _run_one(sc: Scenario, out_dir: Path, source: str) -> tuple[dict, str]:
-    """Run one scenario, write its outputs; return the summary and its JSON text."""
-    out_dir.mkdir(parents=True, exist_ok=True)
+    """Run one scenario, then write its outputs; return the summary and its JSON
+    text.  A run that fails leaves no directory behind."""
     traces = run_scenario(sc)
+    out_dir.mkdir(parents=True, exist_ok=True)
     trace_paths = []
     per_user = []
     for trace, user in zip(traces, sc.users):

@@ -29,20 +29,17 @@ SWITCH_THRESHOLD = 0.05  # Mbps: the smallest continuous rate jump counted as a 
 
 @dataclass(frozen=True)
 class QoeMetricParams:
-    """Weights of the two QoE objectives; defaults are the standard ones."""
+    """The reference buffer of qoe2's shortfall term.  The five weights are
+    class constants, the standard ones, and not arguments."""
 
-    xi: float = 1.0
-    psi: float = 6.0
-    phi: float = 2.0
-    sigma: float = 0.001
-    eta: float = 2.0
+    xi = 1.0
+    psi = 6.0
+    phi = 2.0
+    sigma = 0.001
+    eta = 2.0
     b_ref: float = 15.0
 
     def __post_init__(self) -> None:
-        for name in ("xi", "psi", "phi", "sigma", "eta"):
-            value = getattr(self, name)
-            if not 0 <= value < math.inf:
-                raise ValueError(f"QoeMetricParams.{name} must be finite and >= 0, got {value!r}")
         if not 0 < self.b_ref < math.inf:
             raise ValueError(f"QoeMetricParams.b_ref must be finite and > 0, got {self.b_ref!r}")
 

@@ -104,21 +104,19 @@ class VideoQualityModel:
 class BufferView:
     """Snapshot of one user's buffer state.
 
-    ``b_curr`` is the occupancy before the next segment download, ``b_ref``
-    the reference level the adaptation steers toward, and ``b_0`` the
-    initial average buffer constant of the estimated-buffer integral.
+    ``b_curr`` is the occupancy before the next segment download and
+    ``b_ref`` the reference level the adaptation steers toward.
     """
 
     b_curr: float
     b_ref: float
-    b_0: float = 0.0
 
     def __post_init__(self) -> None:
-        _check_buffer(self.b_curr, self.b_ref, self.b_0)
+        _check_buffer(self.b_curr, self.b_ref)
 
 
-def _check_buffer(b_curr: float, b_ref: float, b_0: float) -> None:
-    for name, value in (("b_curr", b_curr), ("b_ref", b_ref), ("b_0", b_0)):
+def _check_buffer(b_curr: float, b_ref: float) -> None:
+    for name, value in (("b_curr", b_curr), ("b_ref", b_ref)):
         if not math.isfinite(value):
             raise ValueError(f"BufferView.{name} must be finite")
     if b_ref <= 0:
@@ -228,23 +226,24 @@ def estimated_buffer(
     The accumulation term ``A_f * T * r_i`` is scaled by the adjustment
     factor of user ``i``'s buffer deviation; the system penalty
     ``omega * T * (r_i^2 / 2 + r_i * sum_others) / export_bw`` accounts for
-    the shared bottleneck; ``b_0`` shifts the integration constant.
+    the shared bottleneck.  The integration constant is 0: a constant would
+    only shift every utility, and move no gradient.
     """
     _check_rates_bw(rates, export_bw)
     if not 0 <= i < len(rates):
         raise IndexError(f"user index {i} out of range for {len(rates)} rates")
     a_f = adjustment_factor(params.p, buf.b_curr, buf.b_ref)
-    return _estimated_buffer_at(params, rates[i], serial_sum(rates), a_f, buf.b_0, export_bw)
+    return _estimated_buffer_at(params, rates[i], serial_sum(rates), a_f, export_bw)
 
 
 def _estimated_buffer_at(
-    params: GameParams, r_i: float, load: float, a_f: float, b_0: float, export_bw: float
+    params: GameParams, r_i: float, load: float, a_f: float, export_bw: float
 ) -> float:
     """:func:`estimated_buffer` at own rate ``r_i`` and total load ``load``, unchecked."""
     T = params.segment_duration
     others = load - r_i
     penalty = T * (0.5 * r_i * r_i + r_i * others) / export_bw
-    return a_f * T * r_i - params.omega * penalty + b_0
+    return a_f * T * r_i - params.omega * penalty
 
 
 def utility(

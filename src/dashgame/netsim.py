@@ -438,13 +438,18 @@ def run_scenario(scenario: "Scenario") -> list[SessionTrace]:
             for rt, share in zip(active, shares):
                 rt.share = share
                 if share <= 0:
-                    raise SimulationError(f"user {rt.idx} starved of bandwidth at t={t:.3f}s")
+                    raise SimulationError(
+                        f"user {rt.idx} starved of bandwidth at t={t:.3f}s in segment {rt.k}")
                 finish = t + rt.remaining / share
                 if finish < t_next:
                     t_next = finish
             stale = False
         if not math.isfinite(t_next):
-            raise SimulationError("no next event; simulation wedged")
+            # every active user's finish is infinite: name the first
+            rt = active[0]
+            raise SimulationError(
+                f"no next event; simulation wedged at t={t:g}s: segment {rt.k} of user"
+                f" {rt.idx} cannot finish at a share of {rt.share:g} Mbps")
 
         # downloads accrue and playback drains every buffer, stalling once
         # it is empty; a leftover too small to move the clock is finished

@@ -123,6 +123,13 @@ class Scenario:
         if not math.isfinite(sim.horizon + sim.segment_duration * r_max * len(self.users)):
             raise ScenarioError("sim.segment_duration", f"{sim.segment_duration!r} s makes the"
                                 " run's horizon or T*r_max*N infinite")
+        # the summary's mean buffer adds total_segments buffers, each at most
+        # initial_buffer + total_segments*T; the larger term is named
+        n_seg, T = float(sim.total_segments), sim.segment_duration
+        if not math.isfinite(n_seg * (sim.initial_buffer + n_seg * T)):
+            key = "initial_buffer" if sim.initial_buffer > n_seg * T else "total_segments"
+            raise ScenarioError(f"sim.{key}", f"{getattr(sim, key)!r} makes the summary's buffer"
+                                f" sum of {sim.total_segments} segments infinite")
         for i, u in enumerate(self.users):
             # a segment's quality is at most that of the user's top rate; the
             # summary's quality spread adds total_segments squares of it

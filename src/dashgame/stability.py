@@ -45,6 +45,12 @@ __all__ = [
 #: stable/unstable; the strict classification is meaningless at the boundary.
 MARGINAL_BAND = 1e-9
 
+#: The step of :func:`jacobian_numeric`'s finite differences.
+JACOBIAN_STEP = 1e-6
+
+# the least float whose square overflows
+_SQRT_OVERFLOW = 2.0**512
+
 
 class EigenvalueError(RuntimeError):
     """The LAPACK eigenvalue routine failed to converge."""
@@ -77,6 +83,9 @@ def jacobian_analytic(
     """
     theta, grad, r = _operating_point(params, models, bufs, export_bw, rates, thetas)
     denom = 1.0 + grad.betas * r
+    # denom*denom overflows to inf from 2**512 on: square inf there, which
+    # gives the same inf with no overflow warning
+    denom = np.where(denom < _SQRT_OVERFLOW, denom, np.inf)
     d = 1.0 + theta * (grad._gradients(r) - r * grad.z1 * grad.betas / (denom * denom))
     u = -theta * grad.z3 * r
     return np.diag(d) + u[:, None]
@@ -120,24 +129,22 @@ def jacobian_numeric(
     export_bw: float,
     rates: Sequence[float],
     thetas: Sequence[float],
-    step: float = 1e-6,
 ) -> np.ndarray:
     """Jacobian of the unclamped update map by finite differences.
 
     The cross-oracle of :func:`jacobian_analytic`, called by acceptance
     criterion 4 and the benchmark's ``analysis`` workload.  Central
-    differences, except in the columns of rates below ``step``, whose minus
-    leg would leave the domain ``r >= 0``: those use the one-sided
-    second-order stencil ``(-3 f(r) + 4 f(r + h) - f(r + 2h)) / 2h``, built
-    only when some column needs it.  The stencil points (the base point,
+    differences, except in the columns of rates below ``h = JACOBIAN_STEP``,
+    whose minus leg would leave the domain ``r >= 0``: those use the
+    one-sided second-order stencil ``(-3 f(r) + 4 f(r + h) - f(r + 2h)) / 2h``,
+    built only when some column needs it.  The stencil points (the base point,
     ``r + h*e_j``, and ``r - h*e_j`` or ``r + 2h*e_j``) form one ``(2N + 1,
     N)`` stack, and the map (no step cap, no box projection) is evaluated on
     it in a single call, so the whole Jacobian is O(N^2) in time and memory.
     The N base rates are checked once; every stencil point is then finite
     and >= 0, so the stack goes to the gradients' unchecked core.
     """
-    if not (math.isfinite(step) and step > 0):
-        raise ValueError(f"step must be finite and > 0, got {step!r}")
+    step = JACOBIAN_STEP
     theta, grad, r = _operating_point(params, models, bufs, export_bw, rates, thetas)
     n = r.size
     one_sided = r < step

@@ -17,7 +17,7 @@ def ref_video():
 
 @pytest.fixture
 def neutral_buffer():
-    return BufferView(b_curr=15.0, b_ref=15.0, b_0=2.0)
+    return BufferView(b_curr=15.0, b_ref=15.0)
 
 
 def random_instance(rng: np.random.Generator, n_users=None, identical=False):

@@ -39,8 +39,7 @@ def _central_difference(
     adjustment factor of the buffer the user reported.  The estimate has
     O(eps^2) error against the analytic gradient.  Each leg is ``utility``
     evaluated with the same operations in the same order, so the result is
-    bit-identical to differencing two ``utility`` calls (at ``b_0 = 0``;
-    ``b_0`` is an additive constant of the estimated buffer and cancels).
+    bit-identical to differencing two ``utility`` calls.
     Entry ``i`` of ``rates`` holds each perturbed rate while that leg's load
     is summed, and is restored before returning; no list is copied.
     """
@@ -53,10 +52,10 @@ def _central_difference(
     load_minus = serial_sum(rates)
     rates[i] = r_i
     u_plus = quality(model, r_plus) + params.mu * _estimated_buffer_at(
-        params, r_plus, load_plus, a_f, 0.0, export_bw
+        params, r_plus, load_plus, a_f, export_bw
     )
     u_minus = quality(model, r_minus) + params.mu * _estimated_buffer_at(
-        params, r_minus, load_minus, a_f, 0.0, export_bw
+        params, r_minus, load_minus, a_f, export_bw
     )
     # keep the difference symmetric even if the minus leg clipped at zero
     return (u_plus - u_minus) / (r_plus - r_minus)
@@ -77,7 +76,7 @@ def payoff_gradient_server(
         raise ValueError(f"epsilon must be > 0, got {epsilon!r}")
     if not 0 <= i < len(all_last_rates):
         raise IndexError(f"user index {i} out of range for {len(all_last_rates)} rates")
-    _check_buffer(b_curr_i, b_ref, 0.0)
+    _check_buffer(b_curr_i, b_ref)
     rates = list(all_last_rates)
     _check_rates_bw(rates, export_bw)
     a_f = adjustment_factor(params.p, b_curr_i, b_ref)

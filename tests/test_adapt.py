@@ -161,6 +161,19 @@ def test_adapt_config_validation():
         AdaptConfig(theta=50.0, r_max=6.0, epsilon=6.5)
 
 
+@pytest.mark.parametrize("r_max", [6.0, 6.000000000000001, 4.0, 0.5])
+def test_smallest_epsilon_moves_every_rate_in_the_box(ref_params, ref_video, r_max):
+    # at r_max = 6.000000000000001 and epsilon = ulp(r_max)/2, both legs of the
+    # gradient at rate 5.0 rounded to 5.0, and it divided by zero
+    with pytest.raises(ValueError, match=r"epsilon must be >= ulp\(r_max\)"):
+        AdaptConfig(theta=50.0, r_max=r_max, epsilon=math.ulp(r_max) / 2)
+    epsilon = AdaptConfig(theta=50.0, r_max=r_max, epsilon=math.ulp(r_max)).epsilon
+    for rate in (0.0, 5e-324, 5.0, r_max / 2, math.nextafter(r_max, 0.0), r_max):
+        if rate <= r_max:
+            server = PayoffServer(ref_params, BW, [_user(ref_video, 15.0, rate, epsilon)])
+            assert math.isfinite(server.gradient(0, 15.0))
+
+
 def _sessions(params, video, theta, rates, b_curr=15.0, b_ref=15.0, msf=0.25):
     cfg = AdaptConfig(theta=theta, r_max=60.0, r_min=0.01, r_init=0.1, max_step_fraction=msf)
     return [
@@ -297,9 +310,9 @@ def test_payoff_server_query_round_trip(ref_params, ref_video):
     assert server.gradient(0, 15.0) == pytest.approx(ana, abs=1e-6)
 
 
-def _two_utility_difference(params, video, export_bw, rates, i, b_curr, epsilon, b_ref, b_0):
+def _two_utility_difference(params, video, export_bw, rates, i, b_curr, epsilon, b_ref):
     """The server gradient as two full ``utility`` calls, the reference formula."""
-    buf = BufferView(b_curr=b_curr, b_ref=b_ref, b_0=b_0)
+    buf = BufferView(b_curr=b_curr, b_ref=b_ref)
     plus, minus = list(rates), list(rates)
     plus[i] = plus[i] + epsilon
     minus[i] = max(minus[i] - epsilon, 0.0)
@@ -319,12 +332,7 @@ def test_server_gradient_bit_identical_to_two_utility_calls(seed, n, near_zero):
     if near_zero:
         rates[i] = float(rng.uniform(0.0, epsilon))  # the minus leg clips at zero
     args = (params, videos[i], export_bw, rates, i, bufs[i].b_curr, epsilon, bufs[i].b_ref)
-    got = payoff_gradient_server(*args)
-    assert got == _two_utility_difference(*args, 0.0)
-    # b_0 is an additive constant of the estimated buffer: it cancels, up to
-    # the rounding of the two utilities it shifts
-    assert got == pytest.approx(_two_utility_difference(*args, float(rng.uniform(-5.0, 5.0))),
-                                rel=0, abs=1e-9)
+    assert payoff_gradient_server(*args) == _two_utility_difference(*args)
 
 
 def test_payoff_server_replies_in_user_id_order(ref_params, ref_video):

@@ -2,6 +2,7 @@
 
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -236,6 +237,28 @@ def test_segment_past_the_horizon_exits_3_naming_the_user_and_segment(tmp_path, 
     assert code == 3
     assert json.loads(stderr)["error"]["message"] == (
         f"simulated time exceeded the horizon of 2600s at t={t}s: segment 0 of user 0 started at t=0s")
+    # the run failed before it wrote anything, so it leaves no --out directory
+    assert not (tmp_path / "x").exists()
+
+
+@pytest.mark.parametrize("param, code, message", [
+    # the gradient's two legs both rounded to the rate: a ZeroDivisionError
+    ("users.0.epsilon=1e-300", 2, "users[0].epsilon: AdaptConfig.epsilon must be >= ulp(r_max)"
+     " = 8.881784197001252e-16, got epsilon=1e-300 r_max=6.0"),
+    # the summary's mean buffer was Infinity, with exit 0
+    ("sim.initial_buffer=1.7e308", 2, "sim.initial_buffer: 1.7e+308 makes the summary's buffer sum"
+     " of 40 segments infinite"),
+    # the two errors below named no segment, and the first no user
+    ("users.0.cap_profile=5e-324", 3, "no next event; simulation wedged at t=51.1185s: segment 0"
+     " of user 0 cannot finish at a share of 4.94066e-324 Mbps"),
+    ('server={"kind": "custom", "breakpoints": [[0, 5e-324]]}', 3,
+     "user 0 starved of bandwidth at t=0.000s in segment 0"),
+])
+def test_extreme_input_exits_with_a_message_naming_it(tmp_path, capsys, param, code, message):
+    got, _, stderr = run_cli(capsys, "simulate", "--preset", "case1-fixed", "--segments", "40",
+                             "--param", param, "--out", str(tmp_path / "x"))
+    assert (got, json.loads(stderr)["error"]["message"]) == (code, message)
+    assert not (tmp_path / "x").exists()
 
 
 def test_alpha_just_below_the_quality_bound_runs_finite(tmp_path, capsys):
@@ -454,6 +477,20 @@ def test_rates_that_are_not_an_operating_point_exit_2(capsys, rates):
     code, _, stderr = run_cli(capsys, "stability", *rates.split(" "))
     assert code == 2
     assert json.loads(stderr)["error"]["message"].startswith("--rates:")
+
+
+def test_huge_rate_runs_with_warnings_as_errors(capsys):
+    # (1 + beta*r)**2 overflowed to inf in jacobian_analytic, with a numpy
+    # RuntimeWarning, though its term 1/inf = 0 is the limit and every
+    # printed number is finite
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, stdout, stderr = run_cli(capsys, "stability", "--preset", "case1-fixed",
+                                       "--rates", "1e200,1")
+    assert (code, stderr) == (0, "")
+    out = json.loads(stdout)
+    assert all(math.isfinite(v) for row in out["jacobian"] for v in row)
+    assert math.isfinite(out["spectral_radius"])
 
 
 def test_rates_before_a_flag_leaves_the_flag_to_argparse(capsys):

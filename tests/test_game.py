@@ -47,7 +47,6 @@ def brute_force_best_response(params, video, buf, others, bw, r_max, n_grid=3000
         alpha * np.log1p(beta * grid)
         + params.mu * a_f * T * grid
         - params.nu * T * (0.5 * grid * grid + grid * s) / bw
-        + params.mu * buf.b_0
     )
     return float(grid[np.argmax(vals)])
 

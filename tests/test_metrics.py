@@ -50,6 +50,11 @@ def test_default_weights_are_the_standard_ones():
     ("b_ref", 0.0), ("b_ref", -3.0), ("b_ref", math.nan), ("b_ref", math.inf),
 ])
 def test_params_reject_bad_values_naming_the_field(field, value):
+    # a weight is a constant, not an argument, so any value given for one is refused
+    if field != "b_ref":
+        with pytest.raises(TypeError, match=f"unexpected keyword argument '{field}'"):
+            QoeMetricParams(**{field: value})
+        return
     with pytest.raises(ValueError, match=rf"QoeMetricParams\.{field} must be finite"):
         QoeMetricParams(**{field: value})
 
@@ -180,14 +185,11 @@ def _hex(x):
     return x.hex() if isinstance(x, float) else x
 
 
-_weight = st.one_of(st.just(0.0), st.floats(0.0, 10.0), st.floats(0.0, 1e6))
-
-
 @settings(max_examples=150, deadline=None, derandomize=True)
 @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 300), quantized=st.booleans(),
-       weights=st.tuples(*[_weight] * 5), b_ref=st.floats(0.5, 40.0))
-def test_score_matches_list_oracle(seed, n, quantized, weights, b_ref):
-    params = QoeMetricParams(*weights, b_ref=b_ref)
+       b_ref=st.floats(0.5, 40.0))
+def test_score_matches_list_oracle(seed, n, quantized, b_ref):
+    params = QoeMetricParams(b_ref=b_ref)
     trace = _random_trace(np.random.default_rng(seed), n, quantized, b_ref)
     stats, got1, got2 = score(trace, params)
     assert [_hex(v) for v in astuple(stats)] == \

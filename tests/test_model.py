@@ -87,16 +87,23 @@ def test_adjustment_factor_requires_positive_p():
         adjustment_factor(0.0, 10.0, 15.0)
 
 
+def test_buffer_view_has_no_integration_constant():
+    # the estimated buffer's integration constant is 0, not an argument
+    with pytest.raises(TypeError, match="unexpected keyword argument 'b_0'"):
+        BufferView(b_curr=15.0, b_ref=15.0, b_0=2.0)
+
+
 def test_estimated_buffer_zero_rate(ref_params, neutral_buffer):
+    # no download, no accumulation and no load: the integration constant, 0
     got = estimated_buffer(ref_params, 0, [0.0, 7.3], neutral_buffer, BW)
-    assert got == neutral_buffer.b_0
+    assert got == 0.0
 
 
 def test_estimated_buffer_worked_value(neutral_buffer):
-    # omega = 1, neutral adjustment: 6 - 2*(4.5+9)/6 + 2
+    # omega = 1, neutral adjustment: 6 - 2*(4.5+9)/6
     params = GameParams(mu=0.003, nu=0.003, p=0.1, segment_duration=2.0)
     got = estimated_buffer(params, 0, [3.0, 3.0], neutral_buffer, BW)
-    assert got == pytest.approx(3.5, rel=1e-12)
+    assert got == pytest.approx(1.5, rel=1e-12)
 
 
 def test_estimated_buffer_competitor_monotone(ref_params, neutral_buffer):
@@ -112,11 +119,11 @@ def test_estimated_buffer_index_error(ref_params, neutral_buffer):
 
 def test_utility_worked_value(ref_params, ref_video, neutral_buffer):
     got = utility(ref_params, ref_video, 0, [3.0, 3.0], neutral_buffer, BW)
-    assert got == pytest.approx(0.48203814912588255, rel=1e-12)
+    assert got == pytest.approx(0.47603814912588255, rel=1e-12)
 
 
 def test_utility_zero_point(ref_params, ref_video):
-    buf = BufferView(b_curr=15.0, b_ref=15.0, b_0=0.0)
+    buf = BufferView(b_curr=15.0, b_ref=15.0)
     assert utility(ref_params, ref_video, 0, [0.0, 4.0], buf, BW) == 0.0
 
 
