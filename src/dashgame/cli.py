@@ -16,10 +16,12 @@ import math
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from . import __version__
 from .game import closed_form_identical_2user, foc_coefficients, solve_equilibrium
 from .metrics import QoeMetricParams, score
-from .model import BufferView
+from .model import BufferView, adjustment_factor
 from .netsim import Link, SessionTrace, SimulationError, TraceRecord, allocate_shares, run_scenario
 from .scenarios import (
     POLICIES,
@@ -197,9 +199,40 @@ def _identical_pair(sc: Scenario, bufs) -> bool:
     return len(sc.users) == 2 and sc.users[0] == sc.users[1] and bufs[0] == bufs[1]
 
 
+def _pair_coefficients(sc: Scenario, bufs, bw: float):
+    """The FOC coefficients of an identical pair, or None where one of them is
+    not a finite float: the pair then has no closed form to print."""
+    try:
+        return foc_coefficients(sc.params, sc.users[0].video, bufs[0], bw)
+    except ValueError:
+        return None
+
+
+def _check_finite_slopes(sc: Scenario, bufs, bw: float) -> None:
+    """No Jacobian is finite unless every user's FOC coefficients are (see
+    ``foc_coefficients``): name the field behind the first that is not."""
+    p, T = sc.params, sc.params.segment_duration
+    if not p.nu * T / bw < math.inf:
+        raise CliError(f"params.nu: {p.nu!r} makes the load slope nu*T/export_bw infinite")
+    for i, (u, buf) in enumerate(zip(sc.users, bufs)):
+        if not u.video.alpha * u.video.beta < math.inf:
+            raise CliError(f"users[{i}].video.alpha: {u.video.alpha!r} makes the quality"
+                           " slope alpha*beta infinite")
+        if not p.mu * T * adjustment_factor(p.p, buf.b_curr, buf.b_ref) < math.inf:
+            raise CliError(f"params.mu: {p.mu!r} makes the buffer slope mu*T*A_f of"
+                           f" users[{i}] infinite")
+
+
+def _solve(sc: Scenario, models, bufs, bw: float, r_max: float):
+    # the solver brackets the load between bounds divided by the load slope
+    if not sc.params.nu * sc.params.segment_duration / bw > 0:
+        raise CliError(f"params.nu: {sc.params.nu!r} makes the load slope nu*T/export_bw zero")
+    return solve_equilibrium(sc.params, models, bufs, bw, r_max=r_max)
+
+
 def cmd_equilibrium(args) -> int:
     sc, models, bufs, bw, caps, r_max = _analysis_input(args)
-    result = solve_equilibrium(sc.params, models, bufs, bw, r_max=r_max)
+    result = _solve(sc, models, bufs, bw, r_max)
     out = {
         "rates": result.rates,
         "residual": result.residual,
@@ -208,8 +241,10 @@ def cmd_equilibrium(args) -> int:
         "shares": allocate_shares(bw, caps),
     }
     if _identical_pair(sc, bufs):
-        z = foc_coefficients(sc.params, models[0], bufs[0], bw)
-        out["closed_form_identical"] = closed_form_identical_2user(z, models[0].beta)
+        z = _pair_coefficients(sc, bufs, bw)
+        r_star = closed_form_identical_2user(z, models[0].beta) if z else math.inf
+        # JSON has no Infinity: a closed form past the largest float prints null
+        out["closed_form_identical"] = r_star if math.isfinite(r_star) else None
     print(json.dumps(out, indent=2))
     return EXIT_OK if result.converged else EXIT_RUNTIME
 
@@ -225,13 +260,21 @@ def cmd_stability(args) -> int:
         if len(rates) != n or not all(0 <= r < math.inf for r in rates):
             raise CliError(f"--rates: needs {n} finite numbers >= 0, got {args.rates!r}")
     else:
-        eq = solve_equilibrium(params, models, bufs, bw, r_max=r_max)
+        eq = _solve(sc, models, bufs, bw, r_max)
         if not eq.converged:
             raise CliError("equilibrium solve failed; pass --rates explicitly", EXIT_RUNTIME)
         rates = eq.rates
+    _check_finite_slopes(sc, bufs, bw)
     thetas = [u.theta for u in sc.users]
     jacobian = jacobian_analytic(params, models, bufs, bw, rates, thetas)
-    report = build_report(jacobian)
+    report = build_report(jacobian) if np.isfinite(jacobian).all() else None
+    if report is None or not math.isfinite(report.spectral_radius):
+        # with finite slopes, the rates overflow it, or at an equilibrium, a
+        # theta does; name the first row that is not finite, else the largest
+        i = int(np.argmax(np.abs(jacobian).max(axis=1)))
+        where = "--rates" if args.rates else f"users[{i}].theta"
+        raise CliError(f"{where}: row {i} of the Jacobian at rates {rates!r} is not finite,"
+                       " or its spectral radius overflows")
     out = {
         "rates": rates,
         "theta": thetas,
@@ -242,8 +285,11 @@ def cmd_stability(args) -> int:
         "verdict": report.verdict,
     }
     if _identical_pair(sc, bufs) and bufs[0].b_curr == bufs[0].b_ref and len(set(rates)) == 1:
-        flags, _ = stability_conditions_identical_2user(params, models[0], thetas[0], rates[0], bw)
-        out["closed_form_conditions"] = {"upper": flags[0], "lower": flags[1]}
+        out["closed_form_conditions"] = None
+        if _pair_coefficients(sc, bufs, bw):
+            flags, _ = stability_conditions_identical_2user(
+                params, models[0], thetas[0], rates[0], bw)
+            out["closed_form_conditions"] = {"upper": flags[0], "lower": flags[1]}
     print(json.dumps(out, indent=2))
     return EXIT_OK
 

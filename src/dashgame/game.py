@@ -143,9 +143,13 @@ def closed_form_identical_2user(z: FocCoefficients, beta: float) -> float:
     """
     if not (math.isfinite(beta) and beta > 0):
         raise ValueError(f"beta must be > 0, got {beta!r}")
-    disc = (2.0 * z.z3 + beta * z.z2) ** 2 + 8.0 * beta * z.z1 * z.z3
-    assert disc > 0, "discriminant must be positive for valid coefficients"
-    return (-(2.0 * z.z3 - beta * z.z2) + math.sqrt(disc)) / (4.0 * beta * z.z3)
+    a = 2.0 * z.z3 + beta * z.z2
+    c = 8.0 * beta * z.z1 * z.z3
+    # a**2 overflows from 2**512 on; hypot takes the same root without squaring
+    root = math.sqrt(a ** 2 + c) if a < 2.0**512 else math.hypot(a, math.sqrt(c))
+    denom = 4.0 * beta * z.z3
+    # a denominator that underflows to 0 leaves a rate past every float
+    return (-(2.0 * z.z3 - beta * z.z2) + root) / denom if denom else math.inf
 
 
 def _projected_residuals(
@@ -162,6 +166,7 @@ def _projected_residuals(
     )
 
 
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def solve_equilibrium(
     params: GameParams,
     models: Sequence[VideoQualityModel],
@@ -190,6 +195,9 @@ def solve_equilibrium(
     tol``: non-convergence is reported, never silent.  ``bracket`` is the
     bracket ``(lo, hi)`` on ``S`` when the solve stopped; the returned load
     ``sum(rates)`` lies in it to within about ``tol/z3`` once converged.
+    Extreme coefficients can overflow inside a step; that shows as an
+    infinite or NaN residual, so as no convergence, and no floating-point
+    warning is raised.
     """
     if not (math.isfinite(r_max) and r_max > 0):
         raise ValueError(f"r_max must be finite and > 0, got {r_max!r}")

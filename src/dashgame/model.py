@@ -233,15 +233,9 @@ def estimated_buffer(
     if not 0 <= i < len(rates):
         raise IndexError(f"user index {i} out of range for {len(rates)} rates")
     a_f = adjustment_factor(params.p, buf.b_curr, buf.b_ref)
-    return _estimated_buffer_at(params, rates[i], serial_sum(rates), a_f, export_bw)
-
-
-def _estimated_buffer_at(
-    params: GameParams, r_i: float, load: float, a_f: float, export_bw: float
-) -> float:
-    """:func:`estimated_buffer` at own rate ``r_i`` and total load ``load``, unchecked."""
+    r_i = rates[i]
     T = params.segment_duration
-    others = load - r_i
+    others = serial_sum(rates) - r_i
     penalty = T * (0.5 * r_i * r_i + r_i * others) / export_bw
     return a_f * T * r_i - params.omega * penalty
 
@@ -341,10 +335,7 @@ class UtilityGradients:
 
     def _gradients(self, r: np.ndarray) -> np.ndarray:
         """The gradients at a C-order float array ``r`` of valid rates, unchecked."""
-        if r.ndim == 1:
-            load = self.load(float(r.sum()))
-        else:
-            load = self.load(r.sum(axis=-1, keepdims=True))
+        load = self.load(r.sum(axis=-1, keepdims=True))
         return self.z1 / (1.0 + self.betas * r) + self.z2 - load
 
     def load(self, total):

@@ -66,6 +66,7 @@ class StabilityReport:
     verdict: str
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def jacobian_analytic(
     params: GameParams,
     models: Sequence[VideoQualityModel],
@@ -79,14 +80,17 @@ def jacobian_analytic(
     Every user's gradient sees the others only through ``z3*sum(rates)``,
     so ``J = diag(d) + u 1^T`` with ``u_i = -theta_i*z3*r_i`` and ``d_i = 1
     + theta_i*(g_i - r_i*z1_i*beta_i/(1 + beta_i*r_i)^2)``, where ``g_i`` is
-    user i's gradient at ``rates``.
+    user i's gradient at ``rates``.  An entry whose value overflows comes
+    back infinite or NaN, with no floating-point warning; :func:`build_report`
+    rejects such a matrix.
     """
     theta, grad, r = _operating_point(params, models, bufs, export_bw, rates, thetas)
     denom = 1.0 + grad.betas * r
-    # denom*denom overflows to inf from 2**512 on: square inf there, which
-    # gives the same inf with no overflow warning
-    denom = np.where(denom < _SQRT_OVERFLOW, denom, np.inf)
-    d = 1.0 + theta * (grad._gradients(r) - r * grad.z1 * grad.betas / (denom * denom))
+    term = r * grad.z1 * grad.betas / (denom * denom)
+    # where r*z1*beta or denom^2 overflows, the same term as
+    # (z1/denom)*(beta*r/denom), which tends to alpha/r
+    term = np.where(np.isfinite(term), term, grad.z1 / denom * (1.0 - 1.0 / denom))
+    d = 1.0 + theta * (grad._gradients(r) - term)
     u = -theta * grad.z3 * r
     return np.diag(d) + u[:, None]
 
@@ -208,7 +212,10 @@ def build_report(jacobian) -> StabilityReport:
     w = w.astype(complex, copy=False)
     # lexsort's last key is the primary one: -|z|, then -Re z, then -Im z
     eigs = w[np.lexsort((-w.imag, -w.real, -np.abs(w)))].tolist()
-    radius = abs(eigs[0])
+    try:
+        radius = abs(eigs[0])
+    except OverflowError:  # a magnitude past the largest float
+        radius = math.inf
     stable, verdict = _verdict(radius)
     return StabilityReport(eigenvalues=eigs, spectral_radius=radius, stable=stable, verdict=verdict)
 
@@ -221,18 +228,25 @@ def build_report(jacobian) -> StabilityReport:
 # b_curr = b_ref so z2 = mu*T), the Jacobian is symmetric with eigenvalues
 # j11 -/+ j12.  Multiplying the unit-circle bounds through by (1+beta*r)^2
 # gives polynomial conditions; the two that bind (the other two are implied)
-# are the ones evaluated here.
+# are the ones evaluated here.  From 1 + b r = 2**512 on, (1+b r)^2 overflows:
+# there each condition is divided through by it, and z1/(1+b r)^2 underflows.
 
 
 def _unit_upper_ok(z1: float, z2: float, z3: float, beta: float, r: float) -> bool:
     """lambda < 1 for both eigenvalues: z1 + z2*(1+b r)^2 < 2 z3 r (1+b r)^2."""
-    g = (1.0 + beta * r) ** 2
+    d = 1.0 + beta * r
+    if d >= _SQRT_OVERFLOW:
+        return z1 / (d * d) + z2 < 2.0 * z3 * r
+    g = d ** 2
     return z1 + z2 * g < 2.0 * z3 * r * g
 
 
 def _unit_lower_ok(z1: float, z2: float, z3: float, beta: float, r: float, theta: float) -> bool:
     """lambda > -1 for both eigenvalues: z1 + (z2 + 2/theta)*(1+b r)^2 > 4 z3 r (1+b r)^2."""
-    g = (1.0 + beta * r) ** 2
+    d = 1.0 + beta * r
+    if d >= _SQRT_OVERFLOW:
+        return z1 / (d * d) + (z2 + 2.0 / theta) > 4.0 * z3 * r
+    g = d ** 2
     return z1 + (z2 + 2.0 / theta) * g > 4.0 * z3 * r * g
 
 
@@ -254,8 +268,8 @@ def stability_conditions_identical_2user(
     """
     if not (math.isfinite(theta) and theta > 0):
         raise ValueError(f"theta must be > 0, got {theta!r}")
-    if not (math.isfinite(r_star) and r_star > 0):
-        raise ValueError(f"r_star must be > 0, got {r_star!r}")
+    if not (math.isfinite(r_star) and r_star >= 0):
+        raise ValueError(f"r_star must be finite and >= 0, got {r_star!r}")
     buf = BufferView(b_curr=10.0, b_ref=10.0)  # b_curr = b_ref by assumption
     z = foc_coefficients(params, model, buf, export_bw)
     flags = (

@@ -1,64 +1,17 @@
 """Stateless server gradient, the oracle for ``PayoffServer.gradient``, and
 the ``max``/``min`` form of ``update_rate``, the oracle for its clamps.
 
-The library computes every payoff gradient through ``PayoffServer.gradient``;
-this form takes the whole rate vector per call and checks all of its inputs,
-then runs the central-difference core the server ran before it read its
-constants once and summed both loads in one pass: two ``quality`` calls and
-two ``_estimated_buffer_at`` calls over two separate load sums.
+The library computes every payoff gradient through ``PayoffServer.gradient``,
+which reads its constants once and sums both legs' loads in one pass.  The
+oracle is the formula that server inlines: the difference of two full
+``utility`` calls over the whole rate vector.
 """
 
 import math
 from typing import Sequence
 
 from dashgame.adapt import AdaptConfig
-from dashgame.model import (
-    GameParams,
-    VideoQualityModel,
-    _check_buffer,
-    _check_rates_bw,
-    _estimated_buffer_at,
-    adjustment_factor,
-    quality,
-    serial_sum,
-)
-
-
-def _central_difference(
-    params: GameParams,
-    model: VideoQualityModel,
-    export_bw: float,
-    rates: list[float],
-    i: int,
-    epsilon: float,
-    a_f: float,
-) -> float:
-    """Central-difference payoff gradient of user ``i``, on inputs already checked.
-
-    Only coordinate ``i`` is perturbed by +/- epsilon; ``a_f`` is the
-    adjustment factor of the buffer the user reported.  The estimate has
-    O(eps^2) error against the analytic gradient.  Each leg is ``utility``
-    evaluated with the same operations in the same order, so the result is
-    bit-identical to differencing two ``utility`` calls.
-    Entry ``i`` of ``rates`` holds each perturbed rate while that leg's load
-    is summed, and is restored before returning; no list is copied.
-    """
-    r_i = rates[i]
-    r_plus = r_i + epsilon
-    r_minus = max(r_i - epsilon, 0.0)
-    rates[i] = r_plus
-    load_plus = serial_sum(rates)
-    rates[i] = r_minus
-    load_minus = serial_sum(rates)
-    rates[i] = r_i
-    u_plus = quality(model, r_plus) + params.mu * _estimated_buffer_at(
-        params, r_plus, load_plus, a_f, export_bw
-    )
-    u_minus = quality(model, r_minus) + params.mu * _estimated_buffer_at(
-        params, r_minus, load_minus, a_f, export_bw
-    )
-    # keep the difference symmetric even if the minus leg clipped at zero
-    return (u_plus - u_minus) / (r_plus - r_minus)
+from dashgame.model import BufferView, GameParams, VideoQualityModel, utility
 
 
 def payoff_gradient_server(
@@ -71,16 +24,18 @@ def payoff_gradient_server(
     epsilon: float,
     b_ref: float,
 ) -> float:
-    """Central-difference payoff gradient the server computes for user ``i``."""
-    if not (math.isfinite(epsilon) and epsilon > 0):
-        raise ValueError(f"epsilon must be > 0, got {epsilon!r}")
-    if not 0 <= i < len(all_last_rates):
-        raise IndexError(f"user index {i} out of range for {len(all_last_rates)} rates")
-    _check_buffer(b_curr_i, b_ref)
-    rates = list(all_last_rates)
-    _check_rates_bw(rates, export_bw)
-    a_f = adjustment_factor(params.p, b_curr_i, b_ref)
-    return _central_difference(params, model, export_bw, rates, i, epsilon, a_f)
+    """Central-difference payoff gradient the server computes for user ``i``.
+
+    Only rate ``i`` moves, by +/- epsilon with the minus leg clipped at zero,
+    and the difference of the two utilities is divided by the span between
+    the legs, so it stays symmetric even where the minus leg clipped.
+    """
+    buf = BufferView(b_curr=b_curr_i, b_ref=b_ref)
+    plus, minus = list(all_last_rates), list(all_last_rates)
+    plus[i] = plus[i] + epsilon
+    minus[i] = max(minus[i] - epsilon, 0.0)
+    return (utility(params, model, i, plus, buf, export_bw)
+            - utility(params, model, i, minus, buf, export_bw)) / (plus[i] - minus[i])
 
 
 def oracle_update_rate(cfg: AdaptConfig, r: float, gradient: float) -> float:

@@ -14,7 +14,7 @@ from dashgame.adapt import (
     update_rate,
 )
 from dashgame.game import solve_equilibrium
-from dashgame.model import BufferView, GameParams, VideoQualityModel, utility, utility_gradient
+from dashgame.model import BufferView, GameParams, VideoQualityModel, utility_gradient
 from conftest import random_instance
 from payoff_oracle import oracle_update_rate, payoff_gradient_server
 
@@ -26,45 +26,31 @@ CAL_PARAMS = GameParams(mu=0.002, nu=0.006969553721656918, p=0.5, segment_durati
 CAL_VIDEO = VideoQualityModel(alpha=0.15, beta=0.0827, ladder=(0.3, 6.0))
 
 
-def test_server_gradient_matches_analytic(ref_params, ref_video, neutral_buffer):
-    got = payoff_gradient_server(
-        ref_params, ref_video, BW, [3.0, 3.0], 0, 15.0, 1e-4, b_ref=15.0
-    )
-    ana = utility_gradient(ref_params, ref_video, 0, [3.0, 3.0], neutral_buffer, BW)
-    assert ana == pytest.approx(0.14026054002083166, rel=1e-9)
-    assert got == pytest.approx(ana, abs=1e-6)
+def _user(video, b_ref=15.0, initial_rate=1.0, epsilon=1e-4):
+    """One constructor entry of a ``PayoffServer``."""
+    return (video, b_ref, initial_rate, epsilon)
 
 
 def test_server_gradient_zero_at_stationary_point():
     # the calibrated constants put the symmetric stationary point at 3 Mbps
-    got = payoff_gradient_server(
-        CAL_PARAMS, CAL_VIDEO, BW, [3.0, 3.0], 0, 15.0, 1e-4, b_ref=15.0
-    )
-    assert abs(got) < 1e-9
+    server = PayoffServer(CAL_PARAMS, BW, [_user(CAL_VIDEO, initial_rate=3.0)] * 2)
+    assert abs(server.gradient(0, 15.0)) < 1e-9
 
 
 def test_server_gradient_linear_in_competitor_shift(ref_params, ref_video):
     delta = 0.37
-    base = payoff_gradient_server(ref_params, ref_video, BW, [3.0, 2.0], 0, 15.0, 1e-4, b_ref=15.0)
-    moved = payoff_gradient_server(ref_params, ref_video, BW, [3.0, 2.0 + delta], 0, 15.0, 1e-4, b_ref=15.0)
+    server = PayoffServer(ref_params, BW, [_user(ref_video, initial_rate=r) for r in (3.0, 2.0)])
+    base = server.gradient(0, 15.0)
+    server.note_request(1, 2.0 + delta)
+    moved = server.gradient(0, 15.0)
     expected = -ref_params.nu * ref_params.segment_duration * delta / BW
     assert moved - base == pytest.approx(expected, abs=1e-9)
 
 
 def test_server_gradient_central_difference_error_bound(ref_params, ref_video, neutral_buffer):
     ana = utility_gradient(ref_params, ref_video, 0, [3.0, 3.0], neutral_buffer, BW)
-    got = payoff_gradient_server(ref_params, ref_video, BW, [3.0, 3.0], 0, 15.0, 1e-4, b_ref=15.0)
-    assert abs(got - ana) < 1e-8
-
-
-def test_server_rejects_bad_user_index(ref_params, ref_video):
-    with pytest.raises(IndexError):
-        payoff_gradient_server(ref_params, ref_video, BW, [3.0], 1, 15.0, 1e-4, b_ref=15.0)
-
-
-def _user(video, b_ref=15.0, initial_rate=1.0, epsilon=1e-4):
-    """One constructor entry of a ``PayoffServer``."""
-    return (video, b_ref, initial_rate, epsilon)
+    server = PayoffServer(ref_params, BW, [_user(ref_video, initial_rate=3.0)] * 2)
+    assert abs(server.gradient(0, 15.0) - ana) < 1e-8
 
 
 def test_payoff_server_unknown_user(ref_params, ref_video):
@@ -310,31 +296,6 @@ def test_payoff_server_query_round_trip(ref_params, ref_video):
     assert server.gradient(0, 15.0) == pytest.approx(ana, abs=1e-6)
 
 
-def _two_utility_difference(params, video, export_bw, rates, i, b_curr, epsilon, b_ref):
-    """The server gradient as two full ``utility`` calls, the reference formula."""
-    buf = BufferView(b_curr=b_curr, b_ref=b_ref)
-    plus, minus = list(rates), list(rates)
-    plus[i] = plus[i] + epsilon
-    minus[i] = max(minus[i] - epsilon, 0.0)
-    span = plus[i] - minus[i]
-    return (utility(params, video, i, plus, buf, export_bw)
-            - utility(params, video, i, minus, buf, export_bw)) / span
-
-
-@settings(max_examples=200, deadline=None, derandomize=True)
-@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 12), near_zero=st.booleans())
-def test_server_gradient_bit_identical_to_two_utility_calls(seed, n, near_zero):
-    rng = np.random.default_rng(seed)
-    params, videos, bufs, export_bw = random_instance(rng, n_users=n)
-    rates = [float(r) for r in rng.uniform(0.0, 20.0, n)]
-    i = int(rng.integers(n))
-    epsilon = float(rng.choice([1e-4, 1e-3, 0.5]))
-    if near_zero:
-        rates[i] = float(rng.uniform(0.0, epsilon))  # the minus leg clips at zero
-    args = (params, videos[i], export_bw, rates, i, bufs[i].b_curr, epsilon, bufs[i].b_ref)
-    assert payoff_gradient_server(*args) == _two_utility_difference(*args)
-
-
 def test_payoff_server_replies_in_user_id_order(ref_params, ref_video):
     # a user's id is its position in the rate list the gradient is taken over
     rates = [1.25, 2.5, 0.75, 3.0]
@@ -354,20 +315,6 @@ def test_payoff_server_replies_in_user_id_order(ref_params, ref_video):
         assert server.gradient(uid, 12.0) == expected
     with pytest.raises(KeyError):
         server.note_request(4, 1.0)
-
-
-@pytest.mark.parametrize("bad, message", [
-    ({"b_curr_i": math.nan}, "b_curr"),
-    ({"b_ref": 0.0}, "b_ref"),
-    ({"b_ref": math.inf}, "b_ref"),
-    ({"all_last_rates": [3.0, math.nan]}, "rates"),
-    ({"export_bw": 0.0}, "export_bw"),
-])
-def test_server_gradient_validates_inputs(ref_params, ref_video, bad, message):
-    good = {"export_bw": BW, "all_last_rates": [3.0, 3.0], "i": 0, "b_curr_i": 15.0,
-            "epsilon": 1e-4, "b_ref": 15.0}
-    with pytest.raises(ValueError, match=message):
-        payoff_gradient_server(ref_params, ref_video, **{**good, **bad})
 
 
 @pytest.mark.parametrize("kwargs, message", [
@@ -435,9 +382,8 @@ def test_gradient_changes_no_rate(ref_params, ref_video):
 @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 64))
 def test_server_replies_match_stateless_gradient(seed, n):
     """Random note_request/export_bw/gradient sequences against the stateless
-    oracle, which holds the arithmetic the server had before it read its
-    constants once and summed both loads in one pass: every reply is
-    bit-identical to it."""
+    oracle, two ``utility`` calls over the whole rate vector: every reply,
+    clipped minus legs included, is bit-identical to it."""
     rng = np.random.default_rng(seed)
     params, videos, _, export_bw = random_instance(rng, n_users=n)
     state = [  # per user, as the constructor takes it: [video, b_ref, rate, epsilon]

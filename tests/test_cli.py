@@ -493,6 +493,43 @@ def test_huge_rate_runs_with_warnings_as_errors(capsys):
     assert math.isfinite(out["spectral_radius"])
 
 
+@pytest.mark.parametrize("argv, code, named", [
+    # (1 + beta*r)**2 raised OverflowError in the closed-form conditions
+    (["stability", "--preset", "case1-fixed", "--rates=1e160,1e160"], 0, None),
+    # r*z1*beta overflowed, and inf/inf printed NaN warnings; the term tends to alpha/r
+    (["stability", "--preset", "case1-fixed", "--param", "users.0.video.beta=1e300"], 0, None),
+    # the load sum overflows: no Jacobian at these rates is finite
+    (["stability", "--preset", "case1-fixed", "--rates=1e308,1e308"], 2, "--rates"),
+    (["stability", "--preset", "case3", "--rates=1.7e308,1,1.7e308"], 2, "--rates"),
+    # nor with an infinite buffer slope mu*T*A_f, whose field is named
+    (["stability", "--preset", "case1-fixed", "--param", "params.mu=1.7e308", "--rates=3,3"],
+     2, "params.mu"),
+    # the load slope nu*T/export_bw underflows to 0: the solver divided by it
+    (["equilibrium", "--preset", "case3", "--param", "params.nu=5e-324"], 2, "params.nu"),
+    # the identical pair's closed form overflowed (a traceback) or printed Infinity
+    (["equilibrium", "--preset", "case1-fixed", "--param", "params.mu=1.7e308"], 0, None),
+])
+def test_extreme_analysis_input_exits_0_or_names_it(capsys, argv, code, named):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got, stdout, stderr = run_cli(capsys, *argv)
+    assert got == code
+    if named:
+        assert json.loads(stderr)["error"]["message"].startswith(named + ": ")
+        return
+    assert stderr == ""
+    out = json.loads(stdout)
+    if argv[0] == "equilibrium":
+        # the buffer term outweighs any load: both users at r_max, with no finite closed form
+        assert out["rates"] == [6.0, 6.0] and out["closed_form_identical"] is None
+    elif "--rates=1e160,1e160" in argv:
+        # both eigenvalues tend to -inf: below 1, but not above -1
+        assert out["closed_form_conditions"] == {"upper": True, "lower": False}
+        assert out["verdict"] == "unstable"
+    else:
+        assert all(math.isfinite(v) for row in out["jacobian"] for v in row)
+
+
 def test_rates_before_a_flag_leaves_the_flag_to_argparse(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["stability", "--rates", "--help"])

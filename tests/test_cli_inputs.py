@@ -1,10 +1,14 @@
-"""No scenario input reaches a traceback: a property over preset documents.
+"""No scenario input reaches a traceback: properties over preset documents.
 
-Each example takes a preset's resolved document, replaces one to three of its
-numeric (or null) leaves with extreme finite values, and runs ``dashgame
-simulate`` on it.  Every run must end in one of three ways: exit 0 with
-every trace and summary value finite; exit 2 with a message that names the
-field; or exit 3 with a message that names the user and the segment.
+Each example of the first property takes a preset's resolved document,
+replaces one to three of its numeric (or null) leaves with extreme finite
+values, and runs ``dashgame simulate`` on it.  Every run must end in one of
+three ways: exit 0 with every trace and summary value finite; exit 2 with a
+message that names the field; or exit 3 with a message that names the user
+and the segment.  The second runs ``dashgame equilibrium`` and ``dashgame
+stability`` on a preset with extreme ``--param`` leaves, ``--rates``,
+``--b-curr`` and ``--t``, with warnings turned into errors: exit 0 with every
+JSON number finite, exit 2 naming the flag or the field, or exit 3.
 """
 
 import copy
@@ -12,6 +16,7 @@ import csv
 import json
 import math
 import re
+import warnings
 
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
@@ -22,6 +27,7 @@ PRESETS = list_presets()
 EXTREMES = [0, 5e-324, 1e-300, 1e300, 1.7e308]
 # a validation error starts with the path of the field it names
 FIELD_PATH = re.compile(r"(name|params|users|server|sim)(\.\w+|\[\d+\])*: ")
+FLAG_OR_FIELD = re.compile(rf"--[a-z][\w-]*: |{FIELD_PATH.pattern}")
 USER_AND_SEGMENT = re.compile(r"\buser \d+\b.*\bsegment \d+\b|\bsegment \d+ of user \d+\b")
 
 
@@ -44,12 +50,14 @@ DOCS = {name: scenario_to_dict(load_preset(name)) for name in PRESETS}
 LEAVES = {name: sorted(set(_leaves(doc))) for name, doc in DOCS.items()}
 
 
+VALUES = st.one_of(st.sampled_from(EXTREMES), st.floats(0.0, 1e308), st.integers(0, 10))
+
+
 @st.composite
 def _replacements(draw):
     preset = draw(st.sampled_from(PRESETS))
     keys = draw(st.lists(st.sampled_from(LEAVES[preset]), min_size=1, max_size=3, unique=True))
-    value = st.one_of(st.sampled_from(EXTREMES), st.floats(0.0, 1e308), st.integers(0, 10))
-    return preset, [(key, draw(value)) for key in keys]
+    return preset, [(key, draw(VALUES)) for key in keys]
 
 
 def _all_finite(value) -> bool:
@@ -108,3 +116,43 @@ def _check_run(tmp_path, capsys, preset, replacements, segments):
 def test_extreme_leaves_exit_0_2_or_3_never_a_traceback(tmp_path, capsys, case, segments):
     preset, replacements = case
     _check_run(tmp_path, capsys, preset, replacements, segments)
+
+
+@st.composite
+def _analysis_argv(draw):
+    """An ``equilibrium`` or ``stability`` command line: a preset, up to two
+    ``--param`` leaves and, each at random, ``--rates``, ``--b-curr`` and ``--t``."""
+    preset = draw(st.sampled_from(PRESETS))
+    command = draw(st.sampled_from(["equilibrium", "stability"]))
+    argv = [command, "--preset", preset]
+    for key in draw(st.lists(st.sampled_from(LEAVES[preset]), max_size=2, unique=True)):
+        argv.append(f"--param={key}={json.dumps(draw(VALUES))}")
+    flags = ["--b-curr", "--t"] + ["--rates"] * (command == "stability")
+    for flag in draw(st.lists(st.sampled_from(flags), unique=True)):
+        count = len(DOCS[preset]["users"]) if flag == "--rates" else 1
+        argv.append(f"{flag}=" + ",".join(repr(float(draw(VALUES))) for _ in range(count)))
+    return argv
+
+
+@settings(max_examples=300, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(argv=_analysis_argv())
+# a huge operating rate overflowed the closed-form conditions, the load sum or
+# beta*r; a huge beta overflowed r*z1*beta, whose quotient tends to alpha/r
+@example(argv=["stability", "--preset", "case1-fixed", "--rates=1e160,1e160"])
+@example(argv=["stability", "--preset", "case1-fixed", "--rates=1e308,1e308"])
+@example(argv=["stability", "--preset", "case3", "--rates=1.7e308,1,1.7e308"])
+@example(argv=["stability", "--preset", "case1-fixed", "--param=users.0.video.beta=1e300"])
+def test_extreme_analysis_inputs_exit_0_2_or_3_never_a_traceback(capsys, argv):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(argv)
+    stdout, stderr = capsys.readouterr()
+    if code == 0:
+        assert stderr == ""
+        assert _all_finite(json.loads(stdout)), stdout
+    elif code == 2:
+        message = json.loads(stderr)["error"]["message"]
+        assert FLAG_OR_FIELD.match(message), message
+    else:
+        assert code == 3, (code, stderr)

@@ -167,19 +167,6 @@ def test_gradient_matches_central_difference():
         assert num == pytest.approx(ana, rel=1e-6, abs=1e-9)
 
 
-def test_gradient_finite_difference_order():
-    # central differences converge at second order in the step
-    params = GameParams(mu=0.002, nu=0.01, p=0.3, segment_duration=2.0)
-    video = VideoQualityModel(alpha=3.0, beta=0.6, ladder=(1.0,))
-    buf = BufferView(b_curr=12.0, b_ref=15.0)
-    rates = [1.2, 0.8, 2.0]
-    ana = utility_gradient(params, video, 0, rates, buf, BW)
-    e3 = abs(_central_diff(params, video, 0, rates, buf, BW, 1e-3) - ana)
-    e4 = abs(_central_diff(params, video, 0, rates, buf, BW, 1e-4) - ana)
-    order = math.log(e3 / e4) / math.log(10.0)
-    assert order >= 1.9
-
-
 def test_gradient_vanishing_beta_limit(ref_params, neutral_buffer):
     video = VideoQualityModel(alpha=2.15, beta=1e-12, ladder=(1.0,))
     got = utility_gradient(ref_params, video, 0, [3.0, 3.0], neutral_buffer, BW)

@@ -386,17 +386,3 @@ def test_huge_segment_duration_completes():
         assert len(trace.records) == 250
         assert all(b.t_end > a.t_end for a, b in zip(trace.records, trace.records[1:]))
 
-
-def test_case1_convergence_example():
-    trace = run_scenario(load_preset("case1-fixed"))[0]
-    tail = trace.requested_rates()[-20:]
-    assert all(abs(r - 3.0) <= 0.15 for r in tail)
-    assert all(12.0 <= b <= 23.0 for b in trace.buffers()[-20:])
-    assert trace.total_stall() == 0
-
-
-def test_case3_convergence_example():
-    for trace in run_scenario(load_preset("case3")):
-        tail = trace.requested_rates()[-15:]
-        assert all(abs(r - 1.5) <= 0.1 for r in tail)
-        assert trace.total_stall() == 0

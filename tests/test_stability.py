@@ -1,6 +1,7 @@
 """Jacobians, the LAPACK spectrum, and closed-form stability conditions."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -455,20 +456,32 @@ def test_conditions_small_theta_marginal(ref_params, ref_video):
     assert report.spectral_radius == pytest.approx(1.0, abs=1e-6)
 
 
-def test_conditions_cross_oracle_agreement():
-    """Closed-form verdict equals the spectral-radius verdict away from the boundary."""
-    rng = np.random.default_rng(25)
-    checked = 0
-    while checked < 100:
-        params, videos, bufs, bw = random_instance(rng, n_users=2, identical=True)
-        video = videos[0]
-        theta = float(rng.uniform(1.0, 300.0))
-        r_star = float(rng.uniform(0.2, 20.0))
-        flags, report = stability_conditions_identical_2user(params, video, theta, r_star, bw)
-        if min(abs(abs(z) - 1.0) for z in report.eigenvalues) < 1e-3:
-            continue
-        assert (flags[0] and flags[1]) == report.stable
-        checked += 1
+@pytest.mark.parametrize("r_star", [1e150, 1e160, 1e300])
+def test_conditions_at_huge_rates_agree_with_the_spectrum(ref_params, ref_video, r_star):
+    # (1 + beta*r)**2 raised OverflowError from 1 + beta*r = 2**512 (r near
+    # 1.6e155) on.  Both eigenvalues tend to -inf: below 1, but not above -1
+    flags, report = stability_conditions_identical_2user(ref_params, ref_video, 50.0, r_star, BW)
+    assert flags == (True, False)
+    assert report.verdict == "unstable"
+    assert all(z.real < -1.0 for z in report.eigenvalues)
+
+
+def test_conditions_at_a_zero_rate(ref_params, ref_video):
+    # J = (1 + theta*(z1 + z2)) * I at r = 0: lambda > 1
+    flags, report = stability_conditions_identical_2user(ref_params, ref_video, 50.0, 0.0, BW)
+    assert flags == (False, True)
+    assert report.verdict == "unstable"
+
+
+def test_jacobian_analytic_where_r_z1_beta_overflows(ref_params, neutral_buffer):
+    # r*z1*beta overflowed and inf/inf made the diagonal NaN; the term
+    # r*z1*beta/(1 + beta*r)^2 tends to alpha/r, and the Jacobian is finite
+    video = VideoQualityModel(alpha=2.15, beta=1e300, ladder=(1.0,))
+    args = (ref_params, [video] * 2, [neutral_buffer] * 2, BW, [3.0, 2.0], [50.0, 50.0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        ana = jacobian_analytic(*args)
+    np.testing.assert_allclose(ana, jacobian_numeric(*args), rtol=1e-6, atol=1e-6)
 
 
 def test_conditions_large_theta_unstable():
@@ -489,7 +502,8 @@ def test_conditions_large_theta_unstable():
     assert broke, "no instability found while scaling theta"
 
 
-def _local_dynamics_instance(rng, want_stable):
+def _local_dynamics_instance(rng):
+    """An instance, its equilibrium and the first theta whose spectral radius is <= 0.95."""
     while True:
         params, videos, bufs, bw = random_instance(rng, n_users=int(rng.integers(2, 5)))
         r_max = 60.0
@@ -500,9 +514,7 @@ def _local_dynamics_instance(rng, want_stable):
             thetas = [theta] * len(videos)
             jac = jacobian_numeric(params, videos, bufs, bw, eq.rates, thetas)
             rho = spectral_radius(jac)
-            if want_stable and rho <= 0.95:
-                return params, videos, bufs, bw, eq.rates, thetas, rho
-            if not want_stable and rho >= 1.05:
+            if rho <= 0.95:
                 return params, videos, bufs, bw, eq.rates, thetas, rho
 
 
@@ -525,7 +537,7 @@ def _iterate_local(params, videos, bufs, bw, rates, thetas, rounds):
 def test_stable_spectrum_implies_local_convergence():
     rng = np.random.default_rng(26)
     for _ in range(5):
-        params, videos, bufs, bw, eq, thetas, rho = _local_dynamics_instance(rng, True)
+        params, videos, bufs, bw, eq, thetas, rho = _local_dynamics_instance(rng)
         start = [r * 1.01 for r in eq]
         traj = _iterate_local(params, videos, bufs, bw, start, thetas, 400)
         final = max(abs(a - b) for a, b in zip(traj[-1], eq))
@@ -533,20 +545,9 @@ def test_stable_spectrum_implies_local_convergence():
         assert final < 1e-5 * initial + 1e-9
 
 
-def test_unstable_spectrum_implies_local_divergence():
-    rng = np.random.default_rng(27)
-    for _ in range(5):
-        params, videos, bufs, bw, eq, thetas, rho = _local_dynamics_instance(rng, False)
-        start = [r * 1.01 for r in eq]
-        initial = max(abs(a - b) for a, b in zip(start, eq))
-        traj = _iterate_local(params, videos, bufs, bw, start, thetas, 50)
-        dist = max(max(abs(a - b) for a, b in zip(row, eq)) for row in traj)
-        assert dist > 5.0 * initial
-
-
 def test_local_convergence_rate_tracks_spectral_radius():
     rng = np.random.default_rng(28)
-    params, videos, bufs, bw, eq, thetas, rho = _local_dynamics_instance(rng, True)
+    params, videos, bufs, bw, eq, thetas, rho = _local_dynamics_instance(rng)
     start = [r * 1.001 for r in eq]
     traj = _iterate_local(params, videos, bufs, bw, start, thetas, 60)
     dists = [max(abs(a - b) for a, b in zip(row, eq)) for row in traj]
