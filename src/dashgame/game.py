@@ -104,9 +104,18 @@ def foc_coefficients(
 
 
 def _positive_root(a: float, b: float, c: float) -> float:
-    """Positive root of ``a*x^2 + b*x - c = 0`` for ``a, c > 0``, without cancellation."""
+    """Positive root of ``a*x^2 + b*x - c = 0`` for ``a, c > 0``, without cancellation.
+
+    Where ``b*b + 4*a*c`` overflows, ``hypot`` takes its root without
+    squaring; where ``a`` is 0 (a product that underflowed) and ``b < 0``,
+    the root is past every float and reads ``inf``.
+    """
     d = math.sqrt(b * b + 4.0 * a * c)
-    return 2.0 * c / (b + d) if b >= 0 else (d - b) / (2.0 * a)
+    if d == math.inf:
+        d = math.hypot(b, 2.0 * math.sqrt(a) * math.sqrt(c))
+    if b >= 0:
+        return 2.0 * c / (b + d)
+    return (d - b) / (2.0 * a) if a else math.inf
 
 
 def best_response(
@@ -140,16 +149,13 @@ def closed_form_identical_2user(z: FocCoefficients, beta: float) -> float:
 
         r* = (-(2*z3 - beta*z2) + sqrt((2*z3 + beta*z2)^2 + 8*beta*z1*z3))
              / (4*beta*z3)
+
+    taken in the form that does not cancel for a small ``beta``; ``inf`` where
+    ``2*z3*beta`` underflows to 0.
     """
     if not (math.isfinite(beta) and beta > 0):
         raise ValueError(f"beta must be > 0, got {beta!r}")
-    a = 2.0 * z.z3 + beta * z.z2
-    c = 8.0 * beta * z.z1 * z.z3
-    # a**2 overflows from 2**512 on; hypot takes the same root without squaring
-    root = math.sqrt(a ** 2 + c) if a < 2.0**512 else math.hypot(a, math.sqrt(c))
-    denom = 4.0 * beta * z.z3
-    # a denominator that underflows to 0 leaves a rate past every float
-    return (-(2.0 * z.z3 - beta * z.z2) + root) / denom if denom else math.inf
+    return _positive_root(2.0 * z.z3 * beta, 2.0 * z.z3 - beta * z.z2, z.z1 + z.z2)
 
 
 def _projected_residuals(
@@ -208,6 +214,12 @@ def solve_equilibrium(
         raise ValueError("models and bufs must have the same length")
 
     grad = UtilityGradients(params, models, bufs, export_bw)
+    # the load bracket below divides by the load slope
+    if grad.z3 == 0.0:
+        raise ValueError(
+            f"the load slope nu*T/export_bw is 0: nu={params.nu!r},"
+            f" T={params.segment_duration!r}, export_bw={export_bw!r}"
+        )
     z1, z2, betas = grad.z1, grad.z2, grad.betas
     # a user whose FOC lever z3*S - z2 is at most this sits at r_max; from z1
     # on it sits at 0.  Clamping the lever here keeps every division positive.

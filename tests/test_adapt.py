@@ -288,14 +288,6 @@ def test_round_matches_stateless_oracle(seed, n):
         assert run_round(sessions, params, bw) == expected
 
 
-def test_payoff_server_query_round_trip(ref_params, ref_video):
-    server = PayoffServer(ref_params, BW, [_user(ref_video, initial_rate=3.0)] * 2)
-    ana = utility_gradient(
-        ref_params, ref_video, 0, [3.0, 3.0], BufferView(b_curr=15, b_ref=15), BW
-    )
-    assert server.gradient(0, 15.0) == pytest.approx(ana, abs=1e-6)
-
-
 def test_payoff_server_replies_in_user_id_order(ref_params, ref_video):
     # a user's id is its position in the rate list the gradient is taken over
     rates = [1.25, 2.5, 0.75, 3.0]

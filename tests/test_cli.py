@@ -431,7 +431,11 @@ def test_every_preset_gets_an_equilibrium_and_a_verdict(capsys, preset):
     out = json.loads(stdout)
     assert out["rates"] == eq["rates"]
     assert out["theta"] == [u.theta for u in load_preset(preset).users]
-    assert out["verdict"] in ("stable", "marginal", "unstable")
+    # every shipped preset is stable at its equilibrium but the uncalibrated pair
+    assert out["verdict"] == ("unstable" if preset == "case1-uncalibrated" else "stable")
+    assert [len(row) for row in out["jacobian"]] == [n] * n
+    if preset == "case1-fixed":
+        assert out["closed_form_conditions"] == {"upper": True, "lower": True}
 
 
 def test_stability_reads_the_bandwidth_at_t(capsys):

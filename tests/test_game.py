@@ -15,7 +15,7 @@ from dashgame.game import (
     foc_coefficients,
     solve_equilibrium,
 )
-from dashgame.model import BufferView, VideoQualityModel, adjustment_factor, utility_gradient
+from dashgame.model import BufferView, GameParams, VideoQualityModel, adjustment_factor, utility_gradient
 from conftest import random_instance
 from solver_oracle import oracle_solve
 
@@ -124,6 +124,14 @@ def test_closed_form_where_the_square_overflows():
     # a denominator 4*beta*z3 that underflows to 0 raised ZeroDivisionError
     tiny = FocCoefficients(z1=0.177805, z2=0.006, z3=5e-324)
     assert closed_form_identical_2user(tiny, 0.0827) == math.inf
+
+
+@pytest.mark.parametrize("beta", [1e-9, 1e-12])
+def test_closed_form_foc_residual_at_small_beta(beta):
+    # -(2*z3 - beta*z2) + sqrt(...) cancelled: a residual of 2.5e-8 at beta 1e-12
+    z = FocCoefficients(z1=2.15 * beta, z2=0.006, z3=0.00137)
+    r = closed_form_identical_2user(z, beta)
+    assert abs(z.z1 / (1 + beta * r) + z.z2 - z.z3 * 2 * r) <= 1e-9
 
 
 def test_solver_matches_closed_form_identical_pair(ref_params, ref_video, neutral_buffer):
@@ -266,6 +274,13 @@ def test_solution_maximises_potential(n, seed, r_max):
 def test_solver_rejects_bad_r_max(ref_params, ref_video, neutral_buffer, r_max):
     with pytest.raises(ValueError, match="r_max"):
         solve_equilibrium(ref_params, [ref_video] * 2, [neutral_buffer] * 2, BW, r_max=r_max)
+
+
+def test_solver_rejects_a_zero_load_slope(ref_video, neutral_buffer):
+    # nu*T/export_bw underflows to 0: the load bracket divided by it
+    params = GameParams(mu=0.003, nu=5e-324, p=0.1, segment_duration=2.0)
+    with pytest.raises(ValueError, match=r"load slope nu\*T/export_bw is 0"):
+        solve_equilibrium(params, [ref_video] * 2, [neutral_buffer] * 2, BW, r_max=6.0)
 
 
 def _masked_projected_residuals(grads, rates, r_max):
