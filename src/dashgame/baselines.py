@@ -37,7 +37,7 @@ class ThroughputEstimator:
 
     def observe(self, sample: float) -> None:
         if not (math.isfinite(sample) and sample > 0):
-            raise ValueError(f"throughput sample must be > 0, got {sample!r}")
+            raise ValueError(f"throughput sample must be finite and > 0, got {sample!r}")
         if self.ewma is None:
             self.ewma = sample
         else:

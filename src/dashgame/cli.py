@@ -370,7 +370,9 @@ def build_parser() -> argparse.ArgumentParser:
     _add_scenario_flags(sim, presets, overrides=list(_OVERRIDE_FLAGS))
     sim.add_argument("--out", default="out", help="output directory")
     sim.add_argument("--calibrate-nu", action="store_true",
-                     help="recompute nu from the calibration helper before running")
+                     help="recompute nu with netsim.calibrate_nu from the first user's curve"
+                     " and the equal split export_bw/N at t=0 before running; caps are"
+                     " ignored")
     sim.set_defaults(func=cmd_simulate)
 
     sw = sub.add_parser("sweep", help="run a parameter grid and aggregate a comparison table")

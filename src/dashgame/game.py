@@ -41,6 +41,12 @@ __all__ = [
     "solve_equilibrium",
 ]
 
+#: ``solve_equilibrium`` has converged once its projected FOC residual is at
+#: most this.
+TOL = 1e-9
+#: The most steps ``solve_equilibrium`` takes before it reports what it has.
+MAX_ITER = 10_000
+
 
 @dataclass(frozen=True)
 class FocCoefficients:
@@ -179,8 +185,6 @@ def solve_equilibrium(
     bufs: Sequence[BufferView],
     export_bw: float,
     r_max: float,
-    tol: float = 1e-9,
-    max_iter: int = 10000,
 ) -> EquilibriumResult:
     """Solve the N-user projected FOC system over [0, r_max]^N.
 
@@ -194,16 +198,15 @@ def solve_equilibrium(
     evaluates every user's rate in O(N), with the load rounded as the
     gradient rounds it, and takes a Newton step on ``phi``; a step that
     leaves the bracket on the root, or lands on one of its ends, is replaced
-    by bisection.  ``iterations`` counts these steps, at most ``max_iter``.
+    by bisection.  ``iterations`` counts these steps, at most ``MAX_ITER``.
     ``residual`` is the projected FOC residual of the gradient at the
-    returned rates (evaluated by the gradients' unchecked core, since every
-    rate is already clipped to the box), and ``converged`` is ``residual <=
-    tol``: non-convergence is reported, never silent.  ``bracket`` is the
-    bracket ``(lo, hi)`` on ``S`` when the solve stopped; the returned load
-    ``sum(rates)`` lies in it to within about ``tol/z3`` once converged.
-    Extreme coefficients can overflow inside a step; that shows as an
-    infinite or NaN residual, so as no convergence, and no floating-point
-    warning is raised.
+    returned rates (every rate is already clipped to the box), and
+    ``converged`` is ``residual <= TOL``: non-convergence is reported, never
+    silent.  ``bracket`` is the bracket ``(lo, hi)`` on ``S`` when the solve
+    stopped; the returned load ``sum(rates)`` lies in it to within about
+    ``TOL/z3`` once converged.  Extreme coefficients can overflow inside a
+    step; that shows as an infinite or NaN residual, so as no convergence,
+    and no floating-point warning is raised.
     """
     if not (math.isfinite(r_max) and r_max > 0):
         raise ValueError(f"r_max must be finite and > 0, got {r_max!r}")
@@ -248,9 +251,9 @@ def solve_equilibrium(
         phi = float(rates.sum()) - s
         # every FOC holds at load s, so no gradient is off by much more than
         # z3*|phi|: the full residual is checked only once that is small
-        if grad.z3 * abs(phi) <= tol or iterations >= max_iter:
+        if grad.z3 * abs(phi) <= TOL or iterations >= MAX_ITER:
             residual = projected_residual(rates)
-            if residual <= tol or iterations >= max_iter:
+            if residual <= TOL or iterations >= MAX_ITER:
                 break
         if phi > 0.0:
             lo = s
@@ -266,4 +269,4 @@ def solve_equilibrium(
                 break
         s = step
         iterations += 1
-    return EquilibriumResult(rates.tolist(), residual, iterations, residual <= tol, (float(lo), float(hi)))
+    return EquilibriumResult(rates.tolist(), residual, iterations, residual <= TOL, (float(lo), float(hi)))

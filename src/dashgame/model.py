@@ -207,13 +207,6 @@ def _check_rates_bw(rates: Sequence[float], export_bw: float) -> None:
             raise ValueError(f"rates must be finite and >= 0, got {r!r}")
 
 
-def _check_rate_array(r: np.ndarray) -> None:
-    """Reject a float array holding a negative or non-finite rate, naming the first."""
-    bad = r[~(np.isfinite(r) & (r >= 0))]
-    if bad.size:
-        raise ValueError(f"rates must be finite and >= 0, got {float(bad[0])!r}")
-
-
 def estimated_buffer(
     params: GameParams,
     i: int,
@@ -285,15 +278,14 @@ class UtilityGradients:
     are gathered in Python float arithmetic, the sigmoid's two branches and
     its clamps are array operations, and ``exp(-|x|)`` is ``math.exp``
     mapped over the deviations (``np.exp`` can differ in the last bit).
-    Calling the object with a rate vector validates the rates, sums the load
-    once and returns every user's own-rate gradient ``z1/(1 + beta*r_i) +
-    z2 - z3*sum(rates)``, so one evaluation costs O(N).
+    ``_gradients`` sums the load of a rate vector once and returns every
+    user's own-rate gradient ``z1/(1 + beta*r_i) + z2 - z3*sum(rates)``, so
+    one evaluation costs O(N).  It does not check the rates: its callers
+    have, where the rates enter the package, or clipped them to the box.
 
     An ``(m, N)`` stack of rate vectors is evaluated in one call and gives
-    ``(m, N)`` gradients, each row bit-identical to a 1-D call on that row
+    ``(m, N)`` gradients, each row bit-identical to that row evaluated alone
     (each row's load is summed along the last axis as a 1-D sum would be).
-    Callers inside the package that have already checked their rates use
-    the unchecked core, ``_gradients``.
     """
 
     def __init__(
@@ -322,19 +314,11 @@ class UtilityGradients:
         self._load_weight = params.nu * T
         self._export_bw = export_bw
 
-    def __call__(self, rates) -> np.ndarray:
-        # C order: a row of a Fortran-order stack would not sum as the 1-D row
-        r = np.asarray(rates, dtype=float, order="C")
-        if r.ndim not in (1, 2) or r.shape[-1] != self.betas.size:
-            raise ValueError(
-                f"expected {self.betas.size} rates or an (m, {self.betas.size}) stack,"
-                f" got shape {r.shape}"
-            )
-        _check_rate_array(r)
-        return self._gradients(r)
-
     def _gradients(self, r: np.ndarray) -> np.ndarray:
-        """The gradients at a C-order float array ``r`` of valid rates, unchecked."""
+        """The gradients at a C-order float array ``r`` of valid rates, unchecked.
+
+        C order: a row of a Fortran-order stack would not sum as the 1-D row.
+        """
         load = self.load(r.sum(axis=-1, keepdims=True))
         return self.z1 / (1.0 + self.betas * r) + self.z2 - load
 

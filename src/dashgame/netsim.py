@@ -366,9 +366,12 @@ class _UserRuntime:
 
 def _next_rate(rt: _UserRuntime, T: float) -> float:
     """The rate a QF or BF user picks for its next segment when one completes:
-    it folds the segment's throughput into its estimator and decides."""
+    it folds the segment's throughput into its estimator and decides.  A
+    segment that took no simulated time gives an infinite throughput, which
+    the estimator refuses."""
     last = rt.trace.records[-1]
-    rt.estimator.observe(last.quantized_rate * T / last.download_time)
+    elapsed = last.download_time
+    rt.estimator.observe(last.quantized_rate * T / elapsed if elapsed else math.inf)
     if rt.policy == "qf":
         return qf_decide(rt.estimator, rt.ladder, rt.buffer, startup_threshold=rt.spec.qf_startup)
     if rt.policy == "bf":

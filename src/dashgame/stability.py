@@ -26,7 +26,6 @@ from .model import (
     GameParams,
     UtilityGradients,
     VideoQualityModel,
-    _check_rate_array,
 )
 from .game import foc_coefficients
 
@@ -122,7 +121,9 @@ def _operating_point(params, models, bufs, export_bw, rates, thetas):
     r = np.asarray(rates, dtype=float)
     if r.shape != (n,):
         raise ValueError(f"rates must be a flat sequence of {n} values, got shape {r.shape}")
-    _check_rate_array(r)
+    bad = r[~(np.isfinite(r) & (r >= 0))]
+    if bad.size:
+        raise ValueError(f"rates must be finite and >= 0, got {float(bad[0])!r}")
     return theta, grad, r
 
 

@@ -77,7 +77,7 @@ def oracle_solve(
     iterations = 0
 
     def evaluate(r: np.ndarray) -> tuple[np.ndarray, float]:
-        g = grad(r)
+        g = grad._gradients(r)
         return g, float(_projected_residuals(g, r, r_max).max())
 
     if method == "newton":

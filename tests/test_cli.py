@@ -261,6 +261,21 @@ def test_extreme_input_exits_with_a_message_naming_it(tmp_path, capsys, param, c
     assert not (tmp_path / "x").exists()
 
 
+@pytest.mark.parametrize("argv, segment", [
+    (["simulate", "--policy", "qf", "--param", "server.breakpoints.1.1=1e300", "--segments", "60"], 56),
+    (["simulate", "--policy", "bf", "--param", "server.breakpoints.1.1=1e300", "--segments", "60"], 58),
+    (["sweep", "--policy", "game,qf,bf", "--param", "server.breakpoints.1.1=1e20"], 56),
+])
+def test_segment_downloaded_in_no_time_exits_3_naming_the_user_and_segment(tmp_path, capsys, argv, segment):
+    # past the step at t=100 a segment ends at the t it started: its QF or BF
+    # throughput sample was a ZeroDivisionError
+    code, _, stderr = run_cli(capsys, argv[0], "--preset", "case2-persistent", *argv[1:],
+                              "--out", str(tmp_path / "x"))
+    assert (code, json.loads(stderr)["error"]["message"]) == (3, (
+        f"policy failure for user 0 at segment {segment}:"
+        " throughput sample must be finite and > 0, got inf"))
+
+
 def test_alpha_just_below_the_quality_bound_runs_finite(tmp_path, capsys):
     # 40 squares of the top quality, about 2e153, stay finite: the bound is near 5.26e153
     out = tmp_path / "x"

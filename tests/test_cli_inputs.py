@@ -1,14 +1,15 @@
 """No scenario input reaches a traceback: properties over preset documents.
 
-Each example of the first property takes a preset's resolved document,
-replaces one to three of its numeric (or null) leaves with extreme finite
-values, and runs ``dashgame simulate`` on it.  Every run must end in one of
-three ways: exit 0 with every trace and summary value finite; exit 2 with a
-message that names the field; or exit 3 with a message that names the user
-and the segment.  The second runs ``dashgame equilibrium`` and ``dashgame
-stability`` on a preset with extreme ``--param`` leaves, ``--rates``,
-``--b-curr`` and ``--t``, with warnings turned into errors: exit 0 with every
-JSON number finite, exit 2 naming the flag or the field, or exit 3.
+Each example of the first property takes a preset's resolved document, sets
+every user's policy to ``game``, ``qf`` or ``bf``, replaces one to three of
+its numeric (or null) leaves with extreme finite values, and runs ``dashgame
+simulate`` on it.  Every run must end in one of three ways: exit 0 with every
+trace and summary value finite; exit 2 with a message that names the field;
+or exit 3 with a message that names the user and the segment.  The second
+runs ``dashgame equilibrium`` and ``dashgame stability`` on a preset with
+extreme ``--param`` leaves, ``--rates``, ``--b-curr`` and ``--t``, with
+warnings turned into errors: exit 0 with every JSON number finite, exit 2
+naming the flag or the field, or exit 3.
 """
 
 import copy
@@ -21,7 +22,7 @@ import warnings
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from dashgame.cli import main
-from dashgame.scenarios import apply_override, list_presets, load_preset, scenario_to_dict
+from dashgame.scenarios import POLICIES, apply_override, list_presets, load_preset, scenario_to_dict
 
 PRESETS = list_presets()
 EXTREMES = [0, 5e-324, 1e-300, 1e300, 1.7e308]
@@ -55,9 +56,12 @@ VALUES = st.one_of(st.sampled_from(EXTREMES), st.floats(0.0, 1e308), st.integers
 
 @st.composite
 def _replacements(draw):
+    """A preset, every user's policy (every preset is game-only) and one to
+    three extreme leaves."""
     preset = draw(st.sampled_from(PRESETS))
+    policy = ("users.*.policy", draw(st.sampled_from(POLICIES)))
     keys = draw(st.lists(st.sampled_from(LEAVES[preset]), min_size=1, max_size=3, unique=True))
-    return preset, [(key, draw(VALUES)) for key in keys]
+    return preset, [policy] + [(key, draw(VALUES)) for key in keys]
 
 
 def _all_finite(value) -> bool:
@@ -113,6 +117,9 @@ def _check_run(tmp_path, capsys, preset, replacements, segments):
 @example(case=("case1-fixed", [("sim.initial_buffer", 1.7e308)]), segments=40)
 @example(case=("case1-fixed", [("users.0.cap_profile", 5e-324)]), segments=40)
 @example(case=("case1-fixed", [("server.breakpoints.0.1", 5e-324)]), segments=40)
+# a QF user whose segment took no simulated time
+@example(case=("case2-persistent", [("users.*.policy", "qf"), ("server.breakpoints.1.1", 1e300)]),
+         segments=60)
 def test_extreme_leaves_exit_0_2_or_3_never_a_traceback(tmp_path, capsys, case, segments):
     preset, replacements = case
     _check_run(tmp_path, capsys, preset, replacements, segments)

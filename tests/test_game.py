@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import dashgame.game as game
 from dashgame.game import (
     EquilibriumResult,
     FocCoefficients,
@@ -180,10 +181,9 @@ def test_equilibrium_is_best_response_fixed_point():
             assert br == pytest.approx(res.rates[i], abs=1e-6)
 
 
-def test_result_reports_nonconvergence_honestly(ref_params, ref_video, neutral_buffer):
-    res = solve_equilibrium(
-        ref_params, [ref_video] * 2, [neutral_buffer] * 2, BW, r_max=60.0, max_iter=1
-    )
+def test_result_reports_nonconvergence_honestly(monkeypatch, ref_params, ref_video, neutral_buffer):
+    monkeypatch.setattr(game, "MAX_ITER", 1)
+    res = solve_equilibrium(ref_params, [ref_video] * 2, [neutral_buffer] * 2, BW, r_max=60.0)
     assert isinstance(res, EquilibriumResult)
     if not res.converged:
         assert res.residual > 1e-9
@@ -221,18 +221,17 @@ def test_solver_paths_meet_tolerance_and_agree(n, seed, r_max):
 @settings(max_examples=60, deadline=None, derandomize=True)
 @given(n=st.integers(1, 512), seed=st.integers(0, 2**32 - 1), r_max=st.floats(0.5, 60.0))
 def test_result_reports_the_final_load_bracket(n, seed, r_max):
-    """The returned load lies in the reported bracket, within tol/z3 plus rounding."""
+    """The returned load lies in the reported bracket, within TOL/z3 plus rounding."""
     rng = np.random.default_rng(seed)
     params, videos, bufs, bw = random_instance(rng, n_users=n)
-    tol = 1e-9
-    res = solve_equilibrium(params, videos, bufs, bw, r_max=r_max, tol=tol)
+    res = solve_equilibrium(params, videos, bufs, bw, r_max=r_max)
     assert res.converged
     lo, hi = res.bracket
     assert type(lo) is float and type(hi) is float
     assert lo <= hi
     z3 = params.nu * params.segment_duration / bw
     load = math.fsum(res.rates)
-    slack = tol / z3 + 1e-12 * max(1.0, hi)
+    slack = game.TOL / z3 + 1e-12 * max(1.0, hi)
     assert lo - slack <= load <= hi + slack
 
 
@@ -265,7 +264,7 @@ def test_solution_maximises_potential(n, seed, r_max):
     for _ in range(20):
         scale = r_max * 10.0 ** rng.uniform(-7.0, 0.0)
         moved = np.clip(rates + scale * rng.uniform(-1.0, 1.0, n), 0.0, r_max)
-        # first order the rise is at most tol per unit moved; the rest is rounding
+        # first order the rise is at most TOL per unit moved; the rest is rounding
         slack = 1e-9 * float(np.abs(moved - rates).sum()) + 1e-12 * max(1.0, abs(best))
         assert _potential(params, videos, bufs, bw, moved.tolist()) <= best + slack
 

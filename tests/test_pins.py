@@ -44,6 +44,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import dashgame.game as game
 from dashgame.adapt import PayoffServer
 from dashgame.cli import main
 from dashgame.game import solve_equilibrium
@@ -192,10 +193,22 @@ def instance(n: int, r_max: float):
     return params, videos, bufs, export_bw
 
 
-def solver_digest(solve, n: int, r_max: float, max_iter: int, **method) -> str:
-    params, videos, bufs, export_bw = instance(n, r_max)
-    res = solve(params, videos, bufs, export_bw, r_max=r_max, max_iter=max_iter, **method)
+def result_digest(res) -> str:
     return sha256(repr((res.rates, res.residual, res.iterations, res.converged)).encode())
+
+
+def solver_digest(n: int, r_max: float, max_iter: int) -> str:
+    """``solve_equilibrium``'s digest, with ``game.MAX_ITER`` set to ``max_iter`` for the call."""
+    saved, game.MAX_ITER = game.MAX_ITER, max_iter
+    try:
+        return result_digest(solve_equilibrium(*instance(n, r_max), r_max=r_max))
+    finally:
+        game.MAX_ITER = saved
+
+
+def oracle_digest(n: int, r_max: float, max_iter: int, method: str) -> str:
+    res = oracle_solve(*instance(n, r_max), r_max=r_max, max_iter=max_iter, method=method)
+    return result_digest(res)
 
 
 NUDGE = 1.0 + 1e-15
@@ -224,8 +237,8 @@ PINS = {
     "preset_trace_sha256.json": (RUNS, lambda argv: outputs(argv, TRACES)),
     "preset_summary_sha256.json": (RUNS, lambda argv: outputs(argv, SUMMARIES)),
     "scenario_sha256.json": (DOCUMENTS, scenario_digest),
-    "solver_sha256.json": (CASES, lambda case: solver_digest(solve_equilibrium, *case)),
-    FROZEN: (ORACLE_CASES, lambda case: solver_digest(oracle_solve, *case[:3], method=case[3])),
+    "solver_sha256.json": (CASES, lambda case: solver_digest(*case)),
+    FROZEN: (ORACLE_CASES, lambda case: oracle_digest(*case)),
     "preset_horizon.json": ({name: name for name in list_presets()}, horizon),
 }
 

@@ -58,15 +58,25 @@ def test_presets_round_trip_through_the_validator():
         assert again.sim == sc.sim
 
 
+# the rate each calibrated preset's nu targets (None: the equal split);
+# the case4-* presets reuse case3's nu, whatever their caps
+NU_TARGETS = {
+    **dict.fromkeys(["case1-fixed", "case1-buffer-sweep", "case2-persistent", "case2-staged",
+                     "case2-short", "realistic-6user"]),
+    **dict.fromkeys(["case3", "case4-fixed", "case4-persistent", "case4-staged", "case4-short"], 1.5),
+}
+
+
 def test_calibrated_presets_carry_helper_nu():
-    sc1 = load_preset("case1-fixed")
-    v = sc1.users[0].video
-    expected = calibrate_nu(v.alpha, v.beta, sc1.params.mu, 2.0, 6.0, 2)
-    assert sc1.params.nu == pytest.approx(expected, rel=1e-12)
-    sc3 = load_preset("case3")
-    v = sc3.users[0].video
-    expected = calibrate_nu(v.alpha, v.beta, sc3.params.mu, 2.0, 6.0, 3, r_target=1.5)
-    assert sc3.params.nu == pytest.approx(expected, rel=1e-12)
+    """The list in README's Presets section: calibrate_nu from the first
+    user's curve and the bandwidth at t=0, at each preset's target."""
+    assert set(NU_TARGETS) == EXPECTED_PRESETS - {"case1-uncalibrated"}
+    for name, r_target in NU_TARGETS.items():
+        sc = load_preset(name)
+        v = sc.users[0].video
+        expected = calibrate_nu(v.alpha, v.beta, sc.params.mu, sc.params.segment_duration,
+                                sc.server.breakpoints[0][1], len(sc.users), r_target=r_target)
+        assert sc.params.nu == pytest.approx(expected, rel=1e-12), name
 
 
 def test_uncalibrated_preset_keeps_reference_constants():

@@ -47,17 +47,6 @@ def test_jacobian_symmetric_instance(ref_params, ref_video, neutral_buffer):
     assert jac[0, 1] == jac[1, 0]
 
 
-def test_jacobian_analytic_matches_numeric():
-    rng = np.random.default_rng(21)
-    for _ in range(25):
-        params, videos, bufs, bw = random_instance(rng, n_users=2)
-        rates = [float(rng.uniform(0.5, 8.0)) for _ in range(2)]
-        thetas = [float(rng.uniform(1.0, 120.0)) for _ in range(2)]
-        ana = jacobian_2user(params, videos, bufs, bw, rates, thetas)
-        num = jacobian_numeric(params, videos, bufs, bw, rates, thetas)
-        np.testing.assert_allclose(ana, num, atol=1e-6)
-
-
 def test_jacobian_numeric_scalar_case(ref_params, ref_video, neutral_buffer):
     # d/dr [r + theta*r*g(r)] = 1 + theta*(g + r*g')
     theta, r = 7.0, 4.0
@@ -136,18 +125,6 @@ def test_jacobian_numeric_at_zero_rate_equilibrium():
     np.testing.assert_allclose(num, ana, atol=1e-6)
 
 
-def test_jacobian_numeric_matches_analytic_n_user():
-    rng = np.random.default_rng(30)
-    for _ in range(20):
-        params, videos, bufs, bw = random_instance(rng, n_users=int(rng.integers(1, 13)))
-        rates = [float(r) for r in rng.uniform(0.0, 8.0, len(videos))]
-        rates[0] = 0.0
-        thetas = [float(t) for t in rng.uniform(1.0, 120.0, len(videos))]
-        num = jacobian_numeric(params, videos, bufs, bw, rates, thetas)
-        ana = _jacobian_analytic(params, videos, bufs, bw, rates, thetas)
-        np.testing.assert_allclose(num, ana, atol=1e-6)
-
-
 def _random_operating_point(n, seed, zeros):
     """A random instance at random rates in [0, 10], ``zeros`` of them exactly 0."""
     rng = np.random.default_rng(seed)
@@ -164,6 +141,7 @@ _OPERATING_POINTS = dict(n=st.integers(1, 64), seed=st.integers(0, 2**32 - 1), z
 @settings(max_examples=80, deadline=None, derandomize=True)
 @given(**_OPERATING_POINTS)
 @example(n=1, seed=0, zeros=1)
+@example(n=2, seed=21, zeros=0)
 @example(n=64, seed=1, zeros=3)
 def test_jacobian_analytic_matches_both_oracles(n, seed, zeros):
     """The diagonal-plus-rank-one formula gives the scalar per-user loop to
@@ -258,7 +236,7 @@ def oracle_jacobian_numeric(params, models, bufs, export_bw, rates, thetas):
     theta = np.asarray(thetas, dtype=float)
 
     def update_map(x):
-        return x + theta * x * grad(x)
+        return x + theta * x * grad._gradients(x)
 
     def shifted(j, h):
         x = r.copy()
