@@ -3,9 +3,9 @@
 Users never see each other's rates.  Instead, each round a user reports its
 buffer occupancy; the server, which knows every user's last requested rate
 and the export bandwidth, returns a central-difference estimate of the
-user's payoff gradient; the user then applies a multiplicative sub-gradient
-step.  Fixed points of this iteration are exactly the stationary points of
-the static game.
+user's payoff gradient, with the step ``EPSILON``; the user then applies a
+multiplicative sub-gradient step.  Fixed points of this iteration are
+exactly the stationary points of the static game.
 
 `PayoffServer` is built with every user, in id order 0, 1, ..., so a user's
 id is its index into the server's list of last requested rates.  There is
@@ -26,7 +26,12 @@ from typing import Sequence
 
 from .model import GameParams, VideoQualityModel, _adjustment_factor
 
+# the server's central-difference step: each payoff gradient moves the
+# user's rate by +/- EPSILON
+EPSILON = 1e-4
+
 __all__ = [
+    "EPSILON",
     "AdaptConfig",
     "UserSession",
     "PayoffServer",
@@ -39,19 +44,18 @@ __all__ = [
 class AdaptConfig:
     """Per-user adaptation constants.
 
-    ``theta`` is the learning rate of the multiplicative update; ``epsilon``
-    the server's perturbation for the central difference, in ``[ulp(r_max),
-    r_max]`` so that it moves every rate in the box; ``r_init`` the
-    cold-start request; ``max_step_fraction`` caps a single step at that
-    fraction of the current rate (the raw step theta*r*gradient can be huge
-    far from equilibrium; the cap is inactive near it, where the gradient
-    vanishes).  ``r_min`` must stay positive because the multiplicative
-    update cannot leave zero once reached.
+    ``theta`` is the learning rate of the multiplicative update; ``r_max``
+    the top of the box, at least ``EPSILON`` and with ``ulp(r_max)`` at most
+    ``EPSILON``, so that the server's central difference moves every rate
+    in the box; ``r_init`` the cold-start request; ``max_step_fraction``
+    caps a single step at that fraction of the current rate (the raw step
+    theta*r*gradient can be huge far from equilibrium; the cap is inactive
+    near it, where the gradient vanishes).  ``r_min`` must stay positive
+    because the multiplicative update cannot leave zero once reached.
     """
 
     theta: float
     r_max: float
-    epsilon: float = 1e-4
     r_init: float = 0.1
     r_min: float = 0.05
     max_step_fraction: float = 0.25
@@ -59,10 +63,13 @@ class AdaptConfig:
     def __post_init__(self) -> None:
         if not (math.isfinite(self.theta) and self.theta > 0):
             raise ValueError(f"AdaptConfig.theta must be > 0, got {self.theta!r}")
-        if not (math.isfinite(self.epsilon) and self.epsilon > 0):
-            raise ValueError(f"AdaptConfig.epsilon must be > 0, got {self.epsilon!r}")
-        if not math.isfinite(self.r_max):
-            raise ValueError(f"AdaptConfig.r_max must be finite, got {self.r_max!r}")
+        # the payoff gradient's central difference moves the rate by EPSILON,
+        # so a larger move than the whole box [0, r_max] measures nothing;
+        # a move under ulp(r_max) can round away at a rate in the box, and
+        # leave both legs at the rate.  This also refuses NaN and inf.
+        if not (self.r_max >= EPSILON and math.ulp(self.r_max) <= EPSILON):
+            raise ValueError(f"AdaptConfig.r_max must be >= EPSILON = {EPSILON!r} and have"
+                             f" ulp(r_max) <= EPSILON, got r_max={self.r_max!r}")
         if not self.r_min > 0:
             raise ValueError(f"AdaptConfig.r_min must be > 0, got {self.r_min!r}")
         if not self.r_min <= self.r_init <= self.r_max:
@@ -70,18 +77,6 @@ class AdaptConfig:
                 "AdaptConfig.r_init must lie in [r_min, r_max], got "
                 f"r_min={self.r_min!r} r_init={self.r_init!r} r_max={self.r_max!r}"
             )
-        # the payoff gradient's central difference moves the rate by epsilon,
-        # so a larger move than the whole box [0, r_max] measures nothing;
-        # a move under ulp(r_max) can round away at a rate in the box, and
-        # leave both legs at the rate
-        if not self.epsilon <= self.r_max:
-            raise ValueError(
-                f"AdaptConfig.epsilon must be <= r_max, got epsilon={self.epsilon!r}"
-                f" r_max={self.r_max!r}")
-        if not self.epsilon >= math.ulp(self.r_max):
-            raise ValueError(
-                f"AdaptConfig.epsilon must be >= ulp(r_max) = {math.ulp(self.r_max)!r}, got"
-                f" epsilon={self.epsilon!r} r_max={self.r_max!r}")
         if not self.max_step_fraction > 0:
             raise ValueError("AdaptConfig.max_step_fraction must be > 0 (use inf to disable)")
 
@@ -127,16 +122,11 @@ class UserSession:
     b_ref: float
 
 
-def _is_rate(value: float) -> bool:
-    """True for a finite rate >= 0 (False for NaN)."""
-    return 0.0 <= value < math.inf
-
-
 class PayoffServer:
     """Server side of the payoff exchange.
 
     Built with the game's constants, the current export bandwidth and one
-    ``(video, b_ref, initial_rate, epsilon)`` entry per user, in id order, so
+    ``(video, b_ref, initial_rate)`` entry per user, in id order, so
     a user's id is its index into the server's lists and a query looks
     nothing up.  Of each video it keeps ``alpha`` and ``beta``; it also
     keeps every user's last requested rate, which only ``note_request``
@@ -152,23 +142,21 @@ class PayoffServer:
         self,
         params: GameParams,
         export_bw: float,
-        users: Sequence[tuple[VideoQualityModel, float, float, float]],
+        users: Sequence[tuple[VideoQualityModel, float, float]],
     ) -> None:
         self.export_bw = export_bw
         self._p, self._T, self._mu, self._omega = (
             params.p, params.segment_duration, params.mu, params.omega)
-        self._users: list[tuple[float, float, float, float]] = []  # alpha, beta, epsilon, b_ref
+        self._users: list[tuple[float, float, float]] = []  # alpha, beta, b_ref
         self._rates: list[float] = []
-        for user_id, (video, b_ref, initial_rate, epsilon) in enumerate(users):
+        for user_id, (video, b_ref, initial_rate) in enumerate(users):
             where = f"PayoffServer user {user_id}"
-            if not _is_rate(initial_rate):
+            if not 0.0 <= initial_rate < math.inf:
                 raise ValueError(
                     f"{where}: initial_rate must be finite and >= 0, got {initial_rate!r}")
-            if not (math.isfinite(epsilon) and epsilon > 0):
-                raise ValueError(f"{where}: epsilon must be finite and > 0, got {epsilon!r}")
             if not (math.isfinite(b_ref) and b_ref > 0):
                 raise ValueError(f"{where}: b_ref must be finite and > 0, got {b_ref!r}")
-            self._users.append((video.alpha, video.beta, epsilon, b_ref))
+            self._users.append((video.alpha, video.beta, b_ref))
             self._rates.append(initial_rate)
 
     def note_request(self, user_id: int, rate: float) -> None:
@@ -186,7 +174,7 @@ class PayoffServer:
         """Central-difference payoff gradient of a user at its buffer and last rate.
 
         The user's last rate is the one the server holds.  Only that rate is
-        moved, by +/- epsilon (the minus leg clipped at zero), so the
+        moved, by +/- ``EPSILON`` (the minus leg clipped at zero), so the
         estimate has O(eps^2) error against the analytic gradient.  Each leg
         is ``utility`` evaluated with the same operations in the same order,
         so the result is bit-identical to differencing two ``utility``
@@ -194,7 +182,7 @@ class PayoffServer:
         """
         if not 0 <= user_id < len(self._users):
             raise KeyError(f"unknown user id {user_id}")
-        alpha, beta, epsilon, b_ref = self._users[user_id]
+        alpha, beta, b_ref = self._users[user_id]
         export_bw = self.export_bw
         if not math.isfinite(b_curr):
             raise ValueError(
@@ -205,8 +193,8 @@ class PayoffServer:
         rates = self._rates
         last_rate = rates[user_id]
         a_f = _adjustment_factor(self._p, b_curr, b_ref)
-        r_plus = last_rate + epsilon
-        r_minus = last_rate - epsilon
+        r_plus = last_rate + EPSILON
+        r_minus = last_rate - EPSILON
         if r_minus < 0.0:
             r_minus = 0.0
         # the loads of both legs share the sum of the rates before the user's
@@ -250,8 +238,7 @@ def run_round(
                 f"run_round sessions[{pos}]: user_id must be a distinct id in"
                 f" 0..{len(sessions) - 1}, got {uid!r}")
         by_id[uid] = s
-    server = PayoffServer(
-        params, export_bw, [(s.model, s.b_ref, s.rate, s.cfg.epsilon) for s in by_id])
+    server = PayoffServer(params, export_bw, [(s.model, s.b_ref, s.rate) for s in by_id])
     rates = [update_rate(s.cfg, s.rate, server.gradient(s.user_id, s.b_curr))
              for s in sessions]
     for s, r in zip(sessions, rates):

@@ -24,16 +24,12 @@ class ThroughputEstimator:
     """Exponentially weighted throughput tracker (Mbps).
 
     ``observe`` folds a new measurement in as
-    ``ewma = w * sample + (1 - w) * ewma``; before the first measurement the
-    estimate is None.
+    ``ewma = WEIGHT * sample + (1 - WEIGHT) * ewma``; before the first
+    measurement the estimate is None.
     """
 
-    weight: float = 0.2
+    WEIGHT = 0.2  # a class constant, not a field
     ewma: Optional[float] = None
-
-    def __post_init__(self) -> None:
-        if not 0.0 < self.weight <= 1.0:
-            raise ValueError(f"weight must be in (0, 1], got {self.weight!r}")
 
     def observe(self, sample: float) -> None:
         if not (math.isfinite(sample) and sample > 0):
@@ -41,7 +37,7 @@ class ThroughputEstimator:
         if self.ewma is None:
             self.ewma = sample
         else:
-            self.ewma = self.weight * sample + (1.0 - self.weight) * self.ewma
+            self.ewma = self.WEIGHT * sample + (1.0 - self.WEIGHT) * self.ewma
 
 
 def qf_decide(

@@ -13,6 +13,7 @@ import functools
 import itertools
 import json
 import math
+import shutil
 import sys
 from pathlib import Path
 
@@ -67,6 +68,19 @@ def write_trace_csv(path: Path, trace: SessionTrace) -> None:
         fh.write(_TRACE_HEADER + rows)
 
 
+def _out_dir(text: str) -> Path:
+    """``--out``, refused before any run unless it is a directory or can be
+    made one: the nearest of it and its parents that exists must be one."""
+    out = Path(text)
+    try:
+        path = next(path for path in (out, *out.parents) if path.exists())
+    except OSError as exc:  # such as a name too long
+        raise CliError(f"--out: {exc}") from None
+    if not path.is_dir():
+        raise CliError(f"--out: {path} exists and is not a directory")
+    return out
+
+
 def _scenarios(args, points=((),), default_preset: str | None = None) -> list[Scenario]:
     """One scenario per override list in ``points``: the input, loaded once, with
     ``args.overrides`` and then the point applied in order to a copy of it (the
@@ -76,7 +90,10 @@ def _scenarios(args, points=((),), default_preset: str | None = None) -> list[Sc
         raise CliError("--preset and --scenario are mutually exclusive")
     if not (args.scenario or preset):
         raise CliError("one of --preset or --scenario is required")
-    loaded = load_scenario(args.scenario) if args.scenario else load_preset(preset)
+    try:
+        loaded = load_scenario(args.scenario) if args.scenario else load_preset(preset)
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:  # an unreadable file
+        raise CliError(f"--scenario: {exc}") from None
     if not (args.overrides or any(points)):
         return [loaded] * len(points)
     source = scenario_to_dict(loaded)
@@ -122,10 +139,11 @@ def _run_one(sc: Scenario, out_dir: Path, source: str) -> tuple[dict, str]:
 
 
 def cmd_simulate(args) -> int:
+    out_dir = _out_dir(args.out)
     sc, = _scenarios(args)
     if args.calibrate_nu:
         sc = recalibrate_nu(sc)
-    _, summary_json = _run_one(sc, Path(args.out), source=args.preset or args.scenario)
+    _, summary_json = _run_one(sc, out_dir, source=args.preset or args.scenario)
     print(summary_json)
     return EXIT_OK
 
@@ -134,6 +152,7 @@ def cmd_sweep(args) -> int:
     grid = args.grid
     if not grid:
         raise CliError("sweep requires a parameter grid (--theta, --policy, or --param)")
+    out_root = _out_dir(args.out)
     # each key is one sweep.csv column, named by its last component
     columns = {}
     for key, _ in grid:
@@ -159,17 +178,25 @@ def cmd_sweep(args) -> int:
             raise CliError(f"{label}: the sweep grid gives this run twice"
                            + ("" if earlier == label else f", also as {earlier}"))
         by_label[label] = by_scenario[sc] = label
-    out_root = Path(args.out)
+    # a failed sweep removes the directories it made: the outermost of --out
+    # and its parents that does not exist yet, else each new run directory
+    created = [path for path in (*reversed(out_root.parents), out_root) if not path.exists()][:1]
+    created = created or [out_root / label for label in labels if not (out_root / label).exists()]
     rows = []
-    for combo, label, sc in zip(combos, labels, scenarios):
-        summary, _ = _run_one(sc, out_root / label, source=label)
-        for user_row in summary["users"]:
-            rows.append({"run": label, **dict(zip(columns, combo)), **user_row})
-    table = out_root / "sweep.csv"
-    with table.open("w", newline="", encoding="utf-8") as fh:
-        writer = csv.DictWriter(fh, fieldnames=list(rows[0].keys()))
-        writer.writeheader()
-        writer.writerows(rows)
+    try:
+        for combo, label, sc in zip(combos, labels, scenarios):
+            summary, _ = _run_one(sc, out_root / label, source=label)
+            for user_row in summary["users"]:
+                rows.append({"run": label, **dict(zip(columns, combo)), **user_row})
+        table = out_root / "sweep.csv"
+        with table.open("w", newline="", encoding="utf-8") as fh:
+            writer = csv.DictWriter(fh, fieldnames=list(rows[0].keys()))
+            writer.writeheader()
+            writer.writerows(rows)
+    except BaseException:
+        for path in created:
+            shutil.rmtree(path, ignore_errors=True)
+        raise
     print(f"wrote {table} ({len(rows)} rows)")
     return EXIT_OK
 

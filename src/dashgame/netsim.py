@@ -344,7 +344,7 @@ class _UserRuntime:
         self.alpha = spec.video.alpha
         self.beta = spec.video.beta
         self.ladder = spec.video.ladder
-        self.estimator = ThroughputEstimator(weight=spec.estimator_weight)
+        self.estimator = ThroughputEstimator()
         self.buffer = initial_buffer
         self.stall_this = 0.0
         self.k = 0
@@ -411,8 +411,8 @@ def run_scenario(scenario: "Scenario") -> list[SessionTrace]:
         rt = _UserRuntime(idx, u, u.adapt_config(), sim.initial_buffer, quantized)
         rt.start_segment(0.0, T, quantized)
         runs.append(rt)
-    server = PayoffServer(params, export_bw, [
-        (rt.video, rt.spec.b_ref, rt.request_rate, rt.cfg.epsilon) for rt in runs])
+    server = PayoffServer(
+        params, export_bw, [(rt.video, rt.spec.b_ref, rt.request_rate) for rt in runs])
     gradient = server.gradient
 
     # caps and bandwidth change only at the link's steps, each of which is an

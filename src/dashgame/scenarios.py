@@ -34,7 +34,6 @@ from importlib import resources
 from typing import Callable, Optional
 
 from .adapt import AdaptConfig
-from .baselines import ThroughputEstimator
 from .model import GameParams, VideoQualityModel, log_quality
 from .netsim import PROFILE_KINDS, BandwidthProfile, CapSpec, SimConfig, calibrate_nu, make_profile
 
@@ -73,11 +72,8 @@ class UserSpec:
     policy: str = "game"
     cap: CapSpec = field(default_factory=CapSpec)
     r_init: float = AdaptConfig.r_init
-    r_min: float = AdaptConfig.r_min
     r_max: Optional[float] = None
     max_step_fraction: float = AdaptConfig.max_step_fraction
-    epsilon: float = AdaptConfig.epsilon
-    estimator_weight: float = ThroughputEstimator.weight
     qf_startup: float = 10.0
     bf_gain: float = 0.5
 
@@ -88,18 +84,12 @@ class UserSpec:
             raise ValueError(f"UserSpec.b_ref must be finite and > 0, got {self.b_ref!r}")
         if not math.isfinite(self.bf_gain):
             raise ValueError(f"UserSpec.bf_gain must be finite, got {self.bf_gain!r}")
-        try:
-            ThroughputEstimator(weight=self.estimator_weight)
-        except ValueError as exc:
-            raise ValueError(f"UserSpec.estimator_weight: {exc}") from None
         self.adapt_config()
 
     def adapt_config(self) -> AdaptConfig:
         r_max = self.r_max if self.r_max is not None else self.video.ladder[-1]
-        return AdaptConfig(
-            theta=self.theta, r_max=r_max, epsilon=self.epsilon, r_init=self.r_init,
-            r_min=self.r_min, max_step_fraction=self.max_step_fraction,
-        )
+        return AdaptConfig(theta=self.theta, r_max=r_max, r_init=self.r_init,
+                           max_step_fraction=self.max_step_fraction)
 
 
 @dataclass(frozen=True)
@@ -304,8 +294,8 @@ _USER = _Table(
     video=(_VIDEO.read_block, _VIDEO.write),
     theta=_number, b_ref=_number, policy=_text,
     cap_profile=(_read_cap, lambda cap: None if cap.kind == "none" else _CAP.write(cap, cap.kind)),
-    r_init=_number, r_min=_number, r_max=_optional(_number), max_step_fraction=_number,
-    epsilon=_number, estimator_weight=_number, qf_startup=_number, bf_gain=_number,
+    r_init=_number, r_max=_optional(_number), max_step_fraction=_number, qf_startup=_number,
+    bf_gain=_number,
 )
 
 # built with the run's segment duration once ``sim`` is read

@@ -10,7 +10,7 @@ oracle is the formula that server inlines: the difference of two full
 import math
 from typing import Sequence
 
-from dashgame.adapt import AdaptConfig
+from dashgame.adapt import EPSILON, AdaptConfig
 from dashgame.model import BufferView, GameParams, VideoQualityModel, utility
 
 
@@ -21,19 +21,18 @@ def payoff_gradient_server(
     all_last_rates: Sequence[float],
     i: int,
     b_curr_i: float,
-    epsilon: float,
     b_ref: float,
 ) -> float:
     """Central-difference payoff gradient the server computes for user ``i``.
 
-    Only rate ``i`` moves, by +/- epsilon with the minus leg clipped at zero,
+    Only rate ``i`` moves, by +/- EPSILON with the minus leg clipped at zero,
     and the difference of the two utilities is divided by the span between
     the legs, so it stays symmetric even where the minus leg clipped.
     """
     buf = BufferView(b_curr=b_curr_i, b_ref=b_ref)
     plus, minus = list(all_last_rates), list(all_last_rates)
-    plus[i] = plus[i] + epsilon
-    minus[i] = max(minus[i] - epsilon, 0.0)
+    plus[i] = plus[i] + EPSILON
+    minus[i] = max(minus[i] - EPSILON, 0.0)
     return (utility(params, model, i, plus, buf, export_bw)
             - utility(params, model, i, minus, buf, export_bw)) / (plus[i] - minus[i])
 

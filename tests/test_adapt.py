@@ -1,12 +1,14 @@
 """Distributed adaptation loop: server gradient, updates, rounds, protocol."""
 
 import math
+import re
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from dashgame.adapt import (
+    EPSILON,
     AdaptConfig,
     PayoffServer,
     UserSession,
@@ -26,9 +28,9 @@ CAL_PARAMS = GameParams(mu=0.002, nu=0.006969553721656918, p=0.5, segment_durati
 CAL_VIDEO = VideoQualityModel(alpha=0.15, beta=0.0827, ladder=(0.3, 6.0))
 
 
-def _user(video, b_ref=15.0, initial_rate=1.0, epsilon=1e-4):
+def _user(video, b_ref=15.0, initial_rate=1.0):
     """One constructor entry of a ``PayoffServer``."""
-    return (video, b_ref, initial_rate, epsilon)
+    return (video, b_ref, initial_rate)
 
 
 def test_server_gradient_zero_at_stationary_point():
@@ -136,27 +138,34 @@ def test_update_rate_matches_minmax_oracle(inputs):
     assert update_rate(cfg, r, gradient).hex() == expected.hex()
 
 
+# the largest r_max whose ulp is at most EPSILON
+R_MAX_TOP = math.nextafter(2.0**39, 0.0)
+
+
 def test_adapt_config_validation():
     with pytest.raises(ValueError):
         AdaptConfig(theta=-1.0, r_max=6.0)
     with pytest.raises(ValueError):
         AdaptConfig(theta=50.0, r_max=6.0, r_min=0.2, r_init=0.1)
-    # the central difference may move a rate across the whole box, but no further
-    assert AdaptConfig(theta=50.0, r_max=6.0, epsilon=6.0).epsilon == 6.0
-    with pytest.raises(ValueError, match="epsilon must be <= r_max"):
-        AdaptConfig(theta=50.0, r_max=6.0, epsilon=6.5)
+    # the central difference may move a rate across the whole box, but no
+    # further; a move under ulp(r_max) can round away (below)
+    bound = r"r_max must be >= EPSILON = 0\.0001 and have ulp\(r_max\) <= EPSILON, got r_max="
+    for r_max in (math.nextafter(EPSILON, 0.0), math.nextafter(R_MAX_TOP, math.inf), math.inf,
+                  math.nan):
+        with pytest.raises(ValueError, match=bound + re.escape(repr(r_max))):
+            AdaptConfig(theta=50.0, r_max=r_max, r_min=1e-5, r_init=1e-5)
 
 
-@pytest.mark.parametrize("r_max", [6.0, 6.000000000000001, 4.0, 0.5])
-def test_smallest_epsilon_moves_every_rate_in_the_box(ref_params, ref_video, r_max):
-    # at r_max = 6.000000000000001 and epsilon = ulp(r_max)/2, both legs of the
-    # gradient at rate 5.0 rounded to 5.0, and it divided by zero
-    with pytest.raises(ValueError, match=r"epsilon must be >= ulp\(r_max\)"):
-        AdaptConfig(theta=50.0, r_max=r_max, epsilon=math.ulp(r_max) / 2)
-    epsilon = AdaptConfig(theta=50.0, r_max=r_max, epsilon=math.ulp(r_max)).epsilon
+@pytest.mark.parametrize("r_max", [6.0, 6.000000000000001, 4.0, 0.5, EPSILON, R_MAX_TOP])
+def test_epsilon_moves_every_rate_in_the_box(ref_params, ref_video, r_max):
+    # r_max runs from EPSILON up to R_MAX_TOP.  A step under ulp(r_max) could
+    # round both legs of the gradient to the rate: at r_max = 6.000000000000001
+    # and a step of ulp(r_max)/2, both legs at rate 5.0 were 5.0, and the
+    # gradient divided by zero
+    AdaptConfig(theta=50.0, r_max=r_max, r_min=min(r_max, 0.05), r_init=min(r_max, 0.1))
     for rate in (0.0, 5e-324, 5.0, r_max / 2, math.nextafter(r_max, 0.0), r_max):
         if rate <= r_max:
-            server = PayoffServer(ref_params, BW, [_user(ref_video, 15.0, rate, epsilon)])
+            server = PayoffServer(ref_params, BW, [_user(ref_video, 15.0, rate)])
             assert math.isfinite(server.gradient(0, 15.0))
 
 
@@ -271,8 +280,7 @@ def test_round_matches_stateless_oracle(seed, n):
     # run_round queries a PayoffServer; each step must equal the oracle's, bit for bit
     rng = np.random.default_rng(seed)
     params, videos, bufs, bw = random_instance(rng, n_users=n)
-    cfg = AdaptConfig(theta=float(rng.uniform(1.0, 200.0)), r_max=30.0, r_min=0.01, r_init=0.1,
-                      epsilon=float(rng.choice([1e-4, 1e-3])))
+    cfg = AdaptConfig(theta=float(rng.uniform(1.0, 200.0)), r_max=30.0, r_min=0.01, r_init=0.1)
     sessions = [
         UserSession(i, videos[i], cfg, rate=float(rng.uniform(0.1, 20.0)),
                     b_curr=bufs[i].b_curr, b_ref=bufs[i].b_ref)
@@ -282,7 +290,7 @@ def test_round_matches_stateless_oracle(seed, n):
         snapshot = [s.rate for s in sessions]
         expected = [
             update_rate(cfg, r, payoff_gradient_server(
-                params, s.model, bw, snapshot, i, s.b_curr, cfg.epsilon, s.b_ref))
+                params, s.model, bw, snapshot, i, s.b_curr, s.b_ref))
             for i, (s, r) in enumerate(zip(sessions, snapshot))
         ]
         assert run_round(sessions, params, bw) == expected
@@ -293,8 +301,7 @@ def test_payoff_server_replies_in_user_id_order(ref_params, ref_video):
     rates = [1.25, 2.5, 0.75, 3.0]
     b_refs = [15.0, 10.0, 15.0, 20.0]
     server = PayoffServer(ref_params, BW, [
-        _user(ref_video, b_ref, rate, 1e-4 * (uid + 1))
-        for uid, (rate, b_ref) in enumerate(zip(rates, b_refs))
+        _user(ref_video, b_ref, rate) for rate, b_ref in zip(rates, b_refs)
     ])
     server.note_request(3, 1.75)
     rates[3] = 1.75
@@ -302,8 +309,7 @@ def test_payoff_server_replies_in_user_id_order(ref_params, ref_video):
         server.note_request(uid, 1.5)
         rates[uid] = 1.5
         expected = payoff_gradient_server(
-            ref_params, ref_video, BW, rates, uid, 12.0, 1e-4 * (uid + 1), b_refs[uid]
-        )
+            ref_params, ref_video, BW, rates, uid, 12.0, b_refs[uid])
         assert server.gradient(uid, 12.0) == expected
     with pytest.raises(KeyError):
         server.note_request(4, 1.0)
@@ -313,9 +319,9 @@ def test_payoff_server_replies_in_user_id_order(ref_params, ref_video):
     ({"initial_rate": -5.0}, "user 3: initial_rate"),
     ({"initial_rate": math.nan}, "user 3: initial_rate"),
     ({"initial_rate": math.inf}, "user 3: initial_rate"),
-    ({"epsilon": math.inf}, "user 3: epsilon"),
-    ({"epsilon": 0.0}, "user 3: epsilon"),
-    ({"epsilon": math.nan}, "user 3: epsilon"),
+    ({"b_ref": math.nan}, "user 3: b_ref"),
+    ({"b_ref": -1.0}, "user 3: b_ref"),
+    ({"b_ref": -math.inf}, "user 3: b_ref"),
     ({"b_ref": 0.0}, "user 3: b_ref"),
     ({"b_ref": math.inf}, "user 3: b_ref"),
 ])
@@ -335,8 +341,7 @@ def test_note_request_rejects_bad_rate(ref_params, ref_video, rate):
     # the rates are unchanged, so both users' queries still work
     for uid in (0, 1):
         assert server.gradient(uid, 15.0) == payoff_gradient_server(
-            ref_params, ref_video, BW, [1.0, 1.0], uid, 15.0, 1e-4, 15.0
-        )
+            ref_params, ref_video, BW, [1.0, 1.0], uid, 15.0, 15.0)
 
 
 @pytest.mark.parametrize("b_curr, export_bw, message", [
@@ -358,7 +363,7 @@ def test_gradient_changes_no_rate(ref_params, ref_video):
     # of user j's leaves j's answer bit for bit the same
     rates = [0.75, 2.5, 1.25]
     server = PayoffServer(ref_params, BW, [
-        _user(ref_video, initial_rate=rate, epsilon=1e-3) for rate in rates])
+        _user(ref_video, initial_rate=rate) for rate in rates])
     for j in range(3):
         for i in range(3):
             if i == j:
@@ -367,7 +372,7 @@ def test_gradient_changes_no_rate(ref_params, ref_video):
             server.gradient(i, 20.0)
             assert server.gradient(j, 12.0).hex() == before.hex()
             assert before.hex() == payoff_gradient_server(
-                ref_params, ref_video, BW, rates, j, 12.0, 1e-3, 15.0).hex()
+                ref_params, ref_video, BW, rates, j, 12.0, 15.0).hex()
 
 
 @settings(max_examples=120, deadline=None, derandomize=True)
@@ -378,9 +383,8 @@ def test_server_replies_match_stateless_gradient(seed, n):
     clipped minus legs included, is bit-identical to it."""
     rng = np.random.default_rng(seed)
     params, videos, _, export_bw = random_instance(rng, n_users=n)
-    state = [  # per user, as the constructor takes it: [video, b_ref, rate, epsilon]
-        [videos[uid], float(rng.uniform(5.0, 25.0)),
-         float(rng.uniform(0.0, 20.0)), float(rng.choice([1e-4, 1e-3, 0.5]))]
+    state = [  # per user, as the constructor takes it: [video, b_ref, rate]
+        [videos[uid], float(rng.uniform(5.0, 25.0)), float(rng.uniform(0.0, 20.0))]
         for uid in range(n)
     ]
     server = PayoffServer(params, export_bw, [tuple(entry) for entry in state])
@@ -397,9 +401,7 @@ def test_server_replies_match_stateless_gradient(seed, n):
             server.export_bw = export_bw = float(rng.uniform(2.0, 20.0))
         b_curr = float(rng.uniform(0.0, 30.0))
         got = server.gradient(uid, b_curr)
-        video, b_ref, _, epsilon = state[uid]
+        video, b_ref, _ = state[uid]
         expected = payoff_gradient_server(
-            params, video, export_bw, [entry[2] for entry in state], uid,
-            b_curr, epsilon, b_ref,
-        )
+            params, video, export_bw, [entry[2] for entry in state], uid, b_curr, b_ref)
         assert got.hex() == expected.hex()

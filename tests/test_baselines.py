@@ -9,31 +9,32 @@ LADDER = (1.0, 2.0, 3.0, 4.0, 5.0)
 
 
 def test_estimator_first_sample_initialises():
-    est = ThroughputEstimator(weight=0.3)
+    est = ThroughputEstimator()
     assert est.ewma is None
     est.observe(4.0)
-    assert est == ThroughputEstimator(weight=0.3, ewma=4.0)
+    assert est == ThroughputEstimator(ewma=4.0)
 
 
 def test_estimator_ewma_update_exact():
-    est = ThroughputEstimator(weight=0.25)
+    assert ThroughputEstimator.WEIGHT == 0.2
+    est = ThroughputEstimator()
     est.observe(4.0)
     est.observe(2.0)
-    assert est.ewma == pytest.approx(0.25 * 2.0 + 0.75 * 4.0, rel=1e-15)
+    assert est.ewma == pytest.approx(0.2 * 2.0 + 0.8 * 4.0, rel=1e-15)
     est.observe(6.0)
-    assert est.ewma == pytest.approx(0.25 * 6.0 + 0.75 * 3.5, rel=1e-15)
+    assert est.ewma == pytest.approx(0.2 * 6.0 + 0.8 * 3.6, rel=1e-15)
 
 
 def test_estimator_validation():
-    with pytest.raises(ValueError):
-        ThroughputEstimator(weight=0.0)
     est = ThroughputEstimator()
-    with pytest.raises(ValueError):
-        est.observe(-1.0)
+    for sample in (-1.0, 0.0, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="throughput sample must be finite and > 0"):
+            est.observe(sample)
+    assert est.ewma is None
 
 
-def _warm_estimator(value, weight=0.2):
-    est = ThroughputEstimator(weight=weight)
+def _warm_estimator(value):
+    est = ThroughputEstimator()
     est.observe(value)
     return est
 

@@ -102,7 +102,10 @@ MALFORMED = [
     (("users", 0, "cap_profile"), {"kind": "fixed", "cap": 2.0, "lo": 1.0},
      "users[0].cap_profile.lo"),
     (("server",), {"kind": "custom", "base": 9.0, "breakpoints": [[0, 6.0]]}, "server.base"),
+    # and so is a key that users no longer have: these three are constants
     (("users", 0, "estimator_weight"), 0.0, "users[0].estimator_weight"),
+    (("users", 0, "epsilon"), 1e-3, "users[0].epsilon"),
+    (("users", 0, "r_min"), 0.1, "users[0].r_min"),
 ]
 
 
@@ -211,7 +214,8 @@ def test_segments_flag_above_the_largest_float_exits_2(tmp_path, capsys):
 @pytest.mark.parametrize("param, fieldname", [
     # the summary's quality spread squared qualities of about 1e300: an OverflowError
     ("users.0.video.alpha=1e300", "users[0].video.alpha"),
-    # the payoff gradient's plus leg, at r + 1e300, was -inf at segment 1
+    # the payoff gradient's step is a constant now, so the key is unknown; a
+    # step of 1e300 made the gradient's plus leg -inf at segment 1
     ("users.*.epsilon=1e300", "users[0].epsilon"),
     # qoe2's buffer shortfall squared a gap of about 1e300: an OverflowError
     ("users.0.b_ref=1e300", "users[0].b_ref"),
@@ -242,9 +246,12 @@ def test_segment_past_the_horizon_exits_3_naming_the_user_and_segment(tmp_path, 
 
 
 @pytest.mark.parametrize("param, code, message", [
-    # the gradient's two legs both rounded to the rate: a ZeroDivisionError
-    ("users.0.epsilon=1e-300", 2, "users[0].epsilon: AdaptConfig.epsilon must be >= ulp(r_max)"
-     " = 8.881784197001252e-16, got epsilon=1e-300 r_max=6.0"),
+    # the payoff server's step EPSILON must move a rate no further than the
+    # box, and not round away in it (a step under the ulp was a ZeroDivisionError)
+    ("users.0.r_max=9e-5", 2, "users[0].r_max: AdaptConfig.r_max must be >= EPSILON = 0.0001 and"
+     " have ulp(r_max) <= EPSILON, got r_max=9e-05"),
+    ("users.0.r_max=1e12", 2, "users[0].r_max: AdaptConfig.r_max must be >= EPSILON = 0.0001 and"
+     " have ulp(r_max) <= EPSILON, got r_max=1000000000000.0"),
     # the summary's mean buffer was Infinity, with exit 0
     ("sim.initial_buffer=1.7e308", 2, "sim.initial_buffer: 1.7e+308 makes the summary's buffer sum"
      " of 40 segments infinite"),
@@ -274,6 +281,68 @@ def test_segment_downloaded_in_no_time_exits_3_naming_the_user_and_segment(tmp_p
     assert (code, json.loads(stderr)["error"]["message"]) == (3, (
         f"policy failure for user 0 at segment {segment}:"
         " throughput sample must be finite and > 0, got inf"))
+
+
+# "{file}" is an existing file, "{dir}" an existing directory and "{text}" a
+# file that is not JSON; before this table, each case ended in a traceback
+# with exit 1, or, for "{text}", named no flag
+@pytest.mark.parametrize("argv, message", [
+    (["simulate", "--scenario", "{dir}/missing.json"],
+     "--scenario: [Errno 2] No such file or directory: '{dir}/missing.json'"),
+    (["simulate", "--scenario", "{dir}"], "--scenario: [Errno 21] Is a directory: '{dir}'"),
+    (["simulate", "--scenario", "{text}"], "--scenario: Expecting value: line 1 column 1 (char 0)"),
+    # simulate used to run the whole simulation first
+    (["simulate", "--preset", "case1-fixed", "--out", "{file}"],
+     "--out: {file} exists and is not a directory"),
+    (["simulate", "--preset", "case1-fixed", "--out", "{file}/sub"],
+     "--out: {file} exists and is not a directory"),
+    (["sweep", "--preset", "case1-fixed", "--theta", "50,60", "--out", "{file}"],
+     "--out: {file} exists and is not a directory"),
+    (["sweep", "--preset", "case1-fixed", "--theta", "50,60", "--out", "{file}/sub"],
+     "--out: {file} exists and is not a directory"),
+])
+def test_path_flag_that_cannot_be_used_exits_2_naming_it(tmp_path, capsys, monkeypatch, argv, message):
+    paths = {"file": tmp_path / "file", "dir": tmp_path / "dir", "text": tmp_path / "text.json"}
+    paths["file"].write_text("kept")
+    paths["dir"].mkdir()
+    paths["text"].write_text("not json")
+
+    def no_run(scenario):
+        raise AssertionError("a path flag must be checked before any run")
+
+    monkeypatch.setattr(dashgame.cli, "run_scenario", no_run)
+    code, _, stderr = run_cli(capsys, *(arg.format(**paths) for arg in argv))
+    assert (code, json.loads(stderr)["error"]["message"]) == (2, message.format(**paths))
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["dir", "file", "text.json"]
+    assert paths["file"].read_text() == "kept"
+
+
+# a sweep that fails at its qf point, after its game point wrote its outputs
+FAILING_SWEEP = ["sweep", "--preset", "case2-persistent", "--policy", "game,qf,bf",
+                 "--param", "server.breakpoints.1.1=1e20"]
+
+
+def test_failed_sweep_leaves_no_out_tree_it_made(tmp_path, capsys):
+    # it left new/sw/policy=game_1=1e+20/ with both traces, summary and manifest
+    code, _, _ = run_cli(capsys, *FAILING_SWEEP, "--out", str(tmp_path / "new" / "sw"))
+    assert code == 3
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("argv", [
+    FAILING_SWEEP,
+    ["simulate", "--preset", "case2-persistent", "--policy", "qf",
+     "--param", "server.breakpoints.1.1=1e300", "--segments", "60"],
+])
+def test_failed_run_leaves_an_existing_out_as_it_was(tmp_path, capsys, argv):
+    # the cleanup above removes only what the command made, never what it found
+    out = tmp_path / "out"
+    (out / "earlier").mkdir(parents=True)
+    (out / "earlier" / "sentinel").write_text("kept")
+    code, _, _ = run_cli(capsys, *argv, "--out", str(out))
+    assert code == 3
+    assert sorted(str(p.relative_to(out)) for p in out.rglob("*")) == ["earlier", "earlier/sentinel"]
+    assert (out / "earlier" / "sentinel").read_text() == "kept"
 
 
 def test_alpha_just_below_the_quality_bound_runs_finite(tmp_path, capsys):

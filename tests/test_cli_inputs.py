@@ -108,10 +108,11 @@ def _check_run(tmp_path, capsys, preset, replacements, segments):
 @given(case=_replacements(), segments=st.integers(1, 12))
 # the huge and tiny values found one at a time before this property
 @example(case=("case1-fixed", [("users.0.video.alpha", 1e300)]), segments=40)
-@example(case=("case1-fixed", [("users.*.epsilon", 1e300)]), segments=40)
 @example(case=("case1-fixed", [("users.0.b_ref", 1e300)]), segments=40)
 @example(case=("case1-fixed", [("users.0.cap_profile", 1e-300)]), segments=40)
-@example(case=("case1-fixed", [("users.0.epsilon", 1e-300)]), segments=40)
+# the bounds on r_max that the payoff server's constant step sets
+@example(case=("case1-fixed", [("users.*.r_max", 1e300)]), segments=40)
+@example(case=("case1-fixed", [("users.0.r_max", 1e-300)]), segments=40)
 # and those the property found: an infinite mean buffer, a wedge and a
 # starved user, the last two with no segment named
 @example(case=("case1-fixed", [("sim.initial_buffer", 1.7e308)]), segments=40)

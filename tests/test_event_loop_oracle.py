@@ -50,7 +50,7 @@ class _Runtime:
         self.idx = idx
         self.spec = spec
         self.cfg = spec.adapt_config()
-        self.estimator = ThroughputEstimator(weight=spec.estimator_weight)
+        self.estimator = ThroughputEstimator()
         self.buffer = sim.initial_buffer
         self.stall_this = 0.0
         self.k = 0
@@ -85,7 +85,7 @@ def oracle_run_scenario(scenario):
         rt.start_segment(0.0, T, sim.quantize)
         runs.append(rt)
     server = PayoffServer(params, bandwidth_at(profile, 0.0), [
-        (u.video, u.b_ref, rt.request_rate, rt.cfg.epsilon) for u, rt in zip(users, runs)])
+        (u.video, u.b_ref, rt.request_rate) for u, rt in zip(users, runs)])
     boundary_times = sorted(
         {t for t, _ in profile.breakpoints} | {t for s in cap_schedules if s for t, _ in s}
     )

@@ -353,7 +353,7 @@ def test_stall_bookkeeping():
         "params": {"mu": 0.002, "nu": 0.007, "p": 0.5},
         "users": [
             {"video": {"alpha": 0.15, "beta": 0.0827, "ladder": [3.0]},
-             "theta": 1e-9, "b_ref": 15.0, "r_init": 3.0, "r_min": 3.0, "r_max": 3.0,
+             "theta": 1e-9, "b_ref": 15.0, "r_init": 3.0, "r_max": 3.0,
              "cap_profile": 1.0},
         ],
         "server": {"kind": "fixed", "base": 6.0},

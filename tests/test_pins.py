@@ -101,9 +101,8 @@ HAND_WRITTEN = {
         "params": {"mu": 1, "nu": 2, "p": 1},
         "users": [{
             "video": {**VIDEO, "metric_label": "index"}, "theta": 100, "b_ref": 15,
-            "policy": "bf", "cap_profile": 2, "r_init": 1, "r_min": 1, "r_max": 4,
-            "max_step_fraction": 1, "epsilon": 1, "estimator_weight": 1, "qf_startup": 3,
-            "bf_gain": 2,
+            "policy": "bf", "cap_profile": 2, "r_init": 1, "r_max": 4, "max_step_fraction": 1,
+            "qf_startup": 3, "bf_gain": 2,
         }],
         "server": {"kind": "fixed", "base": 6},
         "sim": {"segment_duration": 2, "total_segments": 10, "initial_buffer": 0,

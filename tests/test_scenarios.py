@@ -7,7 +7,6 @@ from dataclasses import replace
 import pytest
 
 from dashgame.adapt import AdaptConfig
-from dashgame.baselines import ThroughputEstimator
 from dashgame.netsim import calibrate_nu, make_profile, run_scenario
 from dashgame.scenarios import (
     ScenarioError,
@@ -122,7 +121,6 @@ def test_validation_bad_ladder():
 def test_user_defaults_are_the_adaptation_defaults():
     user = scenario_from_dict(minimal_doc()).users[0]
     assert user.adapt_config() == AdaptConfig(theta=100.0, r_max=3.0)
-    assert user.estimator_weight == ThroughputEstimator().weight
 
 
 def test_numbers_are_stored_as_floats_and_integers_stay_integers():
