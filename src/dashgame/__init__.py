@@ -12,7 +12,6 @@ from .model import (
     VideoQualityModel,
     adjustment_factor,
     estimated_buffer,
-    quality,
     utility,
     utility_gradient,
     utility_hessian_entries,
@@ -47,7 +46,6 @@ from .netsim import (
     SimConfig,
     TraceRecord,
     allocate_shares,
-    bandwidth_at,
     calibrate_nu,
     make_profile,
     quantize_rate,

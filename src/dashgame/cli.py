@@ -22,7 +22,7 @@ import numpy as np
 from . import __version__
 from .game import closed_form_identical_2user, foc_coefficients, solve_equilibrium
 from .metrics import QoeMetricParams, score
-from .model import BufferView, adjustment_factor
+from .model import BufferView, UtilityGradients
 from .netsim import Link, SessionTrace, SimulationError, TraceRecord, allocate_shares, run_scenario
 from .scenarios import (
     POLICIES,
@@ -107,10 +107,9 @@ def _scenarios(args, points=((),), default_preset: str | None = None) -> list[Sc
     return scenarios
 
 
-def _run_one(sc: Scenario, out_dir: Path, source: str) -> tuple[dict, str]:
-    """Run one scenario, then write its outputs; return the summary and its JSON
-    text.  A run that fails leaves no directory behind."""
-    traces = run_scenario(sc)
+def _write_run(sc: Scenario, traces, out_dir: Path, source: str) -> tuple[dict, str]:
+    """Write the outputs of a finished run of ``sc``; return the summary and
+    its JSON text."""
     out_dir.mkdir(parents=True, exist_ok=True)
     trace_paths = []
     per_user = []
@@ -143,7 +142,8 @@ def cmd_simulate(args) -> int:
     sc, = _scenarios(args)
     if args.calibrate_nu:
         sc = recalibrate_nu(sc)
-    _, summary_json = _run_one(sc, out_dir, source=args.preset or args.scenario)
+    # the run returns before the write starts: a failed run leaves no directory
+    _, summary_json = _write_run(sc, run_scenario(sc), out_dir, source=args.preset or args.scenario)
     print(summary_json)
     return EXIT_OK
 
@@ -178,14 +178,16 @@ def cmd_sweep(args) -> int:
             raise CliError(f"{label}: the sweep grid gives this run twice"
                            + ("" if earlier == label else f", also as {earlier}"))
         by_label[label] = by_scenario[sc] = label
-    # a failed sweep removes the directories it made: the outermost of --out
+    # every run finishes before the first write: a failed run leaves --out as it was
+    runs = [run_scenario(sc) for sc in scenarios]
+    # a failed write removes the directories it made: the outermost of --out
     # and its parents that does not exist yet, else each new run directory
     created = [path for path in (*reversed(out_root.parents), out_root) if not path.exists()][:1]
     created = created or [out_root / label for label in labels if not (out_root / label).exists()]
     rows = []
     try:
-        for combo, label, sc in zip(combos, labels, scenarios):
-            summary, _ = _run_one(sc, out_root / label, source=label)
+        for combo, label, sc, traces in zip(combos, labels, scenarios, runs):
+            summary, _ = _write_run(sc, traces, out_root / label, source=label)
             for user_row in summary["users"]:
                 rows.append({"run": label, **dict(zip(columns, combo)), **user_row})
         table = out_root / "sweep.csv"
@@ -203,8 +205,9 @@ def cmd_sweep(args) -> int:
 
 def _analysis_input(args):
     """The scenario, its videos and buffers, its link's bandwidth and caps at
-    ``--t``, and r_max.  Every user must play the game and share one effective
-    ``r_max``, the box of the static game, which the caps do not narrow."""
+    ``--t``, r_max, and the game's gradients.  Every user must play the game
+    and share one effective ``r_max``, the box of the static game, which the
+    caps do not narrow, and the load slope z3 must be finite."""
     for flag, value in (("--t", args.t), ("--b-curr", args.b_curr)):
         if value is not None and not 0 <= value < math.inf:
             raise CliError(f"{flag}: must be finite and >= 0, got {value!r}")
@@ -219,7 +222,12 @@ def _analysis_input(args):
     bufs = [BufferView(b_curr=u.b_ref if args.b_curr is None else args.b_curr, b_ref=u.b_ref)
             for u in sc.users]
     _, bw, caps = Link(sc).at(args.t)
-    return sc, [u.video for u in sc.users], bufs, bw, caps, r_max
+    models = [u.video for u in sc.users]
+    with np.errstate(over="ignore"):  # a slope that overflows is infinite, and checked
+        grad = UtilityGradients(sc.params, models, bufs, bw)
+    if grad.z3 == math.inf:
+        raise CliError(f"params.nu: {sc.params.nu!r} makes the load slope nu*T/export_bw infinite")
+    return sc, models, bufs, bw, caps, r_max, grad
 
 
 def _identical_pair(sc: Scenario, bufs) -> bool:
@@ -235,34 +243,31 @@ def _pair_coefficients(sc: Scenario, bufs, bw: float):
         return None
 
 
-def _check_finite_slopes(sc: Scenario, bufs, bw: float) -> None:
-    """No Jacobian is finite unless every user's FOC coefficients are (see
-    ``foc_coefficients``): name the field behind the first that is not."""
-    p, T = sc.params, sc.params.segment_duration
-    if not p.nu * T / bw < math.inf:
-        raise CliError(f"params.nu: {p.nu!r} makes the load slope nu*T/export_bw infinite")
-    for i, (u, buf) in enumerate(zip(sc.users, bufs)):
-        if not u.video.alpha * u.video.beta < math.inf:
+def _check_finite_slopes(sc: Scenario, grad: UtilityGradients) -> None:
+    """No Jacobian is finite unless every user's slopes are: name the field
+    behind the first that is not."""
+    for i, u in enumerate(sc.users):
+        if not grad.z1[i] < math.inf:
             raise CliError(f"users[{i}].video.alpha: {u.video.alpha!r} makes the quality"
                            " slope alpha*beta infinite")
-        if not p.mu * T * adjustment_factor(p.p, buf.b_curr, buf.b_ref) < math.inf:
-            raise CliError(f"params.mu: {p.mu!r} makes the buffer slope mu*T*A_f of"
+        if not grad.z2[i] < math.inf:
+            raise CliError(f"params.mu: {sc.params.mu!r} makes the buffer slope mu*T*A_f of"
                            f" users[{i}] infinite")
 
 
-def _solve(sc: Scenario, models, bufs, bw: float, r_max: float):
+def _solve(sc: Scenario, models, bufs, bw: float, r_max: float, grad: UtilityGradients):
     # the solver brackets the load between bounds divided by the load slope
-    if not sc.params.nu * sc.params.segment_duration / bw > 0:
+    if grad.z3 == 0:
         raise CliError(f"params.nu: {sc.params.nu!r} makes the load slope nu*T/export_bw zero")
     return solve_equilibrium(sc.params, models, bufs, bw, r_max=r_max)
 
 
 def cmd_equilibrium(args) -> int:
-    sc, models, bufs, bw, caps, r_max = _analysis_input(args)
-    result = _solve(sc, models, bufs, bw, r_max)
+    sc, models, bufs, bw, caps, r_max, grad = _analysis_input(args)
+    result = _solve(sc, models, bufs, bw, r_max, grad)
     out = {
         "rates": result.rates,
-        "residual": result.residual,
+        "residual": result.residual if math.isfinite(result.residual) else None,
         "iterations": result.iterations,
         "converged": result.converged,
         "shares": allocate_shares(bw, caps),
@@ -270,14 +275,15 @@ def cmd_equilibrium(args) -> int:
     if _identical_pair(sc, bufs):
         z = _pair_coefficients(sc, bufs, bw)
         r_star = closed_form_identical_2user(z, models[0].beta) if z else math.inf
-        # JSON has no Infinity: a closed form past the largest float prints null
+        # JSON has no Infinity: a closed form past the largest float prints null, as
+        # does a residual that overflowed
         out["closed_form_identical"] = r_star if math.isfinite(r_star) else None
     print(json.dumps(out, indent=2))
     return EXIT_OK if result.converged else EXIT_RUNTIME
 
 
 def cmd_stability(args) -> int:
-    sc, models, bufs, bw, _, r_max = _analysis_input(args)
+    sc, models, bufs, bw, _, r_max, grad = _analysis_input(args)
     params, n = sc.params, len(models)
     if args.rates:
         try:
@@ -287,11 +293,11 @@ def cmd_stability(args) -> int:
         if len(rates) != n or not all(0 <= r < math.inf for r in rates):
             raise CliError(f"--rates: needs {n} finite numbers >= 0, got {args.rates!r}")
     else:
-        eq = _solve(sc, models, bufs, bw, r_max)
+        eq = _solve(sc, models, bufs, bw, r_max, grad)
         if not eq.converged:
             raise CliError("equilibrium solve failed; pass --rates explicitly", EXIT_RUNTIME)
         rates = eq.rates
-    _check_finite_slopes(sc, bufs, bw)
+    _check_finite_slopes(sc, grad)
     thetas = [u.theta for u in sc.users]
     jacobian = jacobian_analytic(params, models, bufs, bw, rates, thetas)
     report = build_report(jacobian) if np.isfinite(jacobian).all() else None

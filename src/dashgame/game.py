@@ -213,8 +213,6 @@ def solve_equilibrium(
     n = len(models)
     if n < 1:
         raise ValueError("at least one user is required")
-    if len(bufs) != n:
-        raise ValueError("models and bufs must have the same length")
 
     grad = UtilityGradients(params, models, bufs, export_bw)
     # the load bracket below divides by the load slope

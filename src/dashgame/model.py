@@ -25,7 +25,6 @@ __all__ = [
     "VideoQualityModel",
     "BufferView",
     "log_quality",
-    "quality",
     "quantize_rate",
     "serial_sum",
     "adjustment_factor",
@@ -134,11 +133,6 @@ def log_quality(alpha: float, beta: float, rate: float) -> float:
     return alpha * math.log1p(beta * rate)
 
 
-def quality(model: VideoQualityModel, rate: float) -> float:
-    """Quality of ``model``'s video at the given bitrate (Mbps)."""
-    return log_quality(model.alpha, model.beta, rate)
-
-
 def quantize_rate(ladder: Sequence[float], r: float) -> float:
     """Largest rung of the ascending ``ladder`` <= r, or the lowest rung when r is below it."""
     if not ladder:
@@ -241,8 +235,8 @@ def utility(
     buf: BufferView,
     export_bw: float,
 ) -> float:
-    """Payoff of user ``i``: quality(r_i) + mu * estimated_buffer(i)."""
-    return quality(model, rates[i]) + params.mu * estimated_buffer(params, i, rates, buf, export_bw)
+    """Payoff of user ``i``: log_quality(r_i) + mu * estimated_buffer(i)."""
+    return log_quality(model.alpha, model.beta, rates[i]) + params.mu * estimated_buffer(params, i, rates, buf, export_bw)
 
 
 def utility_gradient(

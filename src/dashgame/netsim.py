@@ -45,7 +45,6 @@ __all__ = [
     "SimulationError",
     "PROFILE_KINDS",
     "make_profile",
-    "bandwidth_at",
     "Link",
     "allocate_shares",
     "quantize_rate",
@@ -127,13 +126,6 @@ def make_profile(kind: str, base: float = 6.0, breakpoints=None) -> BandwidthPro
     return BandwidthProfile(breakpoints=points)
 
 
-def bandwidth_at(profile: BandwidthProfile, t: float) -> float:
-    """Bandwidth of the most recent breakpoint at or before ``t``."""
-    if t < 0:
-        raise ValueError(f"t must be >= 0, got {t!r}")
-    return _step_at(profile.breakpoints, t)
-
-
 @dataclass(frozen=True)
 class CapSpec:
     """Per-user channel throughput limitation.
@@ -203,9 +195,12 @@ class Link:
     def at(self, t: float) -> tuple[float, float, list[Optional[float]]]:
         """The next step after ``t`` (inf if none), the export bandwidth, and
         every user's cap (None = unlimited) in force at ``t``."""
+        if t < 0:
+            raise ValueError(f"t must be >= 0, got {t!r}")
         i = bisect_right(self.times, t)
         caps = [None if sched is None else _step_at(sched, t) for sched in self.caps]
-        return self.times[i] if i < len(self.times) else math.inf, bandwidth_at(self.profile, t), caps
+        bw = _step_at(self.profile.breakpoints, t)
+        return self.times[i] if i < len(self.times) else math.inf, bw, caps
 
 
 def allocate_shares(export_bw: float, caps: Sequence[Optional[float]]) -> list[float]:

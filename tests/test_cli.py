@@ -10,7 +10,7 @@ import pytest
 import dashgame.cli
 from dashgame.cli import _TRACE_HEADER, main
 from dashgame.model import BufferView
-from dashgame.netsim import Link, bandwidth_at, run_scenario
+from dashgame.netsim import Link, run_scenario
 from dashgame.scenarios import list_presets, load_preset, scenario_to_dict
 from dashgame.stability import jacobian_analytic, jacobian_numeric
 
@@ -345,6 +345,24 @@ def test_failed_run_leaves_an_existing_out_as_it_was(tmp_path, capsys, argv):
     assert (out / "earlier" / "sentinel").read_text() == "kept"
 
 
+def test_failed_sweep_leaves_an_earlier_sweep_byte_for_byte(tmp_path, capsys):
+    # its game point overwrote the earlier sweep's policy=game/ before its qf
+    # point failed, and sweep.csv stayed the earlier sweep's
+    out = tmp_path / "sw"
+    code, _, _ = run_cli(capsys, "sweep", "--preset", "case2-persistent", "--policy", "game,qf",
+                         "--segments", "40", "--out", str(out))
+    assert code == 0
+    before = {p: p.read_bytes() for p in out.rglob("*") if p.is_file()}
+    doc = scenario_to_dict(load_preset("case2-persistent"))
+    doc["server"]["breakpoints"][1][1] = 1e20
+    source = tmp_path / "scenario.json"
+    source.write_text(json.dumps(doc), encoding="utf-8")
+    code, _, _ = run_cli(capsys, "sweep", "--scenario", str(source), "--policy", "game,qf",
+                         "--segments", "60", "--out", str(out))
+    assert code == 3
+    assert {p: p.read_bytes() for p in out.rglob("*") if p.is_file()} == before
+
+
 def test_alpha_just_below_the_quality_bound_runs_finite(tmp_path, capsys):
     # 40 squares of the top quality, about 2e153, stay finite: the bound is near 5.26e153
     out = tmp_path / "x"
@@ -466,7 +484,7 @@ def test_stability_three_users(capsys):
     game = (
         sc.params, [u.video for u in sc.users],
         [BufferView(b_curr=u.b_ref, b_ref=u.b_ref) for u in sc.users],
-        bandwidth_at(sc.server, 0.0), [0.0, 1.5, 2.5], [u.theta for u in sc.users],
+        Link(sc).at(0.0)[1], [0.0, 1.5, 2.5], [u.theta for u in sc.users],
     )
     assert out["jacobian"] == jacobian_analytic(*game).tolist()
     assert np.abs(np.array(out["jacobian"]) - jacobian_numeric(*game)).max() <= 1e-6
@@ -596,6 +614,16 @@ def test_huge_rate_runs_with_warnings_as_errors(capsys):
     (["equilibrium", "--preset", "case3", "--param", "params.nu=5e-324"], 2, "params.nu"),
     # the identical pair's closed form overflowed (a traceback) or printed Infinity
     (["equilibrium", "--preset", "case1-fixed", "--param", "params.mu=1.7e308"], 0, None),
+    # at given rates, an infinite load slope nu*T/export_bw or quality slope alpha*beta
+    (["stability", "--preset", "case1-fixed", "--param", "params.nu=1.7e308", "--rates=3,3"],
+     2, "params.nu"),
+    (["stability", "--preset", "case1-fixed", "--param", "users.0.video.alpha=1.8e8",
+      "--param", "users.0.video.beta=1e300", "--rates=3,3"], 2, "users[0].video.alpha"),
+    # the solver ran with an infinite load slope: equilibrium printed Infinity
+    # with every rate at r_max, and stability named no field
+    (["equilibrium", "--preset", "case1-fixed", "--param", "params.nu=1.7e308"], 2, "params.nu"),
+    (["equilibrium", "--preset", "case3", "--param", "params.nu=1.7e308"], 2, "params.nu"),
+    (["stability", "--preset", "case1-fixed", "--param", "params.nu=1.7e308"], 2, "params.nu"),
 ])
 def test_extreme_analysis_input_exits_0_or_names_it(capsys, argv, code, named):
     with warnings.catch_warnings():

@@ -9,7 +9,7 @@ or exit 3 with a message that names the user and the segment.  The second
 runs ``dashgame equilibrium`` and ``dashgame stability`` on a preset with
 extreme ``--param`` leaves, ``--rates``, ``--b-curr`` and ``--t``, with
 warnings turned into errors: exit 0 with every JSON number finite, exit 2
-naming the flag or the field, or exit 3.
+naming the flag or the field, or exit 3; whatever a run prints is strict JSON.
 """
 
 import copy
@@ -70,6 +70,13 @@ def _all_finite(value) -> bool:
     if isinstance(value, list):
         return all(_all_finite(v) for v in value)
     return not isinstance(value, float) or math.isfinite(value)
+
+
+def _strict_json(text):
+    """``text`` parsed as JSON, which has no NaN or Infinity."""
+    def refuse(constant):
+        raise ValueError(f"{constant} is not JSON")
+    return json.loads(text, parse_constant=refuse)
 
 
 def _check_run(tmp_path, capsys, preset, replacements, segments):
@@ -151,14 +158,17 @@ def _analysis_argv(draw):
 @example(argv=["stability", "--preset", "case1-fixed", "--rates=1e308,1e308"])
 @example(argv=["stability", "--preset", "case3", "--rates=1.7e308,1,1.7e308"])
 @example(argv=["stability", "--preset", "case1-fixed", "--param=users.0.video.beta=1e300"])
+# an infinite load slope printed an Infinity residual
+@example(argv=["equilibrium", "--preset", "case1-fixed", "--param=params.nu=1.7e308"])
 def test_extreme_analysis_inputs_exit_0_2_or_3_never_a_traceback(capsys, argv):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         code = main(argv)
     stdout, stderr = capsys.readouterr()
+    out = _strict_json(stdout) if stdout else None
     if code == 0:
         assert stderr == ""
-        assert _all_finite(json.loads(stdout)), stdout
+        assert _all_finite(out), stdout
     elif code == 2:
         message = json.loads(stderr)["error"]["message"]
         assert FLAG_OR_FIELD.match(message), message

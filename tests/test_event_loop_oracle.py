@@ -18,7 +18,7 @@ from hypothesis import given, settings, strategies as st
 
 from dashgame.adapt import PayoffServer, update_rate
 from dashgame.baselines import ThroughputEstimator, bf_decide, qf_decide
-from dashgame.model import GameParams, VideoQualityModel, quality
+from dashgame.model import GameParams, VideoQualityModel, log_quality
 from dashgame.netsim import (
     PROFILE_KINDS,
     CapSpec,
@@ -27,7 +27,6 @@ from dashgame.netsim import (
     SimulationError,
     TraceRecord,
     allocate_shares,
-    bandwidth_at,
     calibrate_nu,
     make_profile,
     quantize_rate,
@@ -39,7 +38,8 @@ COMPLETION_EPS = 1e-9
 
 
 def cap_at(schedule, t):
-    """The cap of a materialized schedule in force at ``t`` (None = unlimited)."""
+    """The value of a materialized schedule in force at ``t`` (None = unlimited):
+    a cap, or of the profile's breakpoints, the export bandwidth."""
     if schedule is None:
         return None
     return schedule[max(bisect_right([s for s, _ in schedule], t) - 1, 0)][1]
@@ -84,7 +84,7 @@ def oracle_run_scenario(scenario):
         rt = _Runtime(idx, u, sim)
         rt.start_segment(0.0, T, sim.quantize)
         runs.append(rt)
-    server = PayoffServer(params, bandwidth_at(profile, 0.0), [
+    server = PayoffServer(params, cap_at(profile.breakpoints, 0.0), [
         (u.video, u.b_ref, rt.request_rate) for u, rt in zip(users, runs)])
     boundary_times = sorted(
         {t for t, _ in profile.breakpoints} | {t for s in cap_schedules if s for t, _ in s}
@@ -100,7 +100,7 @@ def oracle_run_scenario(scenario):
             raise SimulationError(f"simulated time exceeded the horizon at t={t:.3f}s")
         downloading = [i for i in range(n) if not runs[i].done]
         caps_now = [cap_at(cap_schedules[i], t) for i in downloading]
-        shares = dict(zip(downloading, allocate_shares(bandwidth_at(profile, t), caps_now)))
+        shares = dict(zip(downloading, allocate_shares(cap_at(profile.breakpoints, t), caps_now)))
 
         t_next = math.inf
         bidx = bisect_right(boundary_times, t)
@@ -128,7 +128,7 @@ def oracle_run_scenario(scenario):
         ]
         if not completed:
             continue
-        server.export_bw = bandwidth_at(profile, t)
+        server.export_bw = cap_at(profile.breakpoints, t)
         for i in completed:
             rt = runs[i]
             rt.buffer += T
@@ -136,7 +136,7 @@ def oracle_run_scenario(scenario):
                 k=rt.k, t_start=rt.started_at, t_end=t, requested_rate=rt.request_rate,
                 quantized_rate=rt.download_rate, download_time=t - rt.started_at,
                 buffer=rt.buffer, stall_seconds=rt.stall_this,
-                quality=quality(rt.spec.video, rt.download_rate),
+                quality=log_quality(rt.spec.video.alpha, rt.spec.video.beta, rt.download_rate),
             ))
             rt.stall_this = 0.0
             rt.k += 1

@@ -18,19 +18,19 @@ from dashgame.model import (
     adjustment_factor,
     estimated_buffer,
     log_quality,
-    quality,
     serial_sum,
     utility,
     utility_gradient,
     utility_hessian_entries,
 )
 from conftest import random_instance
+from test_acceptance import _central_diff
 
 BW = 6.0
 
 
 def test_quality_zero_rate(ref_video):
-    assert quality(ref_video, 0.0) == 0.0
+    assert log_quality(ref_video.alpha, ref_video.beta, 0.0) == 0.0
 
 
 def test_quality_degenerate_beta():
@@ -39,20 +39,22 @@ def test_quality_degenerate_beta():
 
 
 def test_quality_worked_value(ref_video):
-    assert quality(ref_video, 3.0) == pytest.approx(0.47648814912588255, rel=1e-12)
+    got = log_quality(ref_video.alpha, ref_video.beta, 3.0)
+    assert got == pytest.approx(0.47648814912588255, rel=1e-12)
 
 
 def test_quality_strictly_increasing(ref_video):
+    a, b = ref_video.alpha, ref_video.beta
     rng = np.random.default_rng(1)
     for _ in range(200):
         r = float(rng.uniform(0, 40))
         d = float(rng.uniform(1e-6, 2.0))
-        assert quality(ref_video, r + d) > quality(ref_video, r)
+        assert log_quality(a, b, r + d) > log_quality(a, b, r)
 
 
 def test_quality_rejects_negative(ref_video):
     with pytest.raises(ValueError):
-        quality(ref_video, -0.5)
+        log_quality(ref_video.alpha, ref_video.beta, -0.5)
 
 
 def test_adjustment_factor_neutral():
@@ -135,7 +137,7 @@ def test_utility_decomposition():
         rates = [float(rng.uniform(0, 8)) for _ in videos]
         i = int(rng.integers(len(videos)))
         u = utility(params, videos[i], i, rates, bufs[i], bw)
-        q = quality(videos[i], rates[i])
+        q = log_quality(videos[i].alpha, videos[i].beta, rates[i])
         b = estimated_buffer(params, i, rates, bufs[i], bw)
         assert u == pytest.approx(q + params.mu * b, rel=1e-12, abs=1e-15)
 
@@ -143,17 +145,6 @@ def test_utility_decomposition():
 def test_gradient_worked_value(ref_params, ref_video, neutral_buffer):
     got = utility_gradient(ref_params, ref_video, 0, [3.0, 3.0], neutral_buffer, BW)
     assert got == pytest.approx(0.14026054002083166, rel=1e-12)
-
-
-def _central_diff(params, video, i, rates, buf, bw, h):
-    plus = list(rates)
-    minus = list(rates)
-    plus[i] += h
-    minus[i] -= h
-    return (
-        utility(params, video, i, plus, buf, bw)
-        - utility(params, video, i, minus, buf, bw)
-    ) / (2 * h)
 
 
 def test_gradient_matches_central_difference():

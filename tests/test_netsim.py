@@ -12,7 +12,6 @@ from dashgame.netsim import (
     SimConfig,
     SimulationError,
     allocate_shares,
-    bandwidth_at,
     Link,
     calibrate_nu,
     make_profile,
@@ -97,11 +96,13 @@ def test_allocate_shares_matches_progressive_filling(bw, n, data):
 
 
 def test_bandwidth_at_persistent_preset_values():
-    prof = make_profile("persistent", base=6.0)
-    assert bandwidth_at(prof, 0.0) == 6.0
-    assert bandwidth_at(prof, 150.0) == 9.0
-    assert bandwidth_at(prof, 250.0) == 6.0
-    assert bandwidth_at(prof, 100.0) == 9.0  # right-continuous step
+    link = Link(load_preset("case2-persistent"))
+    assert link.at(0.0)[1] == 6.0
+    assert link.at(150.0)[1] == 9.0
+    assert link.at(250.0)[1] == 6.0
+    assert link.at(100.0)[1] == 9.0  # right-continuous step
+    with pytest.raises(ValueError, match="^t must be >= 0, got -1.0$"):
+        link.at(-1.0)
 
 
 def test_make_profile_persistent_breakpoints():

@@ -1,13 +1,11 @@
 """Jacobians, the LAPACK spectrum, and closed-form stability conditions."""
 
-import math
 import warnings
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from dashgame.adapt import AdaptConfig, UserSession, run_round
 from dashgame.game import foc_coefficients, solve_equilibrium
 from dashgame.model import (
     BufferView,
@@ -28,6 +26,7 @@ from dashgame.stability import (
     stability_conditions_identical_2user,
 )
 from conftest import random_instance
+from test_acceptance import _dynamics_instance, _iterate
 
 BW = 6.0
 
@@ -302,42 +301,10 @@ def test_eigenvalues_hand_cases():
     assert spectral_radius([[0.0, -1.0], [1.0, 0.0]]) == pytest.approx(1.0)
 
 
-def _matched_spectrum_error(mine, ref):
-    """Greedy nearest pairing; spectra are unordered multisets."""
-    pool = list(ref)
-    worst = 0.0
-    for z in mine:
-        j = min(range(len(pool)), key=lambda i: abs(pool[i] - z))
-        worst = max(worst, abs(pool[j] - z))
-        pool.pop(j)
-    return worst
-
-
-def test_eigenvalues_match_numpy_on_random_matrices():
-    rng = np.random.default_rng(23)
-    for _ in range(150):
-        n = int(rng.integers(1, 129))
-        scale = float(rng.choice([0.01, 1.0, 100.0]))
-        m = rng.normal(size=(n, n)) * scale
-        got = build_report(m).eigenvalues
-        err = _matched_spectrum_error(got, np.linalg.eigvals(m))
-        assert err < 1e-7 * max(1.0, scale) * n
-        mags = [abs(z) for z in got]
-        assert mags == sorted(mags, reverse=True)
-
-
 def test_eigenvalues_defective_matrix():
     jordan = np.array([[2.0, 1.0, 0.0], [0.0, 2.0, 1.0], [0.0, 0.0, 2.0]])
     got = build_report(jordan).eigenvalues
     assert all(z == pytest.approx(2.0, abs=1e-6) for z in got)
-
-
-def test_eigenvalues_sorted_by_magnitude():
-    rng = np.random.default_rng(24)
-    m = rng.normal(size=(6, 6))
-    got = build_report(m).eigenvalues
-    mags = [abs(z) for z in got]
-    assert mags == sorted(mags, reverse=True)
 
 
 def test_eigenvalues_input_validation():
@@ -397,6 +364,10 @@ def test_eigenvalues_match_key_sort_oracle():
         if rng.random() < 0.5:
             m = m + 1j * rng.normal(size=(n, n))
         cases.append(m)
+    # real matrices of up to 128 rows, at three scales
+    for _ in range(150):
+        n = int(rng.integers(1, 129))
+        cases.append(rng.normal(size=(n, n)) * float(rng.choice([0.01, 1.0, 100.0])))
     for m in cases:
         report = build_report(m)
         got = report.eigenvalues
@@ -480,44 +451,12 @@ def test_conditions_large_theta_unstable():
     assert broke, "no instability found while scaling theta"
 
 
-def _local_dynamics_instance(rng):
-    """An instance, its equilibrium and the first theta whose spectral radius is <= 0.95."""
-    while True:
-        params, videos, bufs, bw = random_instance(rng, n_users=int(rng.integers(2, 5)))
-        r_max = 60.0
-        eq = solve_equilibrium(params, videos, bufs, bw, r_max=r_max)
-        if not eq.converged or not all(0.2 < r < r_max - 1 for r in eq.rates):
-            continue
-        for theta in (0.5, 1.0, 2.0, 5.0, 10.0, 25.0, 60.0, 150.0, 400.0):
-            thetas = [theta] * len(videos)
-            jac = jacobian_numeric(params, videos, bufs, bw, eq.rates, thetas)
-            rho = spectral_radius(jac)
-            if rho <= 0.95:
-                return params, videos, bufs, bw, eq.rates, thetas, rho
-
-
-def _iterate_local(params, videos, bufs, bw, rates, thetas, rounds):
-    cfg_by_theta = {
-        t: AdaptConfig(theta=t, r_max=1e9, r_min=1e-9, r_init=1e-9, max_step_fraction=math.inf)
-        for t in set(thetas)
-    }
-    sessions = [
-        UserSession(i, videos[i], cfg_by_theta[thetas[i]], rate=r,
-                    b_curr=bufs[i].b_curr, b_ref=bufs[i].b_ref)
-        for i, r in enumerate(rates)
-    ]
-    out = [list(rates)]
-    for _ in range(rounds):
-        out.append(run_round(sessions, params, bw))
-    return out
-
-
 def test_stable_spectrum_implies_local_convergence():
     rng = np.random.default_rng(26)
     for _ in range(5):
-        params, videos, bufs, bw, eq, thetas, rho = _local_dynamics_instance(rng)
+        params, videos, bufs, bw, eq, thetas, rho = _dynamics_instance(rng, 0.0, 0.95)
         start = [r * 1.01 for r in eq]
-        traj = _iterate_local(params, videos, bufs, bw, start, thetas, 400)
+        traj = _iterate(params, videos, bufs, bw, start, thetas, 400)
         final = max(abs(a - b) for a, b in zip(traj[-1], eq))
         initial = max(abs(a - b) for a, b in zip(start, eq))
         assert final < 1e-5 * initial + 1e-9
@@ -525,9 +464,9 @@ def test_stable_spectrum_implies_local_convergence():
 
 def test_local_convergence_rate_tracks_spectral_radius():
     rng = np.random.default_rng(28)
-    params, videos, bufs, bw, eq, thetas, rho = _local_dynamics_instance(rng)
+    params, videos, bufs, bw, eq, thetas, rho = _dynamics_instance(rng, 0.0, 0.95)
     start = [r * 1.001 for r in eq]
-    traj = _iterate_local(params, videos, bufs, bw, start, thetas, 60)
+    traj = _iterate(params, videos, bufs, bw, start, thetas, 60)
     dists = [max(abs(a - b) for a, b in zip(row, eq)) for row in traj]
     # observed per-round contraction over the tail should not beat the spectrum claim
     tail = [d for d in dists if d > 1e-12]
